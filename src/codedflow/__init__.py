@@ -19,6 +19,7 @@ from .errors import (
     CyclicTopologyError,
     DensityUnderflow,
     EmptySupport,
+    InvariantViolation,
     SingularIFError,
     SingularSystemMatrix,
     SparsityViolation,

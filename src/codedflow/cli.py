@@ -285,20 +285,18 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     else:
         raise ConfigError(f"unknown coefficients mode {mode!r}")
 
+    def setting(section, key, default=None):
+        # an override replaces the config value even when it is zero
+        if overrides.get(key) is not None:
+            return overrides[key]
+        return _scalar(entries, section, key, lineno_map, default=default)
+
     # -- engine -----------------------------------------------------------
-    method = overrides.get("method") or _scalar(
-        entries, "engine", "method", lineno_map, default="quadrature"
-    )
-    nodes = overrides.get("nodes") or _scalar(entries, "engine", "nodes", lineno_map)
-    samples = overrides.get("samples") or _scalar(
-        entries, "engine", "samples", lineno_map, default="100000"
-    )
-    seed = overrides.get("seed")
-    if seed is None:
-        seed = _scalar(entries, "engine", "seed", lineno_map, default="0")
-    workers = overrides.get("workers") or _scalar(
-        entries, "engine", "workers", lineno_map, default="1"
-    )
+    method = setting("engine", "method", "quadrature")
+    nodes = setting("engine", "nodes")
+    samples = setting("engine", "samples", "100000")
+    seed = setting("engine", "seed", "0")
+    workers = setting("engine", "workers", "1")
     try:
         engine = EngineSpec(
             method=method,
@@ -311,11 +309,10 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
     # -- run ---------------------------------------------------------------
-    tolerance = float(
-        overrides.get("tolerance")
-        or _scalar(entries, "run", "tolerance", lineno_map, default="1e-3")
-    )
-    units = overrides.get("units") or _scalar(entries, "run", "units", lineno_map, default="bits")
+    tolerance = float(setting("run", "tolerance", "1e-3"))
+    if not tolerance >= 0.0:
+        raise ConfigError(f"tolerance must be nonnegative, not {tolerance!r}")
+    units = setting("run", "units", "bits")
     if units not in ("bits", "nats"):
         raise ConfigError(f"units must be bits or nats, not {units!r}")
     step = float(_scalar(entries, "run", "step", lineno_map, default="1e-3"))

@@ -37,6 +37,10 @@ class CostGuardError(CodedFlowError):
     """Raised when a request would exceed the configured quadrature/sampling cost guards."""
 
 
+class InvariantViolation(CodedFlowError, ValueError):
+    """Raised when a computed quantity breaks a law it must obey (sign, bound, symmetry)."""
+
+
 class StepTooSmallError(CodedFlowError):
     """Raised when a finite-difference step is dominated by Monte-Carlo noise."""
 

@@ -3,9 +3,10 @@
 The posterior mean ``xhat(z) = E[x|z]`` is computed by exact posterior
 summation for discrete inputs and by the linear closed form
 ``M^H (I + M M^H)^{-1} z`` for Gaussian inputs.  The error matrix
-``E[(x - xhat)(x - xhat)^H]`` is evaluated either by tensorized
-Gauss-Hermite quadrature over the output space (guarded at three complex
-output dimensions) or by Monte Carlo with batch-means standard errors.
+``E[(x - xhat)(x - xhat)^H]`` is evaluated either by Monte Carlo with batch-means
+standard errors or by tensorized Gauss-Hermite quadrature (guarded at three complex
+output dimensions), whose mixture sums are matrix products of max-shifted
+exponentials, recomputed exactly where they underflow.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import flowmodel
-from .errors import CostGuardError, SingularSystemMatrix
+from .errors import CostGuardError, InvariantViolation, SingularSystemMatrix
 from .flowmodel import InputDistribution, SampleBatch
 from .netgraph import SystemMatrices
 from .quadrature import complex_gauss_hermite, default_nodes
@@ -25,7 +26,8 @@ _HERMITIAN_TOL = 1e-10
 _PSD_FLOOR = -1e-10
 _DOMINANCE_FLOOR = -1e-8
 _MC_MIN_SAMPLES = 1000
-_QUAD_BLOCK = 1 << 17
+_QUAD_CHUNK_BYTES = 1 << 19  # per chunk of quadrature rows, 16*K*(dim+1) B a row; sets the summation order
+_EXACT_FLOOR = 1e-290  # shifted mixture sums at or below this are recomputed
 _SYSTEM_CONDITION_LIMIT = 1e10
 
 
@@ -43,6 +45,10 @@ class EngineSpec:
     def __post_init__(self):
         if self.method not in ("quadrature", "mc"):
             raise ValueError(f"unknown engine method {self.method!r}")
+        for name, least in (("nodes", 1), ("samples", 1), ("workers", 1), ("batches", 2)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"engine {name} must be at least {least}, got {value}")
 
     def resolve_nodes(self, dim: int) -> int:
         return self.nodes if self.nodes is not None else default_nodes(dim)
@@ -72,25 +78,21 @@ class MmseMatrix:
         matrix = np.asarray(matrix, dtype=complex)
         herm_gap = float(np.max(np.abs(matrix - matrix.conj().T), initial=0.0))
         if herm_gap > _HERMITIAN_TOL:
-            raise ValueError(f"error matrix is not Hermitian: gap {herm_gap:.2e}")
+            raise InvariantViolation(f"error matrix is not Hermitian: gap {herm_gap:.2e}")
         matrix = 0.5 * (matrix + matrix.conj().T)
         eigs = np.linalg.eigvalsh(matrix)
         se_scale = 0.0
         if standard_error is not None:
             se_scale = float(np.linalg.norm(standard_error))
         if eigs.min(initial=0.0) < _PSD_FLOOR - 5.0 * se_scale:
-            raise ValueError(f"error matrix has eigenvalue {eigs.min():.2e} below the PSD floor")
+            raise InvariantViolation(f"error matrix has eigenvalue {eigs.min():.2e} below the PSD floor")
         gap_eigs = np.linalg.eigvalsh(np.asarray(input_covariance) - matrix)
         if gap_eigs.min(initial=0.0) < _DOMINANCE_FLOOR - 5.0 * se_scale:
-            raise ValueError(
+            raise InvariantViolation(
                 f"error matrix exceeds the input covariance: eigenvalue {gap_eigs.min():.2e}"
             )
         matrix.setflags(write=False)
         return cls(matrix=matrix, method=method, count=count, standard_error=standard_error)
-
-    @property
-    def E(self) -> np.ndarray:
-        return self.matrix
 
 
 def _as_matrix(system) -> np.ndarray:
@@ -136,10 +138,11 @@ def quadrature_moments(M, dist: InputDistribution, nodes: int | None = None, *, 
     """Exact-expectation pass over the output density of a discrete input.
 
     Returns ``(mi_nats, error_matrix, node_count)``; either output may be
-    ``None`` if not requested.  Writing the exponent of component j at the
-    point ``mean_k + noise`` as ``c_j + 2 S[j,k] + 2 T[q,j]`` (with S the
-    mean Gram matrix and T the noise/mean cross terms) keeps the cost at
-    one small matrix product plus one log-sum-exp sweep per support point.
+    ``None`` if not requested.  Component j's exponent ``C[j,k] + 2 T[q,j]`` at ``mean_k + noise_q``
+    (``C[j,k] = c_j + 2 S[j,k]``, S the mean Gram matrix, T the noise/mean cross terms)
+    separates: the mixture sums are ``exp(a_q + b_k) (P @ W)[q,k]`` with ``P = exp(2T - a)``,
+    ``W = exp(C - b)`` (a, b the maxima), the posterior means ``P @ (W * support)``.  Sums at
+    or below ``_EXACT_FLOOR`` may have underflowed; ``flowmodel._posterior_weights`` redoes them.
     """
     M = np.asarray(M, dtype=complex)
     if dist.kind != "discrete":
@@ -148,36 +151,44 @@ def quadrature_moments(M, dist: InputDistribution, nodes: int | None = None, *, 
     nodes = nodes if nodes is not None else default_nodes(n_out)
     noise, weights = complex_gauss_hermite(n_out, nodes)
 
-    support = dist.support
-    probs = dist.probs
+    support, probs = dist.support, dist.probs
+    K, dim = support.shape
     means = support @ M.T
     m2 = np.sum(np.abs(means) ** 2, axis=1)
-    c = dist.log_probs - m2
-    S = np.real(means.conj() @ means.T)  # S[j, k]
-    K = len(probs)
+    C = (dist.log_probs - m2)[:, None] + 2.0 * np.real(means.conj() @ means.T)  # C[j, k]
+    b = C.max(axis=0)
+    Wt = np.exp(C - b).T  # W[k, j]: arrays are support-major, so maxima reduce across rows
+    parts = np.stack([support.T.real, support.T.imag])  # (re/im, d, k)
+    Wt_parts = (parts[:, :, None, :] * Wt).reshape(-1, K)  # W[j, k] * support[j, d]
+    rows = max(1, _QUAD_CHUNK_BYTES // (16 * K * (dim + 1)))
 
-    mi_total = 0.0 if want_mi else None
-    err_total = np.zeros((dist.dimension, dist.dimension), dtype=complex) if want_mmse else None
+    mi_total = 0.0
+    err_total = np.zeros((dim, dim), dtype=complex) if want_mmse else None
 
-    for start in range(0, noise.shape[0], _QUAD_BLOCK):
-        block = noise[start : start + _QUAD_BLOCK]
-        wq = weights[start : start + _QUAD_BLOCK]
-        T = np.real(block @ means.conj().T)  # (q, j)
-        for k in range(K):
-            ex = (c + 2.0 * S[:, k])[None, :] + 2.0 * T
-            mx = ex.max(axis=1)
-            np.subtract(ex, mx[:, None], out=ex)
-            np.exp(ex, out=ex)
-            total = ex.sum(axis=1)
-            if want_mi:
-                lse = mx + np.log(total)
-                mi_total += probs[k] * float(wq @ (m2[k] + 2.0 * T[:, k] - lse))
+    for start in range(0, noise.shape[0], rows):
+        block = noise[start : start + rows]
+        wq = weights[start : start + rows]
+        T2 = 2.0 * (means.view(float) @ block.view(float).T)  # (j, q): 2 Re(conj(mean_j) noise_q)
+        a = T2.max(axis=0)
+        P = np.exp(T2 - a)
+        total = Wt @ P  # (k, q)
+        ki, qi = np.nonzero(total <= _EXACT_FLOOR)
+        total = np.maximum(total, _EXACT_FLOOR)
+        lse = np.log(total) + a + b[:, None]
+        xhat = (Wt_parts @ P).reshape(2, dim, K, -1) / total if want_mmse else None
+        if len(ki):
+            z = means[ki] + block[qi]
+            log_pz, posterior = flowmodel._posterior_weights(means, dist.log_probs, z)
+            lse[ki, qi] = log_pz + np.sum(np.abs(z) ** 2, axis=1) + n_out * np.log(np.pi)
             if want_mmse:
-                ex /= total[:, None]
-                resid = support[k][None, :] - ex @ support
-                err_total += probs[k] * np.einsum("q,qi,qj->ij", wq, resid, resid.conj())
+                xhat[:, :, ki, qi] = parts @ posterior.T
+        mi_total += float(probs @ (m2[:, None] + T2 - lse) @ wq)
+        if want_mmse:
+            resid = (parts[..., None] - xhat).reshape(2 * dim, -1)
+            g = (resid * np.outer(probs, wq).ravel()) @ resid.T  # Gram of the (re, im) rows
+            err_total += g[:dim, :dim] + g[dim:, dim:] + 1j * (g[dim:, :dim] - g[:dim, dim:])
 
-    return mi_total, err_total, nodes
+    return (mi_total if want_mi else None), err_total, nodes
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flowmodel
-from .errors import StepTooSmallError
+from .errors import InvariantViolation, StepTooSmallError
 from .estimator import (
     EngineSpec,
     MmseMatrix,
@@ -73,9 +73,9 @@ class MutualInformationValue:
     def checked(cls, nats, method, count, standard_error=None, entropy_limit=np.inf):
         slack = max(_BOUND_SLACK, 5.0 * (standard_error or 0.0))
         if nats < -slack:
-            raise ValueError(f"mutual information {nats:.3e} below zero beyond tolerance")
+            raise InvariantViolation(f"mutual information {nats:.3e} below zero beyond tolerance")
         if nats > entropy_limit + slack:
-            raise ValueError(
+            raise InvariantViolation(
                 f"mutual information {nats:.6f} exceeds the input entropy {entropy_limit:.6f}"
             )
         return cls(nats=float(nats), method=method, count=count, standard_error=standard_error)

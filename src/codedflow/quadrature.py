@@ -22,6 +22,7 @@ from .errors import CostGuardError
 DEFAULT_NODES = {1: 64, 2: 24, 3: 12}
 
 MAX_COMPLEX_DIM = 3
+MAX_RULE_POINTS = 1 << 22  # above the 12**6 points of the default 3-D rule, at 56 B a point
 
 
 def default_nodes(dim: int) -> int:
@@ -45,6 +46,11 @@ def complex_gauss_hermite(dim: int, nodes: int):
     if dim > MAX_COMPLEX_DIM:
         raise CostGuardError(
             f"quadrature is guarded above {MAX_COMPLEX_DIM} complex dimensions (got {dim})"
+        )
+    count = (nodes * nodes) ** dim
+    if count > MAX_RULE_POINTS:
+        raise CostGuardError(
+            f"a {nodes}-node rule in {dim} complex dimensions has {count} points, over {MAX_RULE_POINTS}"
         )
     t, w = np.polynomial.hermite.hermgauss(nodes)
     re, im = np.meshgrid(t, t, indexing="ij")

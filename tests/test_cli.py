@@ -195,6 +195,47 @@ class TestMain:
         assert code == 2
         assert "unknown section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--nodes", "0"), ("--samples", "0"), ("--workers", "0"), ("--tolerance", "-0.001")],
+    )
+    def test_exit_two_on_invalid_override(self, tmp_path, capsys, flag, value):
+        cfg = tmp_path / "chain.cfg"
+        cfg.write_text(SCALAR_CHAIN)
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out"), flag, value])
+        assert code == 2
+        assert f"{flag[2:]} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_exit_two_on_invalid_config_value(self, tmp_path, capsys):
+        cfg = tmp_path / "chain.cfg"
+        cfg.write_text(SCALAR_CHAIN.replace("nodes = 32", "nodes = 0"))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "nodes must be" in capsys.readouterr().err
+
+    def test_zero_tolerance_override_is_applied(self, tmp_path):
+        config = parse_config(SCALAR_CHAIN, overrides={"tolerance": 0.0})
+        assert config.tolerance == 0.0
+
+    def test_invariant_breach_leaves_fail_report(self, tmp_path, monkeypatch, capsys):
+        from codedflow import estimator
+
+        exact = estimator.quadrature_moments
+
+        def breach(*args, **kwargs):
+            mi, err, nodes = exact(*args, **kwargs)
+            # an error matrix above the input covariance breaks dominance
+            return mi, None if err is None else err + 10.0 * np.eye(len(err)), nodes
+
+        monkeypatch.setattr(estimator, "quadrature_moments", breach)
+        cfg = tmp_path / "chain.cfg"
+        cfg.write_text(SCALAR_CHAIN)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        text = (out / "verify_report.txt").read_text()
+        assert "error: error matrix exceeds the input covariance" in text
+        assert "RESULT: FAIL" in text
+
     def test_unit_override_changes_report_only(self, tmp_path):
         cfg = tmp_path / "chain.cfg"
         cfg.write_text(SCALAR_CHAIN)

@@ -8,6 +8,8 @@ reproduce them.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from codedflow import (
@@ -27,6 +29,8 @@ from codedflow import (
     score_identity_residual,
     seeded_diamond_symbols,
 )
+from codedflow import flowmodel, quadrature
+from codedflow.estimator import quadrature_moments
 
 # mmse(snr) for equiprobable {+1,-1} through z = sqrt(snr) x + CN(0,1),
 # frozen from the independent 1-D adaptive quadrature
@@ -166,6 +170,94 @@ class TestMmseMatrix:
         dist = InputDistribution.bpsk(1)
         with pytest.raises(CostGuardError):
             mmse_matrix(np.eye(1, dtype=complex), dist, EngineSpec(method="mc", samples=10))
+
+    def test_rule_point_guard_fires_before_allocation(self, monkeypatch):
+        # 64 nodes over 3 complex dimensions is (64*64)**3, about 6.9e10 points
+        assert (64 * 64) ** 3 > quadrature.MAX_RULE_POINTS >= 12**6
+
+        def no_rule(nodes):
+            raise AssertionError("the rule was built past the point budget")
+
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", no_rule)
+        with pytest.raises(CostGuardError, match="68719476736 points"):
+            quadrature.complex_gauss_hermite(3, 64)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("nodes", 0), ("nodes", -3), ("samples", 0), ("workers", 0), ("workers", -1), ("batches", 1)],
+    )
+    def test_engine_rejects_invalid_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EngineSpec(**{field: value})
+
+
+def _brute_force_moments(M, dist, nodes):
+    """MI and error matrix from the mixture kernels at the explicit points
+    ``mean_k + noise_q``, one support point at a time."""
+    noise, weights = quadrature.complex_gauss_hermite(M.shape[0], nodes)
+    means = dist.support @ M.T
+    log_cond = -M.shape[0] * np.log(np.pi) - np.sum(np.abs(noise) ** 2, axis=1)
+    mi = 0.0
+    err = np.zeros((dist.dimension, dist.dimension), dtype=complex)
+    for p, x, mean in zip(dist.probs, dist.support, means):
+        points = mean + noise
+        log_pz = flowmodel.mixture_log_density(means, dist.log_probs, points)
+        mi += p * float(weights @ (log_cond - log_pz))
+        resid = x - flowmodel.mixture_posterior_mean(means, dist.log_probs, dist.support, points)
+        err += p * (weights[:, None] * resid).T @ resid.conj()
+    return mi, err
+
+
+def _underflow_gap(M, dist, nodes):
+    """max_j(2T[q,j] + C[j,k]) - a_q - b_k over all (q, k): how far the
+    separable product's largest term sits below 1, in log units."""
+    noise, _ = quadrature.complex_gauss_hermite(M.shape[0], nodes)
+    means = dist.support @ M.T
+    C = (dist.log_probs - np.sum(np.abs(means) ** 2, axis=1))[:, None] + 2.0 * np.real(
+        means.conj() @ means.T
+    )
+    T2 = 2.0 * np.real(noise @ means.conj().T)
+    joint = np.max(T2[:, :, None] + C[None, :, :], axis=1)
+    return joint - T2.max(axis=1)[:, None] - C.max(axis=0)[None, :]
+
+
+def _assert_matches_brute_force(M, dist, nodes):
+    mi, err, _ = quadrature_moments(M, dist, nodes)
+    mi_ref, err_ref = _brute_force_moments(M, dist, nodes)
+    assert abs(mi - mi_ref) <= 1e-12 * abs(mi_ref)
+    assert np.max(np.abs(err - err_ref)) <= 1e-12 * max(1.0, np.max(np.abs(err_ref)))
+
+
+class TestQuadratureKernel:
+    @given(
+        n_out=st.integers(min_value=1, max_value=2),
+        kind=st.sampled_from(["bpsk", "qpsk"]),
+        n_in=st.integers(min_value=1, max_value=2),
+        gain=st.floats(min_value=0.1, max_value=4.0),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_brute_force_on_random_channels(self, n_out, kind, n_in, gain, seed):
+        rng = np.random.default_rng(seed)
+        M = gain * (rng.normal(size=(n_out, n_in)) + 1j * rng.normal(size=(n_out, n_in)))
+        dist = getattr(InputDistribution, kind)(n_in)
+        _assert_matches_brute_force(M, dist, 12 if n_out == 1 else 6)
+
+    @pytest.mark.parametrize(
+        "M, dist, nodes",
+        [
+            (np.array([[40.0 + 0j]]), InputDistribution.bpsk(1), 64),
+            (np.array([[12.0 + 16.0j], [-16.0 + 12.0j]]), InputDistribution.qpsk(1), 16),
+            (np.array([[24.0 + 32.0j], [-32.0 + 24.0j]]), InputDistribution.qpsk(1), 16),
+        ],
+        ids=["bpsk-gain40", "qpsk-2x1-gain20", "qpsk-2x1-gain40"],
+    )
+    def test_matches_brute_force_where_the_product_underflows(self, M, dist, nodes):
+        # entries this far below 1 underflow in the separable product, so
+        # they are right only if the exact recomputation ran; at gain 40 they
+        # carry enough quadrature weight to move MI and E past the tolerance
+        assert np.any(_underflow_gap(M, dist, nodes) < -708.0)
+        _assert_matches_brute_force(M, dist, nodes)
 
 
 class TestScoreIdentity:
