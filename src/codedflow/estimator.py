@@ -108,8 +108,7 @@ def _as_matrix(system) -> np.ndarray:
 
 def _gaussian_estimator_matrix(M: np.ndarray) -> np.ndarray:
     """M^H (I + M M^H)^{-1}, the linear MMSE filter for unit-covariance inputs."""
-    cov = np.eye(M.shape[0], dtype=complex) + M @ M.conj().T
-    return M.conj().T @ np.linalg.inv(cov)
+    return M.conj().T @ np.linalg.inv(flowmodel._output_moments(M))
 
 
 def conditional_mean(M, dist: InputDistribution, z) -> np.ndarray:
@@ -216,20 +215,11 @@ def mc_moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mmse=True, 
     if batch is None:
         batch = flowmodel.sample(M, dist, spec.seed, spec.samples, workers=spec.workers)
     x, z = batch.inputs, batch.outputs
-    n_out = M.shape[0]
 
     mi = mi_se = None
     if want_mi:
-        log_cond = -n_out * np.log(np.pi) - np.sum(np.abs(z - x @ M.T) ** 2, axis=1)
-        if dist.kind == "gaussian":
-            cov = flowmodel._output_moments(M)
-            _, logdet = np.linalg.slogdet(cov)
-            quad = np.real(np.einsum("ni,ni->n", z.conj(), z @ np.linalg.inv(cov).T))
-            log_pz = -n_out * np.log(np.pi) - logdet - quad
-        else:
-            means = dist.support @ M.T
-            log_pz = flowmodel.mixture_log_density(means, dist.log_probs, z)
-        info_samples = log_cond - log_pz
+        log_cond = -M.shape[0] * np.log(np.pi) - np.sum(np.abs(z - x @ M.T) ** 2, axis=1)
+        info_samples = log_cond - flowmodel._log_output_density(M, dist, z)
         mi = float(np.mean(info_samples))
         mi_se = float(_batch_se(info_samples, spec.batches))
 

@@ -180,6 +180,17 @@ def _output_moments(M) -> np.ndarray:
     return np.eye(M.shape[0], dtype=complex) + M @ M.conj().T
 
 
+def _log_output_density(M, dist: InputDistribution, points) -> np.ndarray:
+    """log p(z) at each row of ``points``: the Gaussian closed form, unchecked
+    against the floor, or one ``mixture_log_density`` call."""
+    if dist.kind == "gaussian":
+        cov = _output_moments(M)
+        _, logdet = np.linalg.slogdet(cov)
+        quad = np.real(np.einsum("ni,ni->n", points.conj(), points @ np.linalg.inv(cov).T))
+        return -M.shape[0] * np.log(np.pi) - logdet - quad
+    return mixture_log_density(dist.support @ M.T, dist.log_probs, points)
+
+
 def log_output_density(M, dist: InputDistribution, z) -> float:
     """log p(z) for the mixture (discrete input) or Gaussian closed form."""
     M = np.asarray(M, dtype=complex)
@@ -187,16 +198,7 @@ def log_output_density(M, dist: InputDistribution, z) -> float:
     n_out = M.shape[0]
     if z.shape != (n_out,):
         raise ValueError(f"z has shape {z.shape}, expected ({n_out},)")
-    if dist.kind == "gaussian":
-        cov = _output_moments(M)
-        _, logdet = np.linalg.slogdet(cov)
-        quad = float(np.real(z.conj() @ np.linalg.solve(cov, z)))
-        value = -n_out * np.log(np.pi) - logdet - quad
-    else:
-        means = dist.support @ M.T
-        value = float(
-            mixture_log_density(means, dist.log_probs, z[None, :], check_underflow=False)[0]
-        )
+    value = float(_log_output_density(M, dist, z[None, :])[0])
     if value < LOG_UNDERFLOW:
         raise DensityUnderflow(f"log p(z) = {value:.1f} fell below {LOG_UNDERFLOW}")
     return value
@@ -230,10 +232,11 @@ def output_score(M, dist: InputDistribution, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def mixture_log_density(means, log_probs, points, *, check_underflow=True) -> np.ndarray:
+def mixture_log_density(means, log_probs, points) -> np.ndarray:
     """log p(z) at many points for a complex-Gaussian mixture with unit noise.
 
-    ``means`` has shape (K, n), ``points`` (N, n); returns shape (N,).
+    ``means`` has shape (K, n), ``points`` (N, n); returns shape (N,).  A
+    value below ``LOG_UNDERFLOW`` raises ``DensityUnderflow``.
     """
     means = np.asarray(means, dtype=complex)
     points = np.asarray(points, dtype=complex)
@@ -250,7 +253,7 @@ def mixture_log_density(means, log_probs, points, *, check_underflow=True) -> np
         out[start : start + block.shape[0]] = (
             lse - np.sum(np.abs(block) ** 2, axis=1) - n * np.log(np.pi)
         )
-    if check_underflow and np.any(out < LOG_UNDERFLOW):
+    if np.any(out < LOG_UNDERFLOW):
         worst = float(out.min())
         raise DensityUnderflow(f"log p(z) = {worst:.1f} fell below {LOG_UNDERFLOW}")
     return out

@@ -2,19 +2,25 @@
 
 Closed forms
 ------------
-With ``E`` the conditional-mean error matrix of the channel ``z = Mx + n``
-and ``M = A G B``, the mutual information responds to the three factors as
+Every closed form is one chain rule.  For a channel ``z = M x + n`` with
+conditional-mean error matrix ``E``, the information gradient with respect
+to ``M`` is ``M E`` (Palomar & Verdu 2006).  An objective's channel factors
+around the target matrix ``X`` as ``M_eff = L X R``, so the gradient with
+respect to ``X`` is ``L^H M_eff E R^H``.  One table fixes ``(X, L, R)``:
 
-* decoding:   ``M E B^H G^H``
-* topology:   ``A^H M E B^H``
-* precoding:  ``G^H A^H M E``
+    objective  channel            X   L     R      gradient
+    full       z = A G B x + n    A   I     G B    M E B^H G^H
+                                  G   A     B      A^H M E B^H
+                                  B   A G   I      G^H A^H M E
+    source     y = B x + n        B   I     I      B E
+    mid        r = G B x + n      G   I     B      G B E B^H
+                                  B   G     I      G^H G B E
 
-and for the reduced channels obtained by cutting the flow before the
-couplings (``y = Bx + n``) or before the read-out (``r = GBx + n``)
-
-* cut at source, precoding:  ``B E_cut``
-* cut at middle, precoding:  ``G^H G B E_cut``
-* cut at middle, topology:   ``G B E_cut B^H``
+where ``E`` is always the error matrix of the objective's own channel.  The
+same table rebuilds the channel from a perturbed factor for the
+finite-difference oracle, and gives the Gaussian-input gradient
+``L^H (I + M_eff M_eff^H)^{-1} M_eff R^H`` of ``log det(I + M_eff M_eff^H)``
+without any error matrix.
 
 Gradient convention
 -------------------
@@ -52,6 +58,8 @@ from .netgraph import SystemMatrices
 WIRTINGER_SCALE = 2.0
 NATS_PER_BIT = float(np.log(2.0))
 
+STEP_RANGE = (1e-5, 1e-2)  # admissible finite-difference steps
+
 _BOUND_SLACK = 1e-9
 _REL_FLOOR_FRACTION = 1e-6
 
@@ -87,9 +95,7 @@ class MutualInformationValue:
 
 def gaussian_mutual_information(M) -> float:
     """log det(I + M M^H) in nats, for a unit-covariance Gaussian input."""
-    M = np.asarray(M, dtype=complex)
-    cov = np.eye(M.shape[0], dtype=complex) + M @ M.conj().T
-    _, logdet = np.linalg.slogdet(cov)
+    _, logdet = np.linalg.slogdet(flowmodel._output_moments(M))
     return float(logdet)
 
 
@@ -112,88 +118,73 @@ def mutual_information(M, dist: InputDistribution, spec: EngineSpec = EngineSpec
 # ---------------------------------------------------------------------------
 
 
-def grad_mi_decoding(sys: SystemMatrices, mmse: MmseMatrix) -> np.ndarray:
-    """Gradient of I with respect to the decoding matrix A."""
-    return sys.M @ mmse.matrix @ sys.B.conj().T @ sys.G.conj().T
-
-
-def grad_mi_topology(sys: SystemMatrices, mmse: MmseMatrix) -> np.ndarray:
-    """Gradient of I with respect to the topology matrix G."""
-    return sys.A.conj().T @ sys.M @ mmse.matrix @ sys.B.conj().T
-
-
-def grad_mi_precoding(sys: SystemMatrices, mmse: MmseMatrix) -> np.ndarray:
-    """Gradient of I with respect to the precoding matrix B."""
-    return sys.G.conj().T @ sys.A.conj().T @ sys.M @ mmse.matrix
-
-
-_CUT_ALIASES = {"source": "source", "source-cut": "source", "mid": "mid", "mid-cut": "mid"}
-
-
-def grad_mi_cut(cut: str, which: str, sys: SystemMatrices, mmse_cut: MmseMatrix) -> np.ndarray:
-    """Closed-form gradient for a cut channel (``y = Bx + n`` or ``r = GBx + n``).
-
-    ``mmse_cut`` must be the error matrix of the corresponding cut channel.
-    The middle-cut topology gradient is ``G B E B^H``, i.e. the full-network
-    topology form with the read-out matrix set to identity.
-    """
-    cut = _CUT_ALIASES.get(cut)
-    if cut is None:
-        raise ValueError(f"unknown cut {cut!r}")
-    E = mmse_cut.matrix
-    if cut == "source":
-        if which != "B":
-            raise ValueError("the source cut has no topology-matrix gradient")
-        return sys.B @ E
-    if which == "B":
-        return sys.G.conj().T @ sys.G @ sys.B @ E
-    if which == "G":
-        return sys.G @ sys.B @ E @ sys.B.conj().T
-    raise ValueError(f"unknown gradient target {which!r}")
-
-
-_OBJECTIVE_TARGETS = {
-    "full": ("A", "G", "B"),
-    "source": ("B",),
-    "mid": ("G", "B"),
+# (objective, target) -> sys -> (X, L, R): the target factor X and its
+# surroundings in the objective's channel M_eff = L @ X @ R.  Identities are
+# real np.eye matrices, so products with them are exact.
+_CHAIN = {
+    ("full", "A"): lambda s: (s.A, np.eye(s.A.shape[0]), s.G @ s.B),
+    ("full", "G"): lambda s: (s.G, s.A, s.B),
+    ("full", "B"): lambda s: (s.B, s.A @ s.G, np.eye(s.B.shape[1])),
+    ("source", "B"): lambda s: (s.B, np.eye(s.B.shape[0]), np.eye(s.B.shape[1])),
+    ("mid", "G"): lambda s: (s.G, np.eye(s.G.shape[0]), s.B),
+    ("mid", "B"): lambda s: (s.B, s.G, np.eye(s.B.shape[1])),
 }
+_FIELDS = {"A": "decoding", "G": "topology", "B": "precoding"}
+
+
+def _chain(sys: SystemMatrices, objective: str, target: str):
+    rule = _CHAIN.get((objective, target))
+    if rule is None:
+        raise ValueError(f"target {target!r} does not enter the {objective!r} objective")
+    return rule(sys)
+
+
+def _targets(objective: str) -> tuple:
+    """The factors an objective's channel depends on, in table order."""
+    return tuple(t for o, t in _CHAIN if o == objective)
+
+
+def _gradient(sys: SystemMatrices, E: np.ndarray, target: str, objective: str) -> np.ndarray:
+    """``L^H M_eff E R^H``; every public form calls this directly, never another form."""
+    X, L, R = _chain(sys, objective, target)
+    return L.conj().T @ (L @ X @ R) @ E @ R.conj().T
 
 
 def effective_matrix(objective: str, sys: SystemMatrices) -> np.ndarray:
     """Channel matrix seen by the input under each cut objective."""
-    if objective == "full":
-        return sys.M
-    if objective == "source":
-        return sys.B
-    if objective == "mid":
-        return sys.G @ sys.B
-    raise ValueError(f"unknown objective {objective!r}")
+    X, L, R = _chain(sys, objective, "B")  # every objective's channel ends in the precoder
+    return L @ X @ R
 
 
 def closed_gradient(sys: SystemMatrices, mmse: MmseMatrix, target: str, objective: str = "full") -> np.ndarray:
-    """Dispatch to the closed form for (objective, target)."""
-    if objective == "full":
-        table = {"A": grad_mi_decoding, "G": grad_mi_topology, "B": grad_mi_precoding}
-        return table[target](sys, mmse)
-    return grad_mi_cut(objective, target, sys, mmse)
+    """Closed form for (objective, target); ``mmse`` belongs to the objective's channel."""
+    return _gradient(sys, mmse.matrix, target, objective)
+
+
+def grad_mi_decoding(sys: SystemMatrices, mmse: MmseMatrix) -> np.ndarray:
+    """Gradient of I with respect to the decoding matrix A."""
+    return _gradient(sys, mmse.matrix, "A", "full")
+
+
+def grad_mi_topology(sys: SystemMatrices, mmse: MmseMatrix) -> np.ndarray:
+    """Gradient of I with respect to the topology matrix G."""
+    return _gradient(sys, mmse.matrix, "G", "full")
+
+
+def grad_mi_precoding(sys: SystemMatrices, mmse: MmseMatrix) -> np.ndarray:
+    """Gradient of I with respect to the precoding matrix B."""
+    return _gradient(sys, mmse.matrix, "B", "full")
+
+
+def grad_mi_cut(cut: str, which: str, sys: SystemMatrices, mmse_cut: MmseMatrix) -> np.ndarray:
+    """Gradient for a cut channel (``y = Bx + n`` or ``r = GBx + n``); ``mmse_cut`` is its error matrix."""
+    return _gradient(sys, mmse_cut.matrix, which, cut)
 
 
 def _rebuilder(sys: SystemMatrices, target: str, objective: str):
     """Returns (base matrix, function mapping a replacement to the effective channel)."""
-    if target not in _OBJECTIVE_TARGETS[objective]:
-        raise ValueError(f"target {target!r} does not enter the {objective!r} objective")
-    base = {"A": sys.A, "G": sys.G, "B": sys.B}[target]
-    if objective == "full":
-        builders = {
-            "A": lambda X: X @ sys.G @ sys.B,
-            "G": lambda X: sys.A @ X @ sys.B,
-            "B": lambda X: sys.A @ sys.G @ X,
-        }
-    elif objective == "source":
-        builders = {"B": lambda X: X}
-    else:
-        builders = {"G": lambda X: X @ sys.B, "B": lambda X: sys.G @ X}
-    return base, builders[target]
+    X, L, R = _chain(sys, objective, target)
+    return X, lambda Y: L @ Y @ R
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +195,8 @@ def _rebuilder(sys: SystemMatrices, target: str, objective: str):
 def _mc_info_samples(M_eff, dist, inputs, noise):
     """Per-sample information values for fixed (common) random draws."""
     M_eff = np.asarray(M_eff, dtype=complex)
-    n_out = M_eff.shape[0]
-    z = inputs @ M_eff.T + noise
-    log_cond = -n_out * np.log(np.pi) - np.sum(np.abs(noise) ** 2, axis=1)
-    if dist.kind == "gaussian":
-        cov = flowmodel._output_moments(M_eff)
-        _, logdet = np.linalg.slogdet(cov)
-        quad = np.real(np.einsum("ni,ni->n", z.conj(), z @ np.linalg.inv(cov).T))
-        log_pz = -n_out * np.log(np.pi) - logdet - quad
-    else:
-        means = dist.support @ M_eff.T
-        log_pz = flowmodel.mixture_log_density(means, dist.log_probs, z)
-    return log_cond - log_pz
+    log_cond = -M_eff.shape[0] * np.log(np.pi) - np.sum(np.abs(noise) ** 2, axis=1)
+    return log_cond - flowmodel._log_output_density(M_eff, dist, inputs @ M_eff.T + noise)
 
 
 def _mi_scalar(M_eff, dist, nodes):
@@ -246,8 +227,8 @@ def grad_oracle(
     batch means and the call fails with ``StepTooSmallError`` when it
     exceeds ``noise_ratio_limit`` of the largest gradient entry.
     """
-    if not 1e-5 <= step <= 1e-2:
-        raise ValueError("step must lie in [1e-5, 1e-2]")
+    if not STEP_RANGE[0] <= step <= STEP_RANGE[1]:
+        raise ValueError(f"step must lie in [{STEP_RANGE[0]:g}, {STEP_RANGE[1]:g}]")
     base, rebuild = _rebuilder(sys, target, objective)
     if not np.all(np.isfinite(base)):
         raise ValueError("target matrix has non-finite entries")
@@ -336,23 +317,10 @@ def gaussian_logdet_gradient(sys: SystemMatrices, target: str, objective: str = 
     differential and the product chain, so it cross-checks the error-matrix
     route for Gaussian inputs.
     """
-    M_eff = effective_matrix(objective, sys)
-    cov = np.eye(M_eff.shape[0], dtype=complex) + M_eff @ M_eff.conj().T
-    W = np.linalg.solve(cov, M_eff)
-    if objective == "full":
-        left = {"A": np.eye(sys.A.shape[0]), "G": sys.A, "B": sys.A @ sys.G}[target]
-        right = {"A": sys.G @ sys.B, "G": sys.B, "B": np.eye(sys.B.shape[1])}[target]
-    elif objective == "source":
-        if target != "B":
-            raise ValueError("the source cut has no topology-matrix gradient")
-        left = np.eye(sys.B.shape[0])
-        right = np.eye(sys.B.shape[1])
-    elif objective == "mid":
-        left = {"G": np.eye(sys.G.shape[0]), "B": sys.G}[target]
-        right = {"G": sys.B, "B": np.eye(sys.B.shape[1])}[target]
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-    return left.conj().T @ W @ right.conj().T
+    X, L, R = _chain(sys, objective, target)
+    M_eff = L @ X @ R
+    W = np.linalg.solve(flowmodel._output_moments(M_eff), M_eff)
+    return L.conj().T @ W @ R.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +339,21 @@ class GradientSet:
     precoding: np.ndarray | None = None
 
     def by_target(self, target: str) -> np.ndarray:
-        value = {"A": self.decoding, "G": self.topology, "B": self.precoding}[target]
+        value = getattr(self, _FIELDS[target])
         if value is None:
             raise ValueError(f"no closed-form gradient for target {target!r}")
         return value
+
+
+def _relative_gap(closed, oracle):
+    """(|closed - oracle|, the gap relative to the larger magnitude), entries
+    below 1e-6 of the largest magnitude reading zero relative gap."""
+    gap = np.abs(closed - oracle)
+    scale = np.maximum(np.abs(closed), np.abs(oracle))
+    floor = _REL_FLOOR_FRACTION * float(scale.max(initial=0.0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = np.where(scale > floor, gap / np.maximum(scale, 1e-300), 0.0)
+    return gap, rel
 
 
 @dataclass(frozen=True)
@@ -392,13 +371,7 @@ class GradientReport:
         return tuple(sorted(self.oracles))
 
     def discrepancy(self, target: str) -> dict:
-        closed = self.closed.by_target(target)
-        oracle = self.oracles[target]
-        gap = np.abs(closed - oracle)
-        scale = np.maximum(np.abs(closed), np.abs(oracle))
-        floor = _REL_FLOOR_FRACTION * float(scale.max(initial=0.0))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rel = np.where(scale > floor, gap / np.maximum(scale, 1e-300), 0.0)
+        gap, rel = _relative_gap(self.closed.by_target(target), self.oracles[target])
         worst = np.unravel_index(int(np.argmax(rel)), rel.shape)
         return {
             "max_abs": float(gap.max(initial=0.0)),
@@ -428,13 +401,9 @@ def verify_gradients(
     information under entry perturbations.  A one-coordinate step-halving
     probe per target records how stable the differences are.
     """
-    targets = tuple(targets) if targets is not None else _OBJECTIVE_TARGETS[objective]
-    M_eff = effective_matrix(objective, sys)
-    mmse = mmse_matrix(M_eff, dist, spec)
-    fields = {}
-    for target in targets:
-        key = {"A": "decoding", "G": "topology", "B": "precoding"}[target]
-        fields[key] = closed_gradient(sys, mmse, target, objective)
+    targets = tuple(targets) if targets is not None else _targets(objective)
+    mmse = mmse_matrix(effective_matrix(objective, sys), dist, spec)
+    fields = {_FIELDS[t]: closed_gradient(sys, mmse, t, objective) for t in targets}
     closed = GradientSet(mmse=mmse, form=sys.form, **fields)
 
     oracles = {}

@@ -34,6 +34,7 @@ from .estimator import EngineSpec, MmseMatrix, mmse_matrix
 from .flowmodel import InputDistribution
 from .infogradients import (
     MutualInformationValue,
+    _targets,
     closed_gradient,
     effective_matrix,
     grad_mi_precoding,
@@ -252,7 +253,6 @@ def erratum_delta(symbols, error_matrix) -> complex:
 class ExpansionCheck:
     """Per-draw comparison of the printed expansion against the matrix form."""
 
-    seeds: tuple
     printed_values: np.ndarray
     corrected_values: np.ndarray
     matrix_values: np.ndarray
@@ -305,7 +305,6 @@ def grad11_matches_matrix_form(draws: int = 100, seed: int = 7_2025, low: float 
             printed_values[d] - matrix_values[d] - erratum_delta(symbols, E)
         )
     return ExpansionCheck(
-        seeds=(seed,),
         printed_values=printed_values,
         corrected_values=corrected_values,
         matrix_values=matrix_values,
@@ -320,7 +319,6 @@ def grad11_matches_matrix_form(draws: int = 100, seed: int = 7_2025, low: float 
 # ---------------------------------------------------------------------------
 
 _CUT_NOISE_LABEL = {"source": "n~", "mid": "n~~", "full": "n"}
-_CUT_TARGETS = {"source": ("B",), "mid": ("B", "G"), "full": ("A", "G", "B")}
 
 
 @dataclass(frozen=True)
@@ -355,10 +353,7 @@ def cut_analysis(cut, sys: SystemMatrices, dist: InputDistribution, spec: Engine
     channel = cut_spec.effective(sys)
     mi = mutual_information(channel, dist, spec)
     err = mmse_matrix(channel, dist, spec)
-    gradients = {
-        target: closed_gradient(sys, err, target, cut_spec.cut)
-        for target in _CUT_TARGETS[cut_spec.cut]
-    }
+    gradients = {target: closed_gradient(sys, err, target, cut_spec.cut) for target in _targets(cut_spec.cut)}
     return CutReport(cut=cut_spec.cut, mi=mi, mmse=err, gradients=gradients)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from pathlib import Path
@@ -93,6 +95,11 @@ class TestParsing:
     def test_missing_section(self):
         with pytest.raises(ConfigError, match=r"\[input\]"):
             parse_config("[topology]\nvertices = a\noutputs = 1\nedge e1 = a a\nsources = a\nsinks = a\n")
+
+    @pytest.mark.parametrize("old, new", [("outputs = 1", "outputs = 0"), ("dimension = 1", "dimension = 0")])
+    def test_stream_counts_must_be_positive(self, old, new):
+        with pytest.raises(ConfigError, match=rf"{new.split()[0]} must be at least 1, not 0 \(line \d+\)"):
+            parse_config(SCALAR_CHAIN.replace(old, new))
 
     def test_overrides_take_precedence(self):
         config = parse_config(SCALAR_CHAIN, overrides={"seed": 99, "nodes": 16})
@@ -212,6 +219,25 @@ class TestMain:
         cfg.write_text(SCALAR_CHAIN.replace("nodes = 32", "nodes = 0"))
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "nodes must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry, command, message",
+        [
+            ("step = 0", "verify", r"step must lie in \[1e-05, 0.01\], not 0.0 \(line 25\)"),
+            ("tolerance = abc", "verify", r"tolerance must be a number, not 'abc' \(line 25\)"),
+            ("budget = -1", "optimize-precoder", r"budget must be positive and finite, not -1.0 \(line 25\)"),
+            ("ascent_step = -0.5", "optimize-precoder", r"ascent_step must be nonnegative.*line 25"),
+            ("ascent_iterations = 2.5", "optimize-precoder", r"ascent_iterations must be an integer.*line 25"),
+        ],
+    )
+    def test_exit_two_on_invalid_run_number(self, tmp_path, capsys, entry, command, message):
+        text = SCALAR_CHAIN.replace("tolerance = 1e-3\n", "").replace("units = nats", f"units = nats\n{entry}")
+        cfg = tmp_path / "chain.cfg"
+        cfg.write_text(text)  # the entry is line 25
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
 
     def test_zero_tolerance_override_is_applied(self, tmp_path):
         config = parse_config(SCALAR_CHAIN, overrides={"tolerance": 0.0})

@@ -10,8 +10,13 @@ gradients, so a real directional perturbation moves the information at
 anchors below; every other gradient test inherits it.
 """
 
+from functools import reduce
+
 import numpy as np
 import pytest
+from conftest import random_dag
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from codedflow import (
     EngineSpec,
@@ -23,6 +28,8 @@ from codedflow import (
     StepTooSmallError,
     SystemMatrices,
     WIRTINGER_SCALE,
+    build_coefficient_matrices,
+    compact_system,
     directional_derivative,
     gaussian_logdet_gradient,
     gaussian_mutual_information,
@@ -36,7 +43,7 @@ from codedflow import (
     verify_gradients,
 )
 from codedflow.estimator import quadrature_moments
-from codedflow.infogradients import MutualInformationValue, closed_gradient
+from codedflow.infogradients import MutualInformationValue, closed_gradient, effective_matrix
 
 FROZEN_SCALAR_INFO_M1 = 0.500072136066845  # two-point input, unit gain, nats
 
@@ -312,3 +319,73 @@ def test_gaussian_information_formula(rng):
     M = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
     direct = np.log(np.linalg.det(np.eye(3) + M @ M.conj().T).real)
     assert gaussian_mutual_information(M) == pytest.approx(direct, rel=1e-12)
+
+
+def _dag_system(seed):
+    """Compact factors of a random DAG: rectangular, sometimes with an empty dimension."""
+    rng = np.random.default_rng(seed)
+    topology, coeffs, n_in, n_out = random_dag(rng)
+    return rng, compact_system(build_coefficient_matrices(topology, coeffs, n_in, n_out), topology)
+
+
+def _hand_forms(sys, E):
+    """The six closed forms of the module docstring, as factor lists."""
+    A, G, B, M = sys.A, sys.G, sys.B, sys.M
+    A_h, G_h, B_h = A.conj().T, G.conj().T, B.conj().T
+    return {
+        ("full", "A"): (M, E, B_h, G_h),
+        ("full", "G"): (A_h, M, E, B_h),
+        ("full", "B"): (G_h, A_h, M, E),
+        ("source", "B"): (B, E),
+        ("mid", "G"): (G, B, E, B_h),
+        ("mid", "B"): (G_h, G, B, E),
+    }
+
+
+class TestChainTable:
+    """The (objective, target) -> (X, L, R) table against hand-written forms.
+
+    Random DAGs give rectangular factors and empty dimensions, which square
+    2x2 factors cannot: an identity of the wrong size shows up only there.
+    """
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @example(seed=4)  # A is 2x0, G is 0x2: an empty middle dimension
+    @example(seed=9)  # A 2x3, G 3x3, B 3x2
+    @settings(max_examples=60, deadline=None)
+    def test_table_matches_hand_written_forms(self, seed):
+        rng, sys = _dag_system(seed)
+        np.testing.assert_array_equal(effective_matrix("full", sys), sys.M)
+        np.testing.assert_array_equal(effective_matrix("source", sys), sys.B)
+        np.testing.assert_array_equal(effective_matrix("mid", sys), sys.G @ sys.B)
+        n_in = sys.B.shape[1]
+        E = rng.normal(size=(n_in, n_in)) + 1j * rng.normal(size=(n_in, n_in))
+        for (objective, target), factors in _hand_forms(sys, E).items():
+            closed = closed_gradient(sys, MmseMatrix(E, "exact", 0), target, objective)
+            scale = np.prod([np.linalg.norm(f) for f in factors])
+            np.testing.assert_allclose(
+                closed, reduce(np.matmul, factors), rtol=0, atol=1e-13 * scale, err_msg=str((objective, target))
+            )
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @example(seed=4)  # A is 2x0, G is 0x2: an empty middle dimension
+    @example(seed=9)  # A 2x3, G 3x3, B 3x2
+    @settings(max_examples=60, deadline=None)
+    def test_gaussian_closed_forms_match_logdet_gradient(self, seed):
+        _, sys = _dag_system(seed)
+        dist = InputDistribution.gaussian(sys.B.shape[1])
+        for objective, target in _hand_forms(sys, None):
+            E = mmse_matrix(effective_matrix(objective, sys), dist)
+            closed = closed_gradient(sys, E, target, objective)
+            analytic = gaussian_logdet_gradient(sys, target, objective)
+            scale = max(1.0, np.abs(closed).max(initial=0.0), np.abs(analytic).max(initial=0.0))
+            np.testing.assert_allclose(closed, analytic, rtol=0, atol=1e-9 * scale, err_msg=str((objective, target)))
+
+    @pytest.mark.parametrize("seed", [4, 8, 9, 29])
+    def test_gaussian_oracle_matches_logdet_gradient(self, seed):
+        _, sys = _dag_system(seed)
+        dist = InputDistribution.gaussian(sys.B.shape[1])
+        for objective, target in _hand_forms(sys, None):
+            oracle = grad_oracle(sys, dist, target, EngineSpec(), step=1e-4, objective=objective)
+            analytic = gaussian_logdet_gradient(sys, target, objective)
+            np.testing.assert_allclose(oracle, analytic, rtol=1e-6, atol=1e-9, err_msg=str((objective, target)))
