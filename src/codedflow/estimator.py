@@ -141,7 +141,7 @@ def quadrature_moments(M, dist: InputDistribution, nodes: int | None = None, *, 
     (``C[j,k] = c_j + 2 S[j,k]``, S the mean Gram matrix, T the noise/mean cross terms)
     separates: the mixture sums are ``exp(a_q + b_k) (P @ W)[q,k]`` with ``P = exp(2T - a)``,
     ``W = exp(C - b)`` (a, b the maxima), the posterior means ``P @ (W * support)``.  Sums at
-    or below ``_EXACT_FLOOR`` may have underflowed; ``flowmodel._posterior_weights`` redoes them.
+    or below ``_EXACT_FLOOR`` may have underflowed; ``flowmodel._mixture_lse`` redoes them.
     """
     M = np.asarray(M, dtype=complex)
     if dist.kind != "discrete":
@@ -177,10 +177,10 @@ def quadrature_moments(M, dist: InputDistribution, nodes: int | None = None, *, 
         xhat = (Wt_parts @ P).reshape(2, dim, K, -1) / total if want_mmse else None
         if len(ki):
             z = means[ki] + block[qi]
-            log_pz, posterior = flowmodel._posterior_weights(means, dist.log_probs, z)
+            log_pz, w, sums = flowmodel._mixture_lse(means, dist.log_probs, z)
             lse[ki, qi] = log_pz + np.sum(np.abs(z) ** 2, axis=1) + n_out * np.log(np.pi)
             if want_mmse:
-                xhat[:, :, ki, qi] = parts @ posterior.T
+                xhat[:, :, ki, qi] = parts @ w / sums
         mi_total += float(probs @ (m2[:, None] + T2 - lse) @ wq)
         if want_mmse:
             resid = (parts[..., None] - xhat).reshape(2 * dim, -1)

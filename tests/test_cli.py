@@ -137,6 +137,17 @@ class TestCommands:
         assert body == (tmp_path / "c" / "verify.csv").read_bytes()
         assert first.passed and second.passed and eight.passed
 
+    def test_monte_carlo_verify_is_identical_across_workers(self, tmp_path):
+        # 20000 samples span several sampler chunks and mixture-kernel chunks
+        bodies = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            argv = ["verify", "--config", str(FIGURE1), "--method", "mc", "--samples", "20000"]
+            main(argv + ["--workers", str(workers), "--tolerance", "5e-2", "--out", str(out)])
+            bodies.append((out / "verify.csv").read_bytes())
+        assert len(bodies[0].splitlines()) == 13
+        assert bodies[0] == bodies[1]
+
     def test_gradients_with_deterministic_input_is_all_zero(self, tmp_path):
         text = SCALAR_CHAIN.replace("kind = bpsk", "kind = point")
         report = run(parse_config(text), "gradients", tmp_path)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp, softmax
 
 from codedflow import (
     DensityUnderflow,
     EmptySupport,
+    EngineSpec,
     InputDistribution,
     NoiseModel,
     conditional_density,
@@ -15,7 +17,9 @@ from codedflow import (
     output_score,
     sample,
 )
-from codedflow.flowmodel import mixture_log_density
+from codedflow import flowmodel
+from codedflow.estimator import mc_moments
+from codedflow.flowmodel import mixture_log_density, mixture_posterior_mean
 from codedflow.quadrature import complex_gauss_hermite
 
 
@@ -99,6 +103,89 @@ class TestOutputDensity:
         p_log = mixture_log_density(dist.support @ M.T, dist.log_probs, z_points)
         total = float(weights @ np.exp(p_log - ref_log))
         assert total == pytest.approx(1.0, abs=1e-8)
+
+
+def _mixture_case(rng, K, n, d, spread, N):
+    """K means of dimension n scaled by ``spread`` (at 25, some unshifted
+    exponents overflow exp), N points drawn near them, and a random support
+    of dimension d."""
+    means = spread * (rng.normal(size=(K, n)) + 1j * rng.normal(size=(K, n)))
+    raw = rng.random(K) + 0.05
+    log_probs = np.log(raw / raw.sum())
+    support = rng.normal(size=(K, d)) + 1j * rng.normal(size=(K, d))
+    noise = rng.normal(size=(N, n)) + 1j * rng.normal(size=(N, n))
+    points = means[rng.integers(0, K, N)] + noise
+    return means, log_probs, support, points
+
+
+def _assert_mixture_matches_reference(means, log_probs, support, points):
+    """The kernel expands |z - mean_k|^2 = |z|^2 - 2 Re(conj(mean_k) z) + |mean_k|^2,
+    which loses a few ulps of the cancelling terms; the reference sums
+    log p_k - |z - mean_k|^2 directly, so each log-density is allowed 1e-12
+    relative plus 64 ulps of |z|^2 + max_k |mean_k|^2 (seen: at most 25)."""
+    exponents = log_probs - np.sum(np.abs(points[:, None, :] - means[None, :, :]) ** 2, axis=2)
+    log_pz = logsumexp(exponents, axis=1) - means.shape[1] * np.log(np.pi)
+    cancel = 64 * np.finfo(float).eps * (np.sum(np.abs(points) ** 2, axis=1) + np.max(np.sum(np.abs(means) ** 2, axis=1)))
+    got = mixture_log_density(means, log_probs, points)
+    assert np.all(np.abs(got - log_pz) <= 1e-12 * np.abs(log_pz) + cancel)
+    xhat = np.array([sum(p * s for p, s in zip(row, support)) for row in softmax(exponents, axis=1)])
+    got = mixture_posterior_mean(means, log_probs, support, points)
+    assert got.shape == xhat.shape
+    assert np.max(np.abs(got - xhat)) <= 1e-12 * np.max(np.abs(support))
+
+
+class TestMixtureKernel:
+    @given(
+        K=st.integers(min_value=1, max_value=64),
+        n=st.integers(min_value=1, max_value=3),
+        d=st.integers(min_value=1, max_value=2),
+        spread=st.floats(min_value=0.1, max_value=30.0),
+        N=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force(self, K, n, d, spread, N, seed):
+        _assert_mixture_matches_reference(*_mixture_case(np.random.default_rng(seed), K, n, d, spread, N))
+
+    @pytest.mark.parametrize("K", [4, 64])
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    def test_chunk_boundaries(self, K, offset):
+        # N = 1 and one chunk minus one, exactly one, and one plus one row
+        rows = flowmodel._LSE_CHUNK_BYTES // (8 * K)
+        N = 1 if offset is None else rows + offset
+        case = _mixture_case(np.random.default_rng(K + N), K, 2, 2, 25.0, N)
+        means, log_probs, _, points = case
+        # the shift matters: unshifted, some exponents overflow exp
+        offsets = log_probs - np.sum(np.abs(means) ** 2, axis=1)
+        assert np.max(offsets + 2.0 * np.real(points @ means.conj().T)) > 709.0
+        _assert_mixture_matches_reference(*case)
+
+
+class TestUnderflow:
+    """High-SNR channels observed at pure-noise outputs: every mean lies at
+    least ``gain - |z|`` from every point, so log p(z) is far below -700."""
+
+    @given(
+        gain=st.floats(min_value=40.0, max_value=200.0),
+        kind=st.sampled_from(["bpsk", "qpsk"]),
+        n_out=st.integers(min_value=1, max_value=2),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_every_mixture_path_raises(self, gain, kind, n_out, seed):
+        rng = np.random.default_rng(seed)
+        column = rng.normal(size=(n_out, 1)) + 1j * rng.normal(size=(n_out, 1))
+        M = gain * column / np.linalg.norm(column)  # |M x| = gain for unit symbols
+        dist = getattr(InputDistribution, kind)(1)
+        noise = sample(np.zeros((n_out, 1)), dist, seed=seed, count=1000)
+        assert np.max(np.abs(noise.outputs)) < gain - np.sqrt(700.0 + np.log(np.pi) * n_out)
+        means = dist.support @ M.T
+        with pytest.raises(DensityUnderflow):
+            mixture_log_density(means, dist.log_probs, noise.outputs)
+        with pytest.raises(DensityUnderflow):
+            mixture_posterior_mean(means, dist.log_probs, dist.support, noise.outputs)
+        with pytest.raises(DensityUnderflow):
+            mc_moments(M, dist, EngineSpec(method="mc", samples=1000), want_mmse=False, batch=noise)
 
 
 class TestOutputScore:
