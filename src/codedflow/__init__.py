@@ -10,7 +10,10 @@ finite-difference oracle so every identity can be checked rather than
 trusted.
 """
 
+import logging
+
 __version__ = "0.1.0"
+logging.getLogger(__name__).addHandler(logging.NullHandler())  # silent unless the application configures logging
 
 from .errors import (
     CodedFlowError,

@@ -3,14 +3,15 @@
 The posterior mean ``xhat(z) = E[x|z]`` is computed by exact posterior
 summation for discrete inputs and by the linear closed form
 ``M^H (I + M M^H)^{-1} z`` for Gaussian inputs.  The error matrix
-``E[(x - xhat)(x - xhat)^H]`` is evaluated either by Monte Carlo with batch-means
-standard errors or by tensorized Gauss-Hermite quadrature (guarded at three complex
-output dimensions), whose mixture sums are matrix products of max-shifted
-exponentials, recomputed exactly where they underflow.
+``E[(x - xhat)(x - xhat)^H]`` is evaluated either by Monte Carlo with batch-means standard errors
+or by tensorized Gauss-Hermite quadrature (guarded at three complex output dimensions), whose
+mixture sums are matrix products of max-shifted exponentials, recomputed exactly where they
+underflow, and whose information is ``sum p_k w_q ((T2 - a) - log total - (b - m2))`` per entry.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,6 +50,12 @@ class EngineSpec:
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"engine {name} must be at least {least}, got {value}")
+
+    def mc_samples(self) -> int:
+        """The sample count for a Monte Carlo draw, refused before any draw if too few for batch means."""
+        if self.samples < _MC_MIN_SAMPLES:
+            raise CostGuardError(f"Monte Carlo needs at least {_MC_MIN_SAMPLES} samples")
+        return self.samples
 
     def resolve_nodes(self, dim: int) -> int:
         return self.nodes if self.nodes is not None else default_nodes(dim)
@@ -137,11 +144,13 @@ def quadrature_moments(M, dist: InputDistribution, nodes: int | None = None, *, 
     """Exact-expectation pass over the output density of a discrete input.
 
     Returns ``(mi_nats, error_matrix, node_count)``; either output may be
-    ``None`` if not requested.  Component j's exponent ``C[j,k] + 2 T[q,j]`` at ``mean_k + noise_q``
-    (``C[j,k] = c_j + 2 S[j,k]``, S the mean Gram matrix, T the noise/mean cross terms)
-    separates: the mixture sums are ``exp(a_q + b_k) (P @ W)[q,k]`` with ``P = exp(2T - a)``,
-    ``W = exp(C - b)`` (a, b the maxima), the posterior means ``P @ (W * support)``.  Sums at
-    or below ``_EXACT_FLOOR`` may have underflowed; ``flowmodel._mixture_lse`` redoes them.
+    ``None`` if not requested.  Component j's exponent ``C[j,k] + T2[j,q]`` at ``mean_k + noise_q``
+    (``C[j,k] = c_j + 2 S[j,k]``, S the mean Gram matrix, T2 twice the noise/mean cross terms)
+    separates: the mixture sums are ``exp(a_q + b_k) total``, ``total = W @ P``, ``P = exp(T2 - a)``,
+    ``W = exp(C - b)`` (a, b the maxima); the posterior means are ``(W * support) @ P / total`` and the
+    MI sums ``p_k w_q ((T2 - a) - log total - (b - m2))`` per entry, ``b_k - m2_k`` being the
+    cancellation-free ``max_j (log p_j - |mean_j - mean_k|^2)``, so a point input gives exactly 0.
+    Sums at or below ``_EXACT_FLOOR`` may have underflowed; ``flowmodel._mixture_lse`` redoes them.
     """
     M = np.asarray(M, dtype=complex)
     if dist.kind != "discrete":
@@ -159,34 +168,41 @@ def quadrature_moments(M, dist: InputDistribution, nodes: int | None = None, *, 
     Wt = np.exp(C - b).T  # W[k, j]: arrays are support-major, so maxima reduce across rows
     parts = np.stack([support.T.real, support.T.imag])  # (re/im, d, k)
     Wt_parts = (parts[:, :, None, :] * Wt).reshape(-1, K)  # W[j, k] * support[j, d]
+    b_m2 = np.max(dist.log_probs[:, None] - np.sum(np.abs(means[:, None] - means) ** 2, axis=2), axis=0)
     rows = max(1, _QUAD_CHUNK_BYTES // (16 * K * (dim + 1)))
 
-    mi_total = 0.0
+    mi_total, recomputed = 0.0, 0
     err_total = np.zeros((dim, dim), dtype=complex) if want_mmse else None
 
     for start in range(0, noise.shape[0], rows):
         block = noise[start : start + rows]
         wq = weights[start : start + rows]
-        T2 = 2.0 * (means.view(float) @ block.view(float).T)  # (j, q): 2 Re(conj(mean_j) noise_q)
-        a = T2.max(axis=0)
-        P = np.exp(T2 - a)
-        total = Wt @ P  # (k, q)
-        ki, qi = np.nonzero(total <= _EXACT_FLOOR)
-        total = np.maximum(total, _EXACT_FLOOR)
-        lse = np.log(total) + a + b[:, None]
-        xhat = (Wt_parts @ P).reshape(2, dim, K, -1) / total if want_mmse else None
-        if len(ki):
+        P = (2.0 * means.view(float)) @ block.view(float).T  # T2[j, q] = 2 Re(conj(mean_j) noise_q)
+        a = P.max(axis=0)
+        P -= a
+        lin = probs @ P if want_mi else None
+        total = Wt @ np.exp(P, out=P)  # (k, q)
+        if underflow := total.min() <= _EXACT_FLOOR:  # one test a chunk, the scan only if it fires
+            ki, qi = np.nonzero(total <= _EXACT_FLOOR)
+            np.maximum(total, _EXACT_FLOOR, out=total)
             z = means[ki] + block[qi]
             log_pz, w, sums = flowmodel._mixture_lse(means, dist.log_probs, z)
-            lse[ki, qi] = log_pz + np.sum(np.abs(z) ** 2, axis=1) + n_out * np.log(np.pi)
-            if want_mmse:
-                xhat[:, :, ki, qi] = parts @ w / sums
-        mi_total += float(probs @ (m2[:, None] + T2 - lse) @ wq)
+            recomputed += len(ki)
         if want_mmse:
-            resid = (parts[..., None] - xhat).reshape(2 * dim, -1)
+            xhat = (Wt_parts @ P).reshape(2, dim, K, -1) / total
+            if underflow:
+                xhat[:, :, ki, qi] = parts @ w / sums
+            resid = np.subtract(parts[..., None], xhat, out=xhat).reshape(2 * dim, -1)
             g = (resid * np.outer(probs, wq).ravel()) @ resid.T  # Gram of the (re, im) rows
             err_total += g[:dim, :dim] + g[dim:, dim:] + 1j * (g[dim:, :dim] - g[:dim, dim:])
-
+        if want_mi:
+            logt = np.log(total, out=total)
+            if underflow:
+                logt[ki, qi] = log_pz + np.sum(np.abs(z) ** 2, axis=1) + n_out * np.log(np.pi) - a[qi] - b[ki]
+            logt += b_m2[:, None]
+            mi_total += float((lin - probs @ logt) @ wq)
+    if recomputed:
+        logging.getLogger(__name__).debug("quadrature recomputed %d underflowed sums exactly", recomputed)
     return (mi_total if want_mi else None), err_total, nodes
 
 
@@ -210,10 +226,8 @@ def mc_moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mmse=True, 
     ``batch`` may be supplied for common-random-number workflows.
     """
     M = np.asarray(M, dtype=complex)
-    if spec.samples < _MC_MIN_SAMPLES and batch is None:
-        raise CostGuardError(f"Monte Carlo needs at least {_MC_MIN_SAMPLES} samples")
     if batch is None:
-        batch = flowmodel.sample(M, dist, spec.seed, spec.samples, workers=spec.workers)
+        batch = flowmodel.sample(M, dist, spec.seed, spec.mc_samples(), workers=spec.workers)
     x, z = batch.inputs, batch.outputs
 
     mi = mi_se = None

@@ -237,7 +237,7 @@ def grad_oracle(
     use_mc = spec.method == "mc"
     if use_mc:
         inputs, noise = flowmodel.draw_inputs_and_noise(
-            dist, n_out, spec.seed, spec.samples, workers=spec.workers
+            dist, n_out, spec.seed, spec.mc_samples(), workers=spec.workers
         )
         batches = spec.batches
         nodes = None

@@ -172,6 +172,14 @@ class TestCommands:
         assert report.error is not None
         assert "RESULT: FAIL" in (tmp_path / "example1_report.txt").read_text()
 
+    def test_optimize_precoder_figure1_starts_at_exactly_zero_information(self, tmp_path):
+        # the ascent starts from B = 0, a zero channel
+        text = FIGURE1.read_text().replace("ascent_iterations = 20", "ascent_iterations = 1")
+        report = run(parse_config(text), "optimize-precoder", tmp_path)
+        assert report.rows[0].check_id == "iter000"
+        assert report.rows[0].closed == 0.0
+        assert report.rows[1].closed.real > 0.0
+
     def test_optimize_precoder_gaussian(self, tmp_path):
         text = SCALAR_CHAIN.replace("kind = bpsk", "kind = gaussian")
         report = run(parse_config(text), "optimize-precoder", tmp_path)

@@ -6,6 +6,8 @@ of the posterior-variance integral); the library's tensorized rule must
 reproduce them.
 """
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,7 @@ from codedflow import (
     seeded_diamond_symbols,
 )
 from codedflow import flowmodel, quadrature
-from codedflow.estimator import quadrature_moments
+from codedflow.estimator import _EXACT_FLOOR, quadrature_moments
 
 # mmse(snr) for equiprobable {+1,-1} through z = sqrt(snr) x + CN(0,1),
 # frozen from the independent 1-D adaptive quadrature
@@ -226,6 +228,19 @@ def _assert_matches_brute_force(M, dist, nodes):
     mi_ref, err_ref = _brute_force_moments(M, dist, nodes)
     assert abs(mi - mi_ref) <= 1e-12 * abs(mi_ref)
     assert np.max(np.abs(err - err_ref)) <= 1e-12 * max(1.0, np.max(np.abs(err_ref)))
+    # a pass for one output gives the combined pass's value bit for bit
+    assert quadrature_moments(M, dist, nodes, want_mmse=False) == (mi, None, nodes)
+    mi_skipped, err_only, _ = quadrature_moments(M, dist, nodes, want_mi=False)
+    assert mi_skipped is None
+    assert np.array_equal(err_only, err)
+
+
+UNDERFLOW_CASES = [
+    (np.array([[40.0 + 0j]]), InputDistribution.bpsk(1), 64),
+    (np.array([[12.0 + 16.0j], [-16.0 + 12.0j]]), InputDistribution.qpsk(1), 16),
+    (np.array([[24.0 + 32.0j], [-32.0 + 24.0j]]), InputDistribution.qpsk(1), 16),
+]
+UNDERFLOW_IDS = ["bpsk-gain40", "qpsk-2x1-gain20", "qpsk-2x1-gain40"]
 
 
 class TestQuadratureKernel:
@@ -243,21 +258,63 @@ class TestQuadratureKernel:
         dist = getattr(InputDistribution, kind)(n_in)
         _assert_matches_brute_force(M, dist, 12 if n_out == 1 else 6)
 
-    @pytest.mark.parametrize(
-        "M, dist, nodes",
-        [
-            (np.array([[40.0 + 0j]]), InputDistribution.bpsk(1), 64),
-            (np.array([[12.0 + 16.0j], [-16.0 + 12.0j]]), InputDistribution.qpsk(1), 16),
-            (np.array([[24.0 + 32.0j], [-32.0 + 24.0j]]), InputDistribution.qpsk(1), 16),
-        ],
-        ids=["bpsk-gain40", "qpsk-2x1-gain20", "qpsk-2x1-gain40"],
-    )
+    @pytest.mark.parametrize("M, dist, nodes", UNDERFLOW_CASES, ids=UNDERFLOW_IDS)
     def test_matches_brute_force_where_the_product_underflows(self, M, dist, nodes):
         # entries this far below 1 underflow in the separable product, so
         # they are right only if the exact recomputation ran; at gain 40 they
         # carry enough quadrature weight to move MI and E past the tolerance
         assert np.any(_underflow_gap(M, dist, nodes) < -708.0)
         _assert_matches_brute_force(M, dist, nodes)
+
+    def test_exact_recomputation_is_logged_once_with_its_count(self, caplog):
+        M, dist, nodes = UNDERFLOW_CASES[0]
+        with caplog.at_level(logging.DEBUG, logger="codedflow"):
+            quadrature_moments(M, dist, nodes)
+        (record,) = caplog.records
+        assert record.name == "codedflow.estimator" and record.levelno == logging.DEBUG
+        # a shifted sum lies between its largest term and K times it
+        gap = _underflow_gap(M, dist, nodes)
+        surely = np.count_nonzero(gap + np.log(len(dist.probs)) <= np.log(_EXACT_FLOOR))
+        at_most = np.count_nonzero(gap <= np.log(_EXACT_FLOOR))
+        assert 0 < surely <= record.args[0] <= at_most
+
+    def test_nothing_is_logged_without_underflow(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="codedflow"):
+            quadrature_moments(np.array([[0.8 + 0.3j, -0.4j]]), InputDistribution.qpsk(2), 12)
+        assert caplog.records == []
+
+
+class TestExactInformation:
+    """Where the information is 0 or saturated, the per-entry MI brackets
+    must cancel exactly rather than leave rounding of the mean energies."""
+
+    def test_zero_channel_at_figure1_shape(self):
+        mi, _, _ = quadrature_moments(np.zeros((2, 2), dtype=complex), InputDistribution.qpsk(2), 16)
+        assert mi == 0.0
+
+    @pytest.mark.parametrize(
+        "M, x0",
+        [
+            (np.array([[2.0 + 0j]]), np.array([1.0 + 0.5j])),
+            (np.array([[0.7 - 1.3j, 2.1 + 0.2j], [1.1, -0.4j]]), np.array([0.3 + 0.4j, -1.0])),
+            (np.array([[31.0 + 7.0j]]), np.array([-0.6 + 0.9j])),
+        ],
+    )
+    def test_point_input(self, M, x0):
+        mi, err, _ = quadrature_moments(M, InputDistribution.point(x0), 16)
+        assert mi == 0.0
+        np.testing.assert_allclose(err, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "M, dist, nodes",
+        UNDERFLOW_CASES + [(60.0 * np.eye(2, dtype=complex), InputDistribution.qpsk(2), 8)],
+        ids=UNDERFLOW_IDS + ["qpsk-2x2-gain60"],
+    )
+    def test_saturated_channel_carries_the_input_entropy(self, M, dist, nodes):
+        # the channel's means lie 40 or more apart under unit noise, so the
+        # MI is the input entropy to double precision
+        mi, _, _ = quadrature_moments(M, dist, nodes, want_mmse=False)
+        assert abs(mi - dist.entropy_nats()) <= 1e-14
 
 
 class TestScoreIdentity:

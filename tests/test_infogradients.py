@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codedflow import (
+    CostGuardError,
     EngineSpec,
     GradientReport,
     GradientSet,
@@ -42,6 +43,7 @@ from codedflow import (
     mutual_information,
     verify_gradients,
 )
+from codedflow import flowmodel
 from codedflow.estimator import quadrature_moments
 from codedflow.infogradients import MutualInformationValue, closed_gradient, effective_matrix
 
@@ -269,6 +271,20 @@ class TestOracle:
         )
         spec = EngineSpec(method="mc", samples=1000, seed=4)
         with pytest.raises(StepTooSmallError):
+            grad_oracle(sys, dist, "B", spec, step=1e-5, noise_ratio_limit=1e-4)
+
+    def test_sample_guard_fires_before_any_draw(self, monkeypatch):
+        # below the minimum, batch means of empty batches are NaN and would hide the noise floor
+        def no_draw(*args, **kwargs):
+            raise AssertionError("samples were drawn below the Monte Carlo minimum")
+
+        monkeypatch.setattr(flowmodel, "draw_inputs_and_noise", no_draw)
+        dist = InputDistribution.bpsk(1)
+        sys = SystemMatrices.from_factors(
+            np.eye(1), np.eye(1), np.array([[1.0 + 0j]]), form="compact"
+        )
+        spec = EngineSpec(method="mc", samples=10, seed=4)
+        with pytest.raises(CostGuardError, match="at least 1000 samples"):
             grad_oracle(sys, dist, "B", spec, step=1e-5, noise_ratio_limit=1e-4)
 
 
