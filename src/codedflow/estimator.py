@@ -2,17 +2,21 @@
 
 The posterior mean ``xhat(z) = E[x|z]`` is computed by exact posterior
 summation for discrete inputs and by the linear closed form
-``M^H (I + M M^H)^{-1} z`` for Gaussian inputs.  The error matrix
-``E[(x - xhat)(x - xhat)^H]`` is evaluated either by Monte Carlo with batch-means standard errors
-or by tensorized Gauss-Hermite quadrature (guarded at three complex output dimensions), whose
-mixture sums are matrix products of max-shifted exponentials, recomputed exactly where they
-underflow, and whose information is ``sum p_k w_q ((T2 - a) - log total - (b - m2))`` per entry.
+``M^H (I + M M^H)^{-1} z`` for Gaussian inputs.
+
+One private route, ``_moments``, chooses how the information and the error matrix
+``E[(x - xhat)(x - xhat)^H]`` of a channel are evaluated, for every caller in the library:
+Monte Carlo with batch-means standard errors when the spec asks for it, else the Gaussian closed
+forms ``log det(I + M M^H)`` and ``(I + M^H M)^{-1}``, else tensorized Gauss-Hermite quadrature
+(guarded at three complex output dimensions), whose mixture sums are matrix products of
+max-shifted exponentials, recomputed exactly where they underflow, and whose information is
+``sum p_k w_q ((T2 - a) - log total - (b - m2))`` per entry.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,9 +63,6 @@ class EngineSpec:
 
     def resolve_nodes(self, dim: int) -> int:
         return self.nodes if self.nodes is not None else default_nodes(dim)
-
-    def with_seed(self, seed: int) -> "EngineSpec":
-        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -140,8 +141,8 @@ def conditional_mean_batch(M, dist: InputDistribution, points) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def quadrature_moments(M, dist: InputDistribution, nodes: int | None = None, *, want_mmse=True, want_mi=True):
-    """Exact-expectation pass over the output density of a discrete input.
+def quadrature_moments(M, dist: InputDistribution, nodes: int, *, want_mmse=True, want_mi=True):
+    """Exact-expectation pass over the output density of a discrete input, ``nodes`` per axis.
 
     Returns ``(mi_nats, error_matrix, node_count)``; either output may be
     ``None`` if not requested.  Component j's exponent ``C[j,k] + T2[j,q]`` at ``mean_k + noise_q``
@@ -156,7 +157,6 @@ def quadrature_moments(M, dist: InputDistribution, nodes: int | None = None, *, 
     if dist.kind != "discrete":
         raise ValueError("quadrature_moments expects a discrete input")
     n_out = M.shape[0]
-    nodes = nodes if nodes is not None else default_nodes(n_out)
     noise, weights = complex_gauss_hermite(n_out, nodes)
 
     support, probs = dist.support, dist.probs
@@ -219,6 +219,12 @@ def _batch_se(values: np.ndarray, batches: int):
     return np.sqrt(var / batches)
 
 
+def _info_samples(M, dist: InputDistribution, z, noise) -> np.ndarray:
+    """Per-sample information ``log p(z|x) - log p(z)`` at outputs ``z = M x + noise``."""
+    log_cond = -M.shape[0] * np.log(np.pi) - np.sum(np.abs(noise) ** 2, axis=1)
+    return log_cond - flowmodel._log_output_density(M, dist, z)
+
+
 def mc_moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mmse=True, want_mi=True, batch: SampleBatch | None = None):
     """Monte-Carlo estimates of mutual information and the error matrix.
 
@@ -232,8 +238,7 @@ def mc_moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mmse=True, 
 
     mi = mi_se = None
     if want_mi:
-        log_cond = -M.shape[0] * np.log(np.pi) - np.sum(np.abs(z - x @ M.T) ** 2, axis=1)
-        info_samples = log_cond - flowmodel._log_output_density(M, dist, z)
+        info_samples = _info_samples(M, dist, z, z - x @ M.T)
         mi = float(np.mean(info_samples))
         mi_se = float(_batch_se(info_samples, spec.batches))
 
@@ -252,27 +257,35 @@ def mc_moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mmse=True, 
 # ---------------------------------------------------------------------------
 
 
-def mmse_matrix(M, dist: InputDistribution, spec: EngineSpec = EngineSpec()) -> MmseMatrix:
-    """Error matrix of the conditional-mean estimator for the channel M.
+def gaussian_mutual_information(M) -> float:
+    """log det(I + M M^H) in nats, for a unit-covariance Gaussian input."""
+    _, logdet = np.linalg.slogdet(flowmodel._output_moments(M))
+    return float(logdet)
 
-    Gaussian inputs use the closed form ``(I + M^H M)^{-1}`` (tagged
-    ``exact``); discrete inputs use quadrature or Monte Carlo per ``spec``.
+
+def _moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mi=True, want_mmse=True):
+    """The one route from a channel to its information and error matrix.
+
+    Returns ``(mi, mi_se, err, err_se, method, count)``, unrequested values ``None``: Monte Carlo
+    when ``spec`` asks for it, else the closed forms for a Gaussian input (``exact``, count 0),
+    else quadrature at the spec's node count for the channel's outputs.
     """
+    if spec.method == "mc":
+        mi, mi_se, err, err_se, count = mc_moments(M, dist, spec, want_mmse=want_mmse, want_mi=want_mi)
+        return mi, mi_se, err, err_se, "monte-carlo", count
+    if dist.kind == "gaussian":
+        mi = gaussian_mutual_information(M) if want_mi else None
+        err = np.linalg.inv(np.eye(M.shape[1], dtype=complex) + M.conj().T @ M) if want_mmse else None
+        return mi, None, err, None, "exact", 0
+    mi, err, nodes = quadrature_moments(M, dist, spec.resolve_nodes(M.shape[0]), want_mmse=want_mmse, want_mi=want_mi)
+    return mi, None, err, None, "quadrature", nodes
+
+
+def mmse_matrix(M, dist: InputDistribution, spec: EngineSpec = EngineSpec()) -> MmseMatrix:
+    """Error matrix of the conditional-mean estimator for the channel M, by ``_moments``."""
     M = _as_matrix(M)
-    cov = (
-        np.eye(dist.dimension, dtype=complex)
-        if dist.kind == "gaussian"
-        else dist.covariance()
-    )
-    if dist.kind == "gaussian" and spec.method == "quadrature":
-        eye = np.eye(M.shape[1], dtype=complex)
-        exact = np.linalg.inv(eye + M.conj().T @ M)
-        return MmseMatrix.checked(exact, "exact", 0, cov)
-    if spec.method == "quadrature":
-        _, err, nodes = quadrature_moments(M, dist, spec.resolve_nodes(M.shape[0]), want_mi=False)
-        return MmseMatrix.checked(err, "quadrature", nodes, cov)
-    _, _, err, err_se, count = mc_moments(M, dist, spec, want_mi=False)
-    return MmseMatrix.checked(err, "monte-carlo", count, cov, standard_error=err_se)
+    _, _, err, err_se, method, count = _moments(M, dist, spec, want_mi=False)
+    return MmseMatrix.checked(err, method, count, dist.covariance(), standard_error=err_se)
 
 
 def score_identity_residual(system, dist: InputDistribution, z) -> float:

@@ -22,6 +22,10 @@ finite-difference oracle, and gives the Gaussian-input gradient
 ``L^H (I + M_eff M_eff^H)^{-1} M_eff R^H`` of ``log det(I + M_eff M_eff^H)``
 without any error matrix.
 
+Information and error matrix come from one route, ``estimator._moments``,
+which picks Monte Carlo, the Gaussian closed forms or quadrature for every
+evaluation here: the reported values, the oracle and the refinement probe.
+
 Gradient convention
 -------------------
 All gradients are in conjugate coordinates: entry (i, j) is
@@ -37,7 +41,7 @@ independently of them.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,9 +52,10 @@ from .estimator import (
     MmseMatrix,
     _as_matrix,
     _batch_se,
-    mc_moments,
+    _info_samples,
+    _moments,
+    gaussian_mutual_information,  # re-exported: the closed form lives with the route
     mmse_matrix,
-    quadrature_moments,
 )
 from .flowmodel import InputDistribution
 from .netgraph import SystemMatrices
@@ -68,8 +73,9 @@ _REL_FLOOR_FRACTION = 1e-6
 class MutualInformationValue:
     """Mutual information in nats with method provenance.
 
-    ``count`` is the sample count (Monte Carlo) or per-axis node count
-    (quadrature); ``standard_error`` is set for Monte Carlo only.
+    ``method`` and ``count`` are those of ``estimator._moments``: the sample
+    count (``monte-carlo``), the per-axis node count (``quadrature``) or 0
+    (``exact``); ``standard_error`` is set for Monte Carlo only.
     """
 
     nats: float
@@ -93,23 +99,11 @@ class MutualInformationValue:
         return self.nats / NATS_PER_BIT
 
 
-def gaussian_mutual_information(M) -> float:
-    """log det(I + M M^H) in nats, for a unit-covariance Gaussian input."""
-    _, logdet = np.linalg.slogdet(flowmodel._output_moments(M))
-    return float(logdet)
-
-
 def mutual_information(M, dist: InputDistribution, spec: EngineSpec = EngineSpec()) -> MutualInformationValue:
-    """I(x; Mx + n) in nats by closed form, quadrature, or Monte Carlo."""
-    M = _as_matrix(M)
-    if dist.kind == "gaussian" and spec.method == "quadrature":
-        return MutualInformationValue.checked(gaussian_mutual_information(M), "exact", 0)
-    if spec.method == "quadrature":
-        mi, _, nodes = quadrature_moments(M, dist, spec.resolve_nodes(M.shape[0]), want_mmse=False)
-        return MutualInformationValue.checked(mi, "quadrature", nodes, entropy_limit=dist.entropy_nats())
-    mi, mi_se, _, _, count = mc_moments(M, dist, spec, want_mmse=False)
+    """I(x; Mx + n) in nats, by ``estimator._moments``."""
+    mi, mi_se, _, _, method, count = _moments(_as_matrix(M), dist, spec, want_mmse=False)
     return MutualInformationValue.checked(
-        mi, "mc", count, standard_error=mi_se, entropy_limit=dist.entropy_nats()
+        mi, method, count, standard_error=mi_se, entropy_limit=dist.entropy_nats()
     )
 
 
@@ -192,20 +186,6 @@ def _rebuilder(sys: SystemMatrices, target: str, objective: str):
 # ---------------------------------------------------------------------------
 
 
-def _mc_info_samples(M_eff, dist, inputs, noise):
-    """Per-sample information values for fixed (common) random draws."""
-    M_eff = np.asarray(M_eff, dtype=complex)
-    log_cond = -M_eff.shape[0] * np.log(np.pi) - np.sum(np.abs(noise) ** 2, axis=1)
-    return log_cond - flowmodel._log_output_density(M_eff, dist, inputs @ M_eff.T + noise)
-
-
-def _mi_scalar(M_eff, dist, nodes):
-    if dist.kind == "gaussian":
-        return gaussian_mutual_information(M_eff)
-    mi, _, _ = quadrature_moments(M_eff, dist, nodes, want_mmse=False)
-    return mi
-
-
 def grad_oracle(
     sys: SystemMatrices,
     dist: InputDistribution,
@@ -239,10 +219,10 @@ def grad_oracle(
         inputs, noise = flowmodel.draw_inputs_and_noise(
             dist, n_out, spec.seed, spec.mc_samples(), workers=spec.workers
         )
-        batches = spec.batches
-        nodes = None
-    else:
-        nodes = None if dist.kind == "gaussian" else spec.resolve_nodes(n_out)
+
+        def info(Y):
+            M_eff = rebuild(Y)
+            return _info_samples(M_eff, dist, inputs @ M_eff.T + noise, noise)
 
     rows, cols = base.shape
     coords = [(i, j, axis) for i in range(rows) for j in range(cols) for axis in (0, 1)]
@@ -255,15 +235,13 @@ def grad_oracle(
         minus = np.array(base)
         minus[i, j] -= delta
         if use_mc:
-            diff = _mc_info_samples(rebuild(plus), dist, inputs, noise) - _mc_info_samples(
-                rebuild(minus), dist, inputs, noise
-            )
+            diff = info(plus) - info(minus)
             slope = float(np.mean(diff)) / (2.0 * step)
-            se = float(_batch_se(diff, batches)) / (2.0 * step)
+            se = float(_batch_se(diff, spec.batches)) / (2.0 * step)
             return slope, se
         slope = (
-            _mi_scalar(rebuild(plus), dist, nodes)
-            - _mi_scalar(rebuild(minus), dist, nodes)
+            _moments(rebuild(plus), dist, spec, want_mmse=False)[0]
+            - _moments(rebuild(minus), dist, spec, want_mmse=False)[0]
         ) / (2.0 * step)
         return slope, 0.0
 
@@ -299,14 +277,13 @@ def directional_derivative(
     step: float = 1e-4,
     objective: str = "full",
 ) -> float:
-    """Central difference of I along a fixed matrix direction."""
+    """Central difference of I along a fixed matrix direction, always by the
+    deterministic route: under a Monte Carlo spec it stays a quadrature check."""
     base, rebuild = _rebuilder(sys, target, objective)
     direction = np.asarray(direction, dtype=complex)
-    nodes = None if dist.kind == "gaussian" else spec.resolve_nodes(
-        effective_matrix(objective, sys).shape[0]
-    )
-    plus = _mi_scalar(rebuild(base + step * direction), dist, nodes)
-    minus = _mi_scalar(rebuild(base - step * direction), dist, nodes)
+    probe_spec = replace(spec, method="quadrature")
+    plus = _moments(rebuild(base + step * direction), dist, probe_spec, want_mmse=False)[0]
+    minus = _moments(rebuild(base - step * direction), dist, probe_spec, want_mmse=False)[0]
     return (plus - minus) / (2.0 * step)
 
 
@@ -392,7 +369,6 @@ def verify_gradients(
     *,
     step: float = 1e-3,
     objective: str = "full",
-    targets=None,
 ) -> GradientReport:
     """Closed-form gradients against finite-difference oracles, one report.
 
@@ -401,7 +377,7 @@ def verify_gradients(
     information under entry perturbations.  A one-coordinate step-halving
     probe per target records how stable the differences are.
     """
-    targets = tuple(targets) if targets is not None else _targets(objective)
+    targets = _targets(objective)
     mmse = mmse_matrix(effective_matrix(objective, sys), dist, spec)
     fields = {_FIELDS[t]: closed_gradient(sys, mmse, t, objective) for t in targets}
     closed = GradientSet(mmse=mmse, form=sys.form, **fields)

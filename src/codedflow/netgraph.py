@@ -56,6 +56,15 @@ def _vertex_ranks(vertices, edges):
     return rank
 
 
+def _canonical_order(vertices, edges) -> list:
+    """Edge positions in canonical order: by tail rank, ties by position;
+    insertion order on a cycle."""
+    rank = _vertex_ranks(vertices, edges)
+    if rank is None:
+        return list(range(len(edges)))
+    return sorted(range(len(edges)), key=lambda i: (rank[edges[i][0]], i))
+
+
 @dataclass(frozen=True)
 class NetworkTopology:
     """Immutable directed network with stable, dense edge indices.
@@ -103,18 +112,13 @@ class NetworkTopology:
         for tail, head in edges:
             if tail not in vset or head not in vset:
                 raise ValueError(f"edge ({tail}, {head}) references unknown vertex")
-        rank = _vertex_ranks(vertices, edges)
-        if rank is not None:
-            order = sorted(range(len(edges)), key=lambda i: (rank[edges[i][0]], i))
-            edges = [edges[i] for i in order]
-            if names is not None:
-                names = [names[i] for i in order]
+        order = _canonical_order(vertices, edges)
         return cls(
             vertices=vertices,
-            edges=tuple(edges),
+            edges=tuple(edges[i] for i in order),
             sources=tuple(sources),
             sinks=tuple(sinks),
-            edge_names=tuple(names) if names is not None else None,
+            edge_names=tuple(names[i] for i in order) if names is not None else None,
         )
 
     @property
@@ -336,44 +340,24 @@ def remove_edge(topology: NetworkTopology, coeffs: CodingCoefficients, edge: int
     if not 0 <= edge < topology.edge_count:
         raise UnknownEdge(f"edge index {edge} out of range")
     keep = [i for i in range(topology.edge_count) if i != edge]
-    remap = {old: new for new, old in enumerate(keep)}
-    new_topology = NetworkTopology.from_edges(
-        topology.vertices,
-        [topology.edges[i] for i in keep],
-        topology.sources,
-        topology.sinks,
-        edge_names=[topology.edge_names[i] for i in keep]
-        if topology.edge_names is not None
-        else None,
+    order = [keep[i] for i in _canonical_order(topology.vertices, [topology.edges[i] for i in keep])]
+    new_index = {old: new for new, old in enumerate(order)}
+    names = topology.edge_names
+    new_topology = NetworkTopology(
+        vertices=topology.vertices,
+        edges=tuple(topology.edges[i] for i in order),
+        sources=tuple(topology.sources),
+        sinks=tuple(topology.sinks),
+        edge_names=tuple(names[i] for i in order) if names is not None else None,
     )
-    # canonical re-sort may permute surviving edges; map old index -> new index
-    if topology.edge_names is not None:
-        final = {
-            remap[i]: new_topology.edge_names.index(topology.edge_names[i])
-            for i in keep
-        }
-    else:
-        order = {e: [] for e in set(topology.edges)}
-        for new_i, e in enumerate(new_topology.edges):
-            order[e].append(new_i)
-        final = {}
-        for i in keep:
-            final[remap[i]] = order[topology.edges[i]].pop(0)
 
-    def _remap_edge(i):
-        return final[remap[i]]
-
-    alpha = {
-        (i, _remap_edge(e)): v for (i, e), v in coeffs.alpha.items() if e != edge
-    }
+    alpha = {(i, new_index[e]): v for (i, e), v in coeffs.alpha.items() if e != edge}
     beta = {
-        (_remap_edge(e), _remap_edge(e2)): v
+        (new_index[e], new_index[e2]): v
         for (e, e2), v in coeffs.beta.items()
         if e != edge and e2 != edge
     }
-    gamma = {
-        (k, _remap_edge(e)): v for (k, e), v in coeffs.gamma.items() if e != edge
-    }
+    gamma = {(k, new_index[e]): v for (k, e), v in coeffs.gamma.items() if e != edge}
     return new_topology, CodingCoefficients(alpha=alpha, beta=beta, gamma=gamma)
 
 

@@ -361,6 +361,8 @@ def cut_analysis(cut, sys: SystemMatrices, dist: InputDistribution, spec: Engine
 # precoder ascent
 # ---------------------------------------------------------------------------
 
+_HALVINGS = 40  # step halvings tried before an ascent that cannot improve stops
+
 
 def precoder_ascent(
     sys: SystemMatrices,
@@ -369,14 +371,12 @@ def precoder_ascent(
     iterations: int,
     norm_budget: float,
     spec: EngineSpec = EngineSpec(),
-    *,
-    halvings: int = 40,
 ):
     """Projected gradient ascent on the precoding matrix.
 
     After each gradient step the precoder is rescaled to Frobenius norm
     ``norm_budget``.  When a step would decrease the information it is
-    halved until the ascent resumes (up to ``halvings`` times); a
+    halved until the ascent resumes (up to ``_HALVINGS`` times); a
     non-finite gradient aborts, returning the trajectory collected so far.
     Returns a list of (B, information-in-nats) pairs, one per iteration
     plus the starting point.
@@ -410,7 +410,7 @@ def precoder_ascent(
         if not np.all(np.isfinite(gradient)):
             break
         size = step
-        for _ in range(halvings + 1):
+        for _ in range(_HALVINGS + 1):
             candidate = project(current + size * gradient)
             cand_trial, cand_err, cand_info = evaluate(candidate)
             if cand_info >= info - 1e-12:

@@ -44,7 +44,7 @@ from codedflow import (
     verify_gradients,
 )
 from codedflow import flowmodel
-from codedflow.estimator import quadrature_moments
+from codedflow.estimator import mc_moments, quadrature_moments
 from codedflow.infogradients import MutualInformationValue, closed_gradient, effective_matrix
 
 FROZEN_SCALAR_INFO_M1 = 0.500072136066845  # two-point input, unit gain, nats
@@ -329,6 +329,54 @@ class TestVerifyGradients:
         assert report.calibration == WIRTINGER_SCALE
         assert set(report.refinement) == {"A", "G", "B"}
         assert report.passed(1e-3)
+
+
+class TestEngineRoute:
+    """Information and error matrix take one route per spec and input: each
+    value is its kernel's or closed form's bit for bit, under one label."""
+
+    M = np.array([[0.9 + 0.2j, -0.3j], [0.4 + 0j, 0.7 - 0.1j]])
+    DISTS = {"qpsk": InputDistribution.qpsk(2), "gaussian": InputDistribution.gaussian(2)}
+    SPECS = {"quadrature": EngineSpec(nodes=8), "mc": EngineSpec(method="mc", nodes=8, samples=2000, seed=11)}
+
+    def _expected(self, dist, spec):
+        """(mi, mi_se, err, err_se, label, count) straight from the kernel or closed form."""
+        M = self.M
+        if spec.method == "mc":
+            mi, mi_se, _, _, count = mc_moments(M, dist, spec, want_mmse=False)
+            _, _, err, err_se, _ = mc_moments(M, dist, spec, want_mi=False)
+            return mi, mi_se, err, err_se, "monte-carlo", count
+        if dist.kind == "gaussian":
+            err = np.linalg.inv(np.eye(2, dtype=complex) + M.conj().T @ M)
+            return gaussian_mutual_information(M), None, err, None, "exact", 0
+        mi, _, _ = quadrature_moments(M, dist, 8, want_mmse=False)
+        _, err, _ = quadrature_moments(M, dist, 8, want_mi=False)
+        return mi, None, err, None, "quadrature", 8
+
+    @pytest.mark.parametrize("method", ["quadrature", "mc"])
+    @pytest.mark.parametrize("kind", ["qpsk", "gaussian"])
+    def test_values_match_their_evaluator_bit_for_bit(self, kind, method):
+        dist, spec = self.DISTS[kind], self.SPECS[method]
+        mi_nats, mi_se, err, err_se, label, count = self._expected(dist, spec)
+        mi = mutual_information(self.M, dist, spec)
+        E = mmse_matrix(self.M, dist, spec)
+        assert (mi.nats, mi.standard_error, mi.method, mi.count) == (mi_nats, mi_se, label, count)
+        assert (E.method, E.count) == (label, count)
+        np.testing.assert_array_equal(E.matrix, 0.5 * (err + err.conj().T))  # as MmseMatrix stores it
+        if err_se is None:
+            assert E.standard_error is None
+        else:
+            np.testing.assert_array_equal(E.standard_error, err_se)
+
+    @pytest.mark.parametrize("kind", ["qpsk", "gaussian"])
+    def test_refinement_probe_is_quadrature_under_monte_carlo(self, kind):
+        sys = SystemMatrices.from_factors(np.eye(2), np.eye(2), self.M, form="compact")
+        direction = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        probes = [
+            directional_derivative(sys, self.DISTS[kind], "B", direction, self.SPECS[method])
+            for method in ("mc", "quadrature")
+        ]
+        assert probes[0] == probes[1]
 
 
 def test_gaussian_information_formula(rng):

@@ -233,6 +233,44 @@ class TestRemoveEdge:
             ).M
             np.testing.assert_array_equal(m_deleted, m_zeroed)
 
+    def _assert_deletion_equals_zeroing(self, topology, coeffs, edge):
+        topo2, coeffs2 = remove_edge(topology, coeffs, edge)
+        m_deleted = build_coefficient_matrices(topo2, coeffs2, 1, 1).M
+        m_zeroed = build_coefficient_matrices(topology, zero_edge_coefficients(coeffs, edge), 1, 1).M
+        np.testing.assert_array_equal(m_deleted, m_zeroed)
+        return topo2
+
+    def test_duplicate_named_parallel_edges_stay_apart(self):
+        # s->t twice, then s->m->t; distinct coefficients so a merged edge shows in M
+        topology = NetworkTopology.from_edges(
+            ("s", "m", "t"),
+            [("s", "t"), ("s", "t"), ("s", "m"), ("m", "t")],
+            ("s",),
+            ("t",),
+            edge_names=("a", "a", "b", "c"),
+        )
+        coeffs = CodingCoefficients(
+            alpha={(0, 0): 1.0, (0, 1): 2.0, (0, 2): 4.0},
+            beta={(2, 3): 8.0},
+            gamma={(0, 0): 1.0, (0, 1): 3.0, (0, 3): 1.0},
+        )
+        topo2 = self._assert_deletion_equals_zeroing(topology, coeffs, topology.edge_index("b"))
+        assert topo2.edge_names == ("a", "a", "c")
+
+    def test_unnamed_parallel_edges_follow_the_resort(self):
+        # inserted out of canonical order, so removal re-sorts the survivors
+        topology = NetworkTopology.from_edges(
+            ("s", "m", "t"), [("m", "t"), ("s", "t"), ("s", "m"), ("s", "t")], ("s",), ("t",)
+        )
+        assert topology.edges == (("s", "t"), ("s", "m"), ("s", "t"), ("m", "t"))
+        coeffs = CodingCoefficients(
+            alpha={(0, 0): 1.0, (0, 1): 4.0, (0, 2): 2.0},
+            beta={(1, 3): 8.0},
+            gamma={(0, 0): 1.0, (0, 2): 3.0, (0, 3): 1.0},
+        )
+        for edge in range(topology.edge_count):
+            self._assert_deletion_equals_zeroing(topology, coeffs, edge)
+
     def test_unknown_edge(self):
         topology = diamond_topology()
         coeffs = diamond_coefficients(seeded_diamond_symbols(1))
