@@ -18,6 +18,7 @@ import numpy as np
 from codedflow import (
     EngineSpec,
     InputDistribution,
+    WIRTINGER_SCALE,
     diamond_compact_system,
     mutual_information,
     seeded_diamond_symbols,
@@ -34,7 +35,7 @@ mi = mutual_information(system.M, dist, spec)
 print(f"information at the operating point: {mi.nats:.6f} nats = {mi.bits:.6f} bits")
 
 report = verify_gradients(system, dist, spec)
-print(f"\nfinite-difference step {report.step}, calibration factor {report.calibration}")
+print(f"\nfinite-difference step {report.step}, calibration factor {WIRTINGER_SCALE}")
 for target in report.targets():
     disc = report.discrepancy(target)
     print(
@@ -44,6 +45,6 @@ for target in report.targets():
 print("\nall identities within 1e-3:", report.passed(1e-3))
 
 print("\nclosed-form topology gradient:")
-print(report.closed.topology)
+print(report.closed["G"])
 print("finite-difference oracle:")
 print(report.oracles["G"])

@@ -63,7 +63,6 @@ from .estimator import (
 )
 from .infogradients import (
     GradientReport,
-    GradientSet,
     MutualInformationValue,
     NATS_PER_BIT,
     WIRTINGER_SCALE,
@@ -80,7 +79,6 @@ from .infogradients import (
 )
 from .scenarios import (
     CutReport,
-    CutSpec,
     ExpansionCheck,
     Grad11Expansion,
     cut_analysis,

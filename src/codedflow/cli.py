@@ -65,6 +65,7 @@ from .infogradients import (
     NATS_PER_BIT,
     STEP_RANGE,
     _relative_gap,
+    _targets,
     closed_gradient,
     effective_matrix,
     mutual_information,
@@ -285,8 +286,9 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     mode = _scalar(entries, "coefficients", "mode", lineno_map, default="explicit")
     if mode == "seeded":
         seed = setting("coefficients", "seed", convert=int, required=True)
-        low = setting("coefficients", "low", "0.3", float)
-        high = setting("coefficients", "high", "1.0", float)
+        low = setting("coefficients", "low", "0.3", float, rule=(np.isfinite, "be finite"))
+        at_least_low = (lambda v: low <= v < np.inf, f"be finite and at least low = {low!r}")
+        high = setting("coefficients", "high", "1.0", float, rule=at_least_low)
         coefficients = _seeded_coefficients(topology, n_in, n_out, seed, low, high)
     elif mode == "explicit":
         alpha, beta, gamma = {}, {}, {}
@@ -331,7 +333,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"units must be bits or nats, not {units!r}")
     lo, hi = STEP_RANGE
     step = setting("run", "step", "1e-3", float, rule=(lambda v: lo <= v <= hi, f"lie in [{lo:g}, {hi:g}]"))
-    ascent_step = setting("run", "ascent_step", "0.5", float, rule=nonnegative)
+    finite_nonnegative = (lambda v: 0 <= v < np.inf, "be nonnegative and finite")
+    ascent_step = setting("run", "ascent_step", "0.5", float, rule=finite_nonnegative)
     ascent_iterations = setting("run", "ascent_iterations", "20", int, rule=nonnegative)
     budget = setting("run", "budget", convert=float, rule=(lambda v: 0 < v < np.inf, "be positive and finite"))
 
@@ -485,11 +488,9 @@ def _cmd_verify(config: RunConfig, report: Report):
     result = verify_gradients(sys_c, config.dist, config.engine, step=config.step)
     mi = mutual_information(sys_c.M, config.dist, config.engine)
     _info_note(report, "mutual information", mi)
-    for target in ("A", "G", "B"):
+    for target in _targets("full"):
         disc = result.discrepancy(target)
-        _matrix_rows(
-            report, "verify", target, result.closed.by_target(target), result.oracles[target], config.tolerance
-        )
+        _matrix_rows(report, "verify", target, result.closed[target], result.oracles[target], config.tolerance)
         report.notes.append(
             f"grad {target}: max rel discrepancy {disc['max_rel']:.3e} at entry {disc['entry']}"
         )
@@ -498,7 +499,7 @@ def _cmd_verify(config: RunConfig, report: Report):
 def _cmd_gradients(config: RunConfig, report: Report):
     sys_c = _compact(config)
     err = mmse_matrix(sys_c.M, config.dist, config.engine)
-    for target in ("A", "G", "B"):
+    for target in _targets("full"):
         _matrix_rows(report, "gradients", target, closed_gradient(sys_c, err, target, "full"))
     report.notes.append("closed-form gradients only; pass requires finite entries")
 
@@ -510,14 +511,8 @@ def _cmd_cuts(config: RunConfig, report: Report):
         mi = mutual_information(effective_matrix(cut, sys_c), config.dist, config.engine)
         _info_note(report, f"{cut}-cut information", mi)
         for target in result.targets():
-            _matrix_rows(
-                report,
-                "cuts",
-                f"{cut}.{target}",
-                result.closed.by_target(target),
-                result.oracles[target],
-                config.tolerance,
-            )
+            closed, oracle = result.closed[target], result.oracles[target]
+            _matrix_rows(report, "cuts", f"{cut}.{target}", closed, oracle, config.tolerance)
     mi_full = mutual_information(sys_c.M, config.dist, config.engine)
     _info_note(report, "full-cut information", mi_full)
 

@@ -45,12 +45,11 @@ class EngineSpec:
     samples: int = 100_000
     seed: int = 0
     workers: int = 1
-    batches: int = _SE_BATCHES
 
     def __post_init__(self):
         if self.method not in ("quadrature", "mc"):
             raise ValueError(f"unknown engine method {self.method!r}")
-        for name, least in (("nodes", 1), ("samples", 1), ("workers", 1), ("batches", 2)):
+        for name, least in (("nodes", 1), ("samples", 1), ("workers", 1)):
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"engine {name} must be at least {least}, got {value}")
@@ -219,10 +218,9 @@ def _batch_se(values: np.ndarray, batches: int):
     return np.sqrt(var / batches)
 
 
-def _info_samples(M, dist: InputDistribution, z, noise) -> np.ndarray:
-    """Per-sample information ``log p(z|x) - log p(z)`` at outputs ``z = M x + noise``."""
-    log_cond = -M.shape[0] * np.log(np.pi) - np.sum(np.abs(noise) ** 2, axis=1)
-    return log_cond - flowmodel._log_output_density(M, dist, z)
+def _log_cond(noise) -> np.ndarray:
+    """``log p(z|x) = -n log pi - |noise|^2`` per sample, the first term of each information sample."""
+    return -noise.shape[1] * np.log(np.pi) - np.sum(np.abs(noise) ** 2, axis=1)
 
 
 def mc_moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mmse=True, want_mi=True, batch: SampleBatch | None = None):
@@ -238,16 +236,16 @@ def mc_moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mmse=True, 
 
     mi = mi_se = None
     if want_mi:
-        info_samples = _info_samples(M, dist, z, z - x @ M.T)
+        info_samples = _log_cond(z - x @ M.T) - flowmodel._log_output_density(M, dist, z)
         mi = float(np.mean(info_samples))
-        mi_se = float(_batch_se(info_samples, spec.batches))
+        mi_se = float(_batch_se(info_samples, _SE_BATCHES))
 
     err = err_se = None
     if want_mmse:
         resid = x - conditional_mean_batch(M, dist, z)
         outer = np.einsum("ni,nj->nij", resid, resid.conj())
         err = np.mean(outer, axis=0)
-        err_se = _batch_se(outer, spec.batches)
+        err_se = _batch_se(outer, _SE_BATCHES)
 
     return mi, mi_se, err, err_se, batch.count
 
@@ -323,7 +321,7 @@ def invert_flow_estimate(system: SystemMatrices, dist: InputDistribution, z) -> 
     return np.linalg.solve(B, u)
 
 
-def estimation_diagnostics(M, dist: InputDistribution, batch: SampleBatch, batches: int = _SE_BATCHES):
+def estimation_diagnostics(M, dist: InputDistribution, batch: SampleBatch):
     """Orthogonality and tower-property residuals with batch-means errors.
 
     Returns a dict with the cross-moment ``E[(x - xhat) z^H]`` and the
@@ -337,7 +335,7 @@ def estimation_diagnostics(M, dist: InputDistribution, batch: SampleBatch, batch
     cross = np.einsum("ni,nj->nij", resid, z.conj())
     return {
         "orthogonality": np.mean(cross, axis=0),
-        "orthogonality_se": _batch_se(cross, batches),
+        "orthogonality_se": _batch_se(cross, _SE_BATCHES),
         "tower_gap": np.mean(xhat, axis=0) - dist.mean(),
-        "tower_se": _batch_se(xhat, batches),
+        "tower_se": _batch_se(xhat, _SE_BATCHES),
     }

@@ -342,15 +342,13 @@ def draw_inputs_and_noise(dist: InputDistribution, n_out: int, seed: int, count:
     return xs, ns
 
 
-def sample(M, dist: InputDistribution, seed: int, count: int, *, noise: NoiseModel | None = None, workers: int = 1) -> SampleBatch:
+def sample(M, dist: InputDistribution, seed: int, count: int, *, workers: int = 1) -> SampleBatch:
     """Draw ``count`` paired (x, z) samples with z = Mx + n.
 
     Reproducibility contract: identical (seed, count, model) give
     bitwise-identical batches regardless of the worker count.
     """
     M = np.asarray(M, dtype=complex)
-    if noise is not None and noise.dimension != M.shape[0]:
-        raise ValueError("noise dimension does not match the system matrix")
     if dist.dimension != M.shape[1]:
         raise ValueError("input dimension does not match the system matrix")
     xs, ns = draw_inputs_and_noise(dist, M.shape[0], seed, count, workers=workers)

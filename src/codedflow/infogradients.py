@@ -26,6 +26,14 @@ Information and error matrix come from one route, ``estimator._moments``,
 which picks Monte Carlo, the Gaussian closed forms or quadrature for every
 evaluation here: the reported values, the oracle and the refinement probe.
 
+Oracles
+-------
+``_slope`` is the one finite difference: it forms ``X +- step D``, rebuilds
+the channel and differences the information, by ``_moments`` or, for a
+Monte Carlo oracle, on one common draw whose ``log p(z|x)`` is computed once.
+``grad_oracle`` maps it over the unit directions ``E_ij`` and ``i E_ij``;
+``directional_derivative`` is one quadrature call of it.
+
 Gradient convention
 -------------------
 All gradients are in conjugate coordinates: entry (i, j) is
@@ -50,9 +58,10 @@ from .errors import InvariantViolation, StepTooSmallError
 from .estimator import (
     EngineSpec,
     MmseMatrix,
+    _SE_BATCHES,
     _as_matrix,
     _batch_se,
-    _info_samples,
+    _log_cond,
     _moments,
     gaussian_mutual_information,  # re-exported: the closed form lives with the route
     mmse_matrix,
@@ -123,7 +132,6 @@ _CHAIN = {
     ("mid", "G"): lambda s: (s.G, np.eye(s.G.shape[0]), s.B),
     ("mid", "B"): lambda s: (s.B, s.G, np.eye(s.B.shape[1])),
 }
-_FIELDS = {"A": "decoding", "G": "topology", "B": "precoding"}
 
 
 def _chain(sys: SystemMatrices, objective: str, target: str):
@@ -186,6 +194,25 @@ def _rebuilder(sys: SystemMatrices, target: str, objective: str):
 # ---------------------------------------------------------------------------
 
 
+def _slope(rebuild, base, direction, dist, spec, step, draws=None):
+    """``(slope, se)``: the central difference of I along ``direction``, the one finite difference.
+
+    Without ``draws`` it differences two evaluations by ``estimator._moments`` (se 0).  With
+    ``draws = (inputs, noise, log_cond)``, common random numbers shared by every call, it averages
+    the per-sample information difference ``(log_cond - log p(z+)) - (log_cond - log p(z-))`` at
+    ``z = inputs @ M^T + noise`` and returns its batch-means standard error.
+    """
+    plus, minus = rebuild(base + step * direction), rebuild(base - step * direction)
+    if draws is None:
+        diff = _moments(plus, dist, spec, want_mmse=False)[0] - _moments(minus, dist, spec, want_mmse=False)[0]
+        return diff / (2.0 * step), 0.0
+    inputs, noise, log_cond = draws
+    diff = (log_cond - flowmodel._log_output_density(plus, dist, inputs @ plus.T + noise)) - (
+        log_cond - flowmodel._log_output_density(minus, dist, inputs @ minus.T + noise)
+    )
+    return float(np.mean(diff)) / (2.0 * step), float(_batch_se(diff, _SE_BATCHES)) / (2.0 * step)
+
+
 def grad_oracle(
     sys: SystemMatrices,
     dist: InputDistribution,
@@ -212,53 +239,38 @@ def grad_oracle(
     base, rebuild = _rebuilder(sys, target, objective)
     if not np.all(np.isfinite(base)):
         raise ValueError("target matrix has non-finite entries")
-    n_out = effective_matrix(objective, sys).shape[0]
 
-    use_mc = spec.method == "mc"
-    if use_mc:
+    draws = None
+    if spec.method == "mc":
+        n_out = effective_matrix(objective, sys).shape[0]
         inputs, noise = flowmodel.draw_inputs_and_noise(
             dist, n_out, spec.seed, spec.mc_samples(), workers=spec.workers
         )
-
-        def info(Y):
-            M_eff = rebuild(Y)
-            return _info_samples(M_eff, dist, inputs @ M_eff.T + noise, noise)
+        draws = inputs, noise, _log_cond(noise)
 
     rows, cols = base.shape
-    coords = [(i, j, axis) for i in range(rows) for j in range(cols) for axis in (0, 1)]
+    coords = [(i, j, unit) for i in range(rows) for j in range(cols) for unit in (1.0, 1j)]
 
-    def fd_one(coord):
-        i, j, axis = coord
-        delta = step if axis == 0 else 1j * step
-        plus = np.array(base)
-        plus[i, j] += delta
-        minus = np.array(base)
-        minus[i, j] -= delta
-        if use_mc:
-            diff = info(plus) - info(minus)
-            slope = float(np.mean(diff)) / (2.0 * step)
-            se = float(_batch_se(diff, spec.batches)) / (2.0 * step)
-            return slope, se
-        slope = (
-            _moments(rebuild(plus), dist, spec, want_mmse=False)[0]
-            - _moments(rebuild(minus), dist, spec, want_mmse=False)[0]
-        ) / (2.0 * step)
-        return slope, 0.0
+    def slope(coord):
+        i, j, unit = coord
+        direction = np.zeros(base.shape, dtype=complex)
+        direction[i, j] = unit
+        return _slope(rebuild, base, direction, dist, spec, step, draws)
 
     if spec.workers > 1:
         with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(fd_one, coords))
+            results = list(pool.map(slope, coords))
     else:
-        results = [fd_one(c) for c in coords]
+        results = [slope(c) for c in coords]
 
     oracle = np.zeros((rows, cols), dtype=complex)
     worst_se = 0.0
-    for (i, j, axis), (slope, se) in zip(coords, results):
-        oracle[i, j] += (slope if axis == 0 else 1j * slope) / WIRTINGER_SCALE
+    for (i, j, unit), (value, se) in zip(coords, results):
+        oracle[i, j] += unit * value / WIRTINGER_SCALE
         worst_se = max(worst_se, se / WIRTINGER_SCALE)
 
     scale = float(np.max(np.abs(oracle), initial=0.0))
-    if use_mc and scale > 0.0 and worst_se > noise_ratio_limit * scale:
+    if draws is not None and scale > 0.0 and worst_se > noise_ratio_limit * scale:
         raise StepTooSmallError(
             f"finite-difference noise floor {worst_se:.2e} exceeds "
             f"{noise_ratio_limit:.0%} of the largest gradient entry {scale:.2e}; "
@@ -281,10 +293,7 @@ def directional_derivative(
     deterministic route: under a Monte Carlo spec it stays a quadrature check."""
     base, rebuild = _rebuilder(sys, target, objective)
     direction = np.asarray(direction, dtype=complex)
-    probe_spec = replace(spec, method="quadrature")
-    plus = _moments(rebuild(base + step * direction), dist, probe_spec, want_mmse=False)[0]
-    minus = _moments(rebuild(base - step * direction), dist, probe_spec, want_mmse=False)[0]
-    return (plus - minus) / (2.0 * step)
+    return _slope(rebuild, base, direction, dist, replace(spec, method="quadrature"), step)[0]
 
 
 def gaussian_logdet_gradient(sys: SystemMatrices, target: str, objective: str = "full") -> np.ndarray:
@@ -305,23 +314,6 @@ def gaussian_logdet_gradient(sys: SystemMatrices, target: str, objective: str = 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradientSet:
-    """Closed-form gradients produced alongside the error matrix they used."""
-
-    mmse: MmseMatrix
-    form: str
-    decoding: np.ndarray | None = None
-    topology: np.ndarray | None = None
-    precoding: np.ndarray | None = None
-
-    def by_target(self, target: str) -> np.ndarray:
-        value = getattr(self, _FIELDS[target])
-        if value is None:
-            raise ValueError(f"no closed-form gradient for target {target!r}")
-        return value
-
-
 def _relative_gap(closed, oracle):
     """(|closed - oracle|, the gap relative to the larger magnitude), entries
     below 1e-6 of the largest magnitude reading zero relative gap."""
@@ -335,12 +327,13 @@ def _relative_gap(closed, oracle):
 
 @dataclass(frozen=True)
 class GradientReport:
-    """Closed forms next to their oracles; discrepancies are recomputed on demand."""
+    """Closed forms, keyed by target, next to their oracles; discrepancies are
+    recomputed on demand.  ``mmse`` is the error matrix every closed form used."""
 
-    closed: GradientSet
+    mmse: MmseMatrix
+    closed: dict
     oracles: dict
     step: float
-    calibration: float
     objective: str = "full"
     refinement: dict = field(default_factory=dict)
 
@@ -348,7 +341,7 @@ class GradientReport:
         return tuple(sorted(self.oracles))
 
     def discrepancy(self, target: str) -> dict:
-        gap, rel = _relative_gap(self.closed.by_target(target), self.oracles[target])
+        gap, rel = _relative_gap(self.closed[target], self.oracles[target])
         worst = np.unravel_index(int(np.argmax(rel)), rel.shape)
         return {
             "max_abs": float(gap.max(initial=0.0)),
@@ -379,31 +372,15 @@ def verify_gradients(
     """
     targets = _targets(objective)
     mmse = mmse_matrix(effective_matrix(objective, sys), dist, spec)
-    fields = {_FIELDS[t]: closed_gradient(sys, mmse, t, objective) for t in targets}
-    closed = GradientSet(mmse=mmse, form=sys.form, **fields)
+    closed = {t: closed_gradient(sys, mmse, t, objective) for t in targets}
 
-    oracles = {}
-    refinement = {}
+    oracles, refinement = {}, {}
     for target in targets:
         oracles[target] = grad_oracle(sys, dist, target, spec, step=step, objective=objective)
-        probe = np.unravel_index(
-            int(np.argmax(np.abs(closed.by_target(target)))), closed.by_target(target).shape
-        )
-        direction = np.zeros_like(closed.by_target(target))
-        direction[probe] = 1.0
-        coarse = directional_derivative(
-            sys, dist, target, direction, spec, step=step, objective=objective
-        )
-        fine = directional_derivative(
-            sys, dist, target, direction, spec, step=step / 2.0, objective=objective
-        )
+        direction = np.zeros_like(closed[target])
+        direction[np.unravel_index(int(np.argmax(np.abs(closed[target]))), direction.shape)] = 1.0
+        coarse = directional_derivative(sys, dist, target, direction, spec, step=step, objective=objective)
+        fine = directional_derivative(sys, dist, target, direction, spec, step=step / 2.0, objective=objective)
         refinement[target] = abs(fine - coarse)
 
-    return GradientReport(
-        closed=closed,
-        oracles=oracles,
-        step=step,
-        calibration=WIRTINGER_SCALE,
-        objective=objective,
-        refinement=refinement,
-    )
+    return GradientReport(mmse, closed, oracles, step, objective, refinement)

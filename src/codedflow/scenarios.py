@@ -318,26 +318,6 @@ def grad11_matches_matrix_form(draws: int = 100, seed: int = 7_2025, low: float 
 # network cuts
 # ---------------------------------------------------------------------------
 
-_CUT_NOISE_LABEL = {"source": "n~", "mid": "n~~", "full": "n"}
-
-
-@dataclass(frozen=True)
-class CutSpec:
-    """Where the flow is sliced; fixes the effective channel matrix."""
-
-    cut: str
-
-    def __post_init__(self):
-        if self.cut not in _CUT_NOISE_LABEL:
-            raise ValueError(f"unknown cut {self.cut!r}")
-
-    @property
-    def noise_label(self) -> str:
-        return _CUT_NOISE_LABEL[self.cut]
-
-    def effective(self, sys: SystemMatrices) -> np.ndarray:
-        return effective_matrix(self.cut, sys)
-
 
 @dataclass(frozen=True)
 class CutReport:
@@ -347,14 +327,14 @@ class CutReport:
     gradients: dict
 
 
-def cut_analysis(cut, sys: SystemMatrices, dist: InputDistribution, spec: EngineSpec = EngineSpec()) -> CutReport:
-    """Mutual information, error matrix, and closed-form gradients for one cut."""
-    cut_spec = cut if isinstance(cut, CutSpec) else CutSpec(cut)
-    channel = cut_spec.effective(sys)
+def cut_analysis(cut: str, sys: SystemMatrices, dist: InputDistribution, spec: EngineSpec = EngineSpec()) -> CutReport:
+    """Mutual information, error matrix, and closed-form gradients for one cut
+    (``source``, ``mid`` or ``full``); any other name raises ``ValueError``."""
+    channel = effective_matrix(cut, sys)
     mi = mutual_information(channel, dist, spec)
     err = mmse_matrix(channel, dist, spec)
-    gradients = {target: closed_gradient(sys, err, target, cut_spec.cut) for target in _targets(cut_spec.cut)}
-    return CutReport(cut=cut_spec.cut, mi=mi, mmse=err, gradients=gradients)
+    gradients = {target: closed_gradient(sys, err, target, cut) for target in _targets(cut)}
+    return CutReport(cut=cut, mi=mi, mmse=err, gradients=gradients)
 
 
 # ---------------------------------------------------------------------------

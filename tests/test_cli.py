@@ -258,6 +258,28 @@ class TestMain:
         assert re.search(message, capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "old, new, command, message",
+        [
+            ("high = 1.0", "high = nan", "verify", r"high must be finite and at least low = 0.3, not nan \(line 24\)"),
+            ("low = 0.3", "low = inf", "verify", r"low must be finite, not inf \(line 23\)"),
+            ("low = 0.3", "low = 5.0", "verify", r"high must be finite and at least low = 5.0, not 1.0 \(line 24\)"),
+            (
+                "ascent_iterations = 20",
+                "ascent_step = inf",
+                "optimize-precoder",
+                r"ascent_step must be nonnegative and finite, not inf \(line 40\)",
+            ),
+        ],
+    )
+    def test_exit_two_on_unbounded_figure1_value(self, tmp_path, capsys, old, new, command, message):
+        cfg = tmp_path / "figure1.cfg"
+        cfg.write_text(FIGURE1.read_text().replace(old, new))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
+
     def test_zero_tolerance_override_is_applied(self, tmp_path):
         config = parse_config(SCALAR_CHAIN, overrides={"tolerance": 0.0})
         assert config.tolerance == 0.0

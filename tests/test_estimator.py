@@ -186,7 +186,7 @@ class TestMmseMatrix:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("nodes", 0), ("nodes", -3), ("samples", 0), ("workers", 0), ("workers", -1), ("batches", 1)],
+        [("nodes", 0), ("nodes", -3), ("samples", 0), ("workers", 0), ("workers", -1)],
     )
     def test_engine_rejects_invalid_settings(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -298,16 +298,6 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(np.eye(1), InputDistribution.bpsk(1), seed=0, count=0)
 
-    def test_noise_model_dimension_check(self):
-        with pytest.raises(ValueError):
-            sample(
-                np.eye(2),
-                InputDistribution.bpsk(2),
-                seed=0,
-                count=10,
-                noise=NoiseModel(dimension=3),
-            )
-
     def test_noise_model_density_normalizes(self):
         noise = NoiseModel(dimension=1)
         assert noise.density(np.array([0.0])) == pytest.approx(1 / np.pi)

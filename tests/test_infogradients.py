@@ -22,7 +22,6 @@ from codedflow import (
     CostGuardError,
     EngineSpec,
     GradientReport,
-    GradientSet,
     InputDistribution,
     MmseMatrix,
     NATS_PER_BIT,
@@ -45,7 +44,7 @@ from codedflow import (
 )
 from codedflow import flowmodel
 from codedflow.estimator import mc_moments, quadrature_moments
-from codedflow.infogradients import MutualInformationValue, closed_gradient, effective_matrix
+from codedflow.infogradients import MutualInformationValue, _CHAIN, _chain, closed_gradient, effective_matrix
 
 FROZEN_SCALAR_INFO_M1 = 0.500072136066845  # two-point input, unit gain, nats
 
@@ -294,7 +293,7 @@ class TestVerifyGradients:
         dist = InputDistribution.point(np.array([1.0 + 0j]))
         report = verify_gradients(sys, dist, QUAD64)
         for target in ("A", "G", "B"):
-            np.testing.assert_allclose(report.closed.by_target(target), 0.0, atol=1e-12)
+            np.testing.assert_allclose(report.closed[target], 0.0, atol=1e-12)
             np.testing.assert_allclose(report.oracles[target], 0.0, atol=1e-9)
         assert report.passed(1e-3)
 
@@ -303,19 +302,13 @@ class TestVerifyGradients:
         dist = InputDistribution.gaussian(2)
         report = verify_gradients(sys, dist, EngineSpec(), step=1e-4)
         assert report.passed(1e-3)
-        corrupted_topology = np.array(report.closed.topology)
+        corrupted_topology = np.array(report.closed["G"])
         corrupted_topology[1, 0] += 0.25
         corrupted = GradientReport(
-            closed=GradientSet(
-                mmse=report.closed.mmse,
-                form=report.closed.form,
-                decoding=report.closed.decoding,
-                topology=corrupted_topology,
-                precoding=report.closed.precoding,
-            ),
+            mmse=report.mmse,
+            closed={**report.closed, "G": corrupted_topology},
             oracles=report.oracles,
             step=report.step,
-            calibration=report.calibration,
         )
         assert not corrupted.passed(1e-3)
         disc = corrupted.discrepancy("G")
@@ -326,7 +319,6 @@ class TestVerifyGradients:
         sys = _random_system(rng, n=1)
         dist = InputDistribution.bpsk(1)
         report = verify_gradients(sys, dist, QUAD64)
-        assert report.calibration == WIRTINGER_SCALE
         assert set(report.refinement) == {"A", "G", "B"}
         assert report.passed(1e-3)
 
@@ -453,3 +445,79 @@ class TestChainTable:
             oracle = grad_oracle(sys, dist, target, EngineSpec(), step=1e-4, objective=objective)
             analytic = gaussian_logdet_gradient(sys, target, objective)
             np.testing.assert_allclose(oracle, analytic, rtol=1e-6, atol=1e-9, err_msg=str((objective, target)))
+
+
+_DISTS = {"bpsk": InputDistribution.bpsk, "qpsk": InputDistribution.qpsk, "gaussian": InputDistribution.gaussian}
+
+
+def _compact_case(seed, n_out, n_mid, n_in, kind):
+    """Random complex compact factors A (n_out x n_mid), G, B (n_mid x n_in) and an input law."""
+    rng = np.random.default_rng(seed)
+
+    def mat(rows, cols):
+        return 0.6 * (rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols)))
+
+    sys = SystemMatrices.from_factors(mat(n_out, n_mid), mat(n_mid, n_mid), mat(n_mid, n_in), form="compact")
+    return sys, _DISTS[kind](n_in)
+
+
+_SHARED_SLOPE_CASES = dict(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_out=st.integers(min_value=1, max_value=2),
+    n_mid=st.integers(min_value=1, max_value=2),
+    n_in=st.integers(min_value=1, max_value=2),
+    kind=st.sampled_from(sorted(_DISTS)),
+)
+
+
+class TestSharedSlope:
+    """Both oracles take their central differences from one slope: the
+    entry-wise oracle is two directional derivatives per entry, and the Monte
+    Carlo oracle is today's common-draw difference, bit for bit."""
+
+    STEP = 1e-3
+
+    @given(**_SHARED_SLOPE_CASES)
+    @settings(max_examples=25, deadline=None)
+    def test_quadrature_oracle_is_two_directional_derivatives(self, seed, n_out, n_mid, n_in, kind):
+        sys, dist = _compact_case(seed, n_out, n_mid, n_in, kind)
+        spec = EngineSpec(nodes=6)
+        for objective, target in _CHAIN:
+            oracle = grad_oracle(sys, dist, target, spec, step=self.STEP, objective=objective)
+            expected = np.zeros_like(oracle)
+            for i, j in np.ndindex(oracle.shape):
+                unit = np.zeros(oracle.shape, dtype=complex)
+                unit[i, j] = 1.0
+                dd = [
+                    directional_derivative(sys, dist, target, u, spec, step=self.STEP, objective=objective)
+                    for u in (unit, 1j * unit)
+                ]
+                expected[i, j] = (dd[0] + 1j * dd[1]) / 2
+            np.testing.assert_array_equal(oracle, expected, err_msg=str((objective, target)))
+
+    @given(**_SHARED_SLOPE_CASES)
+    @settings(max_examples=25, deadline=None)
+    def test_monte_carlo_oracle_matches_explicit_common_draws(self, seed, n_out, n_mid, n_in, kind):
+        sys, dist = _compact_case(seed, n_out, n_mid, n_in, kind)
+        spec = EngineSpec(method="mc", samples=2000, seed=seed % 1000)
+        for objective, target in _CHAIN:
+            X, L, R = _chain(sys, objective, target)
+            inputs, noise = flowmodel.draw_inputs_and_noise(dist, L.shape[0], spec.seed, spec.samples)
+            log_cond = -L.shape[0] * np.log(np.pi) - np.sum(np.abs(noise) ** 2, axis=1)
+
+            def info(Y):
+                M = L @ Y @ R
+                return log_cond - flowmodel._log_output_density(M, dist, inputs @ M.T + noise)
+
+            expected = np.zeros(X.shape, dtype=complex)
+            for i, j in np.ndindex(X.shape):
+                for delta in (self.STEP, 1j * self.STEP):
+                    plus, minus = np.array(X), np.array(X)
+                    plus[i, j] += delta
+                    minus[i, j] -= delta
+                    slope = float(np.mean(info(plus) - info(minus))) / (2.0 * self.STEP)
+                    expected[i, j] += (slope if delta == self.STEP else 1j * slope) / WIRTINGER_SCALE
+            oracle = grad_oracle(
+                sys, dist, target, spec, step=self.STEP, objective=objective, noise_ratio_limit=np.inf
+            )
+            np.testing.assert_array_equal(oracle, expected, err_msg=str((objective, target)))
