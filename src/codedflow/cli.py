@@ -60,7 +60,7 @@ import numpy as np
 from . import __version__
 from .errors import CodedFlowError, ConfigError
 from .estimator import EngineSpec, mmse_matrix
-from .flowmodel import InputDistribution
+from .flowmodel import InputDistribution, _philox
 from .infogradients import (
     NATS_PER_BIT,
     STEP_RANGE,
@@ -95,6 +95,24 @@ _SECTIONS = {
     "run": {"tolerance", "units", "step", "ascent_step", "ascent_iterations", "budget"},
 }
 _REPEATED_KEYS = {"edge", "alpha", "beta", "gamma"}
+# key -> section of the keys a command-line flag of the same name replaces;
+# ``[coefficients] seed`` has no flag, only ``[engine] seed``
+_FLAG_KEYS = {
+    "seed": "engine",
+    "samples": "engine",
+    "nodes": "engine",
+    "method": "engine",
+    "workers": "engine",
+    "tolerance": "run",
+    "units": "run",
+}
+_INPUT_KINDS = {
+    "bpsk": InputDistribution.bpsk,
+    "qpsk": InputDistribution.qpsk,
+    "gaussian": InputDistribution.gaussian,
+    # deterministic input: the all-ones vector with probability one
+    "point": lambda n: InputDistribution.point(np.ones(n, dtype=complex)),
+}
 
 
 @dataclass(frozen=True)
@@ -142,22 +160,8 @@ def _tokenize(text: str):
         yield lineno, section, key_tokens, right.split()
 
 
-def _scalar(entries, section, key, lineno_map, default=None, required=False):
-    values = entries.get((section, key), [])
-    if not values:
-        if required:
-            raise ConfigError(f"missing required key {key!r} in section [{section}]")
-        return default
-    if len(values) > 1:
-        raise ConfigError(
-            f"key {key!r} in section [{section}] given more than once",
-            line=lineno_map[(section, key)][-1],
-        )
-    return values[0]
-
-
 def _number(convert, text, key, line=None):
-    """``convert(text)`` for an int or float setting; a ConfigError names the key and line."""
+    """``convert(text)`` for one setting; a ConfigError names the key and line."""
     try:
         return convert(text)
     except ValueError:
@@ -179,8 +183,7 @@ def _parse_complex(tokens, lineno):
 def _seeded_coefficients(topology, n_in, n_out, seed, low, high):
     """One uniform real draw per structurally-allowed coefficient slot,
     visited in a fixed canonical order."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(0xC0EF)])
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = _philox(seed, 0xC0EF)
     alpha, beta, gamma = {}, {}, {}
     for e in topology.source_outgoing():
         for i in range(n_in):
@@ -195,46 +198,54 @@ def _seeded_coefficients(topology, n_in, n_out, seed, low, high):
     return CodingCoefficients(alpha=alpha, beta=beta, gamma=gamma)
 
 
+def _one_of(*choices):
+    return (lambda v: v in choices, "be one of " + ", ".join(choices))
+
+
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     """Parse and fully resolve a run configuration.
 
-    ``overrides`` maps engine/run keys (seed, samples, nodes, method,
-    workers, tolerance, units) to replacement values from command-line
-    flags.
+    ``overrides`` maps the keys of ``_FLAG_KEYS`` (seed, samples, nodes,
+    method, workers, tolerance, units) to command-line flag values, as text
+    or as numbers.  A flag value replaces the config value of that key in its
+    section, even when it is zero, and is converted and checked by the same
+    rule; its rejection names the key, a config value's also its line.
     """
     entries: dict = {}
-    lineno_map: dict = {}
     seen_sections = set()
     for lineno, section, key_tokens, value_tokens in _tokenize(text):
         if key_tokens is None:
             seen_sections.add(section)
             continue
         key = key_tokens[0]
-        if key in _REPEATED_KEYS:
-            entries.setdefault((section, key), []).append((lineno, key_tokens[1:], value_tokens))
-        else:
-            if key_tokens[1:]:
-                raise ConfigError(f"key {key!r} takes no arguments", line=lineno)
-            entries.setdefault((section, key), []).append(" ".join(value_tokens))
-            lineno_map.setdefault((section, key), []).append(lineno)
+        if key not in _REPEATED_KEYS and key_tokens[1:]:
+            raise ConfigError(f"key {key!r} takes no arguments", line=lineno)
+        entries.setdefault((section, key), []).append((lineno, key_tokens[1:], value_tokens))
     if not entries:
         raise ConfigError("empty configuration", line=1)
     for required_section in ("topology", "input", "engine"):
         if required_section not in seen_sections:
             raise ConfigError(f"missing section [{required_section}]")
 
-    overrides = dict(overrides or {})
+    overrides = overrides or {}
 
-    def setting(section, key, default=None, convert=str, *, override=False, required=False, rule=None):
-        """One scalar key, converted; ``rule`` is a (test, wording) pair the value must meet.
-        An override replaces the config value even when it is zero."""
-        if override and overrides.get(key) is not None:
+    def setting(section, key, default=None, convert=str, *, required=False, rule=None):
+        """One scalar key from its flag or its single config line, converted;
+        ``rule`` is a (test, wording) pair the value must meet."""
+        found = entries.get((section, key), [])
+        if len(found) > 1:
+            raise ConfigError(f"key {key!r} in section [{section}] given more than once", line=found[-1][0])
+        if _FLAG_KEYS.get(key) == section and overrides.get(key) is not None:
             raw, line = overrides[key], None
+        elif found:
+            line, _, tokens = found[0]
+            raw = " ".join(tokens)
+        elif required:
+            raise ConfigError(f"missing required key {key!r} in section [{section}]")
         else:
-            raw = _scalar(entries, section, key, lineno_map, default=default, required=required)
-            line = lineno_map.get((section, key), [None])[-1]
-        if raw is None or convert is str:
-            return raw
+            raw, line = default, None
+        if raw is None:
+            return None
         value = _number(convert, raw, key, line)
         if rule is not None and not rule[0](value):
             raise ConfigError(f"{key} must {rule[1]}, not {value!r}", line=line)
@@ -243,9 +254,9 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     nonnegative, positive = (lambda v: v >= 0, "be nonnegative"), (lambda v: v >= 1, "be at least 1")
 
     # -- topology -------------------------------------------------------
-    vertices = _scalar(entries, "topology", "vertices", lineno_map, required=True).split()
-    sources = _scalar(entries, "topology", "sources", lineno_map, required=True).split()
-    sinks = _scalar(entries, "topology", "sinks", lineno_map, required=True).split()
+    vertices = setting("topology", "vertices", required=True).split()
+    sources = setting("topology", "sources", required=True).split()
+    sinks = setting("topology", "sinks", required=True).split()
     n_out = setting("topology", "outputs", convert=int, required=True, rule=positive)
     edge_lines = entries.get(("topology", "edge"), [])
     if not edge_lines:
@@ -268,29 +279,19 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     topology = NetworkTopology.from_edges(vertices, pairs, sources, sinks, edge_names=names)
 
     # -- input ----------------------------------------------------------
-    kind = _scalar(entries, "input", "kind", lineno_map, required=True)
+    kind = setting("input", "kind", required=True, rule=_one_of(*_INPUT_KINDS))
     n_in = setting("input", "dimension", convert=int, required=True, rule=positive)
-    if kind == "bpsk":
-        dist = InputDistribution.bpsk(n_in)
-    elif kind == "qpsk":
-        dist = InputDistribution.qpsk(n_in)
-    elif kind == "gaussian":
-        dist = InputDistribution.gaussian(n_in)
-    elif kind == "point":
-        # deterministic input: the all-ones vector with probability one
-        dist = InputDistribution.point(np.ones(n_in, dtype=complex))
-    else:
-        raise ConfigError(f"unknown input kind {kind!r}")
+    dist = _INPUT_KINDS[kind](n_in)
 
     # -- coefficients -----------------------------------------------------
-    mode = _scalar(entries, "coefficients", "mode", lineno_map, default="explicit")
+    mode = setting("coefficients", "mode", "explicit", rule=_one_of("seeded", "explicit"))
     if mode == "seeded":
         seed = setting("coefficients", "seed", convert=int, required=True)
         low = setting("coefficients", "low", "0.3", float, rule=(np.isfinite, "be finite"))
         at_least_low = (lambda v: low <= v < np.inf, f"be finite and at least low = {low!r}")
         high = setting("coefficients", "high", "1.0", float, rule=at_least_low)
         coefficients = _seeded_coefficients(topology, n_in, n_out, seed, low, high)
-    elif mode == "explicit":
+    else:
         alpha, beta, gamma = {}, {}, {}
         for family, store in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
             for lineno, args, value in entries.get(("coefficients", family), []):
@@ -311,26 +312,19 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                         indices.append(_number(int, token, f"{family} index", lineno) - 1)
                 store[tuple(indices)] = _parse_complex(value, lineno)
         coefficients = CodingCoefficients(alpha=alpha, beta=beta, gamma=gamma)
-    else:
-        raise ConfigError(f"unknown coefficients mode {mode!r}")
 
     # -- engine -----------------------------------------------------------
-    try:
-        engine = EngineSpec(
-            method=setting("engine", "method", "quadrature", override=True),
-            nodes=setting("engine", "nodes", convert=int, override=True),
-            samples=setting("engine", "samples", "100000", int, override=True),
-            seed=setting("engine", "seed", "0", int, override=True),
-            workers=setting("engine", "workers", "1", int, override=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    engine = EngineSpec(
+        method=setting("engine", "method", "quadrature", rule=_one_of("quadrature", "mc")),
+        nodes=setting("engine", "nodes", convert=int, rule=positive),
+        samples=setting("engine", "samples", "100000", int, rule=positive),
+        seed=setting("engine", "seed", "0", int),
+        workers=setting("engine", "workers", "1", int, rule=positive),
+    )
 
     # -- run ---------------------------------------------------------------
-    tolerance = setting("run", "tolerance", "1e-3", float, override=True, rule=nonnegative)
-    units = setting("run", "units", "bits", override=True)
-    if units not in ("bits", "nats"):
-        raise ConfigError(f"units must be bits or nats, not {units!r}")
+    tolerance = setting("run", "tolerance", "1e-3", float, rule=nonnegative)
+    units = setting("run", "units", "bits", rule=_one_of("bits", "nats"))
     lo, hi = STEP_RANGE
     step = setting("run", "step", "1e-3", float, rule=(lambda v: lo <= v <= hi, f"lie in [{lo:g}, {hi:g}]"))
     finite_nonnegative = (lambda v: 0 <= v < np.inf, "be nonnegative and finite")
@@ -540,28 +534,6 @@ def _cmd_cuts(config: RunConfig, report: Report):
     )
 
 
-def _diamond_symbols_from_config(config: RunConfig) -> dict:
-    topo = config.topology
-    if topo.edge_names is None or sorted(topo.edge_names) != ["e1", "e2", "e3", "e4", "e5"]:
-        raise ConfigError("this command needs the five-edge diamond topology (edges e1..e5)")
-    e = {name: topo.edge_index(name) for name in ("e1", "e2", "e3", "e4", "e5")}
-    alpha, beta, gamma = config.coefficients.alpha, config.coefficients.beta, config.coefficients.gamma
-    return {
-        "alpha_1_e1": alpha.get((0, e["e1"]), 0.0),
-        "alpha_1_e2": alpha.get((1, e["e1"]), 0.0),
-        "alpha_2_e1": alpha.get((0, e["e2"]), 0.0),
-        "alpha_2_e2": alpha.get((1, e["e2"]), 0.0),
-        "beta_e1_e4": beta.get((e["e1"], e["e4"]), 0.0),
-        "beta_e1_e3": beta.get((e["e1"], e["e3"]), 0.0),
-        "beta_e3_e5": beta.get((e["e3"], e["e5"]), 0.0),
-        "beta_e2_e5": beta.get((e["e2"], e["e5"]), 0.0),
-        "gamma_e4_1": gamma.get((0, e["e4"]), 0.0),
-        "gamma_e4_2": gamma.get((1, e["e4"]), 0.0),
-        "gamma_e5_1": gamma.get((0, e["e5"]), 0.0),
-        "gamma_e5_2": gamma.get((1, e["e5"]), 0.0),
-    }
-
-
 def _count_row(report, suite, check_id, actual, expected):
     report.rows.append(
         CheckRow(
@@ -580,7 +552,7 @@ def _count_row(report, suite, check_id, actual, expected):
 
 
 def _cmd_example1(config: RunConfig, report: Report):
-    symbols = _diamond_symbols_from_config(config)
+    symbols = scenarios.diamond_symbols(config.topology, config.coefficients)
 
     for variant, expected in (("full", 24), ("no-e3", 16), ("no-e2e5", 8)):
         _count_row(
@@ -698,14 +670,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to a run configuration file")
-    parser.add_argument("--seed", type=int, default=None, help="override the engine seed")
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--nodes", type=int, default=None)
-    parser.add_argument("--method", choices=("mc", "quadrature"), default=None)
-    parser.add_argument("--units", choices=("bits", "nats"), default=None)
     parser.add_argument("--out", default="codedflow-out", help="output directory")
-    parser.add_argument("--tolerance", type=float, default=None)
-    parser.add_argument("--workers", type=int, default=None)
+    for key, section in _FLAG_KEYS.items():
+        parser.add_argument(f"--{key}", help=f"replaces [{section}] {key}")
     args = parser.parse_args(argv)
 
     try:
@@ -713,13 +680,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
-    overrides = {
-        key: getattr(args, key)
-        for key in ("seed", "samples", "nodes", "method", "units", "tolerance", "workers")
-        if getattr(args, key) is not None
-    }
     try:
-        config = parse_config(text, overrides)
+        config = parse_config(text, {key: getattr(args, key) for key in _FLAG_KEYS})
         report = run(config, args.command, args.out)
     except (ConfigError, CodedFlowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

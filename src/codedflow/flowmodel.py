@@ -291,13 +291,15 @@ def mixture_posterior_mean(means, log_probs, support, points) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(chunk)])
+def _philox(seed: int, stream: int) -> np.random.Generator:
+    """The Philox generator keyed by (seed, stream).  The seed is taken modulo 2**64, so any
+    integer seed, a negative one too, keys a stream; a seed in [0, 2**64) is used as is."""
+    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)])
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def _draw_chunk(dist, n_out, seed, chunk, count):
-    rng = _chunk_rng(seed, chunk)
+    rng = _philox(seed, chunk)
     if dist.kind == "discrete":
         u = rng.random(count)
         idx = np.searchsorted(np.cumsum(dist.probs), u, side="right")

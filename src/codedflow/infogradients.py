@@ -135,6 +135,8 @@ _CHAIN = {
 
 
 def _chain(sys: SystemMatrices, objective: str, target: str):
+    if not _targets(objective):
+        raise ValueError(f"unknown objective {objective!r}")
     rule = _CHAIN.get((objective, target))
     if rule is None:
         raise ValueError(f"target {target!r} does not enter the {objective!r} objective")

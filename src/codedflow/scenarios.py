@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import CodedFlowError
 from .estimator import EngineSpec, MmseMatrix, mmse_matrix
-from .flowmodel import InputDistribution
+from .flowmodel import InputDistribution, _philox
 from .infogradients import (
     MutualInformationValue,
     _targets,
@@ -46,20 +46,24 @@ from .netgraph import CodingCoefficients, NetworkTopology, SystemMatrices
 # the diamond network
 # ---------------------------------------------------------------------------
 
-DIAMOND_SYMBOLS = (
-    "gamma_e4_1",
-    "gamma_e4_2",
-    "gamma_e5_1",
-    "gamma_e5_2",
-    "beta_e1_e4",
-    "beta_e1_e3",
-    "beta_e3_e5",
-    "beta_e2_e5",
-    "alpha_1_e1",
-    "alpha_1_e2",
-    "alpha_2_e1",
-    "alpha_2_e2",
-)
+# symbol -> (family, first, second): the coefficient slot the symbol fills, keyed
+# (first, second) in the family's map with edge names read as edge indices.
+# ``alpha_i_ej`` lands on source edge i, input j, as documented above.
+_DIAMOND_SLOTS = {
+    "gamma_e4_1": ("gamma", 0, "e4"),
+    "gamma_e4_2": ("gamma", 1, "e4"),
+    "gamma_e5_1": ("gamma", 0, "e5"),
+    "gamma_e5_2": ("gamma", 1, "e5"),
+    "beta_e1_e4": ("beta", "e1", "e4"),
+    "beta_e1_e3": ("beta", "e1", "e3"),
+    "beta_e3_e5": ("beta", "e3", "e5"),
+    "beta_e2_e5": ("beta", "e2", "e5"),
+    "alpha_1_e1": ("alpha", 0, "e1"),
+    "alpha_1_e2": ("alpha", 1, "e1"),
+    "alpha_2_e1": ("alpha", 0, "e2"),
+    "alpha_2_e2": ("alpha", 1, "e2"),
+}
+DIAMOND_SYMBOLS = tuple(_DIAMOND_SLOTS)
 
 
 def diamond_topology() -> NetworkTopology:
@@ -72,36 +76,32 @@ def diamond_topology() -> NetworkTopology:
     )
 
 
-def diamond_coefficients(symbols) -> CodingCoefficients:
-    """Coefficient maps for the diamond network from a symbol assignment.
+def _diamond_slots(topology: NetworkTopology):
+    """(symbol, family, slot key) for every symbol, with edges indexed in ``topology``."""
+    return [
+        (symbol, family, tuple(topology.edge_index(p) if isinstance(p, str) else p for p in parts))
+        for symbol, (family, *parts) in _DIAMOND_SLOTS.items()
+    ]
 
-    Source couplings follow the compact-block placement documented in the
-    module docstring: symbol ``alpha_i_ej`` lands on source edge i, input j.
-    """
+
+def diamond_coefficients(symbols) -> CodingCoefficients:
+    """Coefficient maps for the diamond network from a symbol assignment."""
     missing = [s for s in DIAMOND_SYMBOLS if s not in symbols]
     if missing:
         raise CodedFlowError(f"missing coefficients: {', '.join(missing)}")
-    s = symbols
-    e1, e2, e3, e4, e5 = range(5)
-    alpha = {
-        (0, e1): s["alpha_1_e1"],
-        (1, e1): s["alpha_1_e2"],
-        (0, e2): s["alpha_2_e1"],
-        (1, e2): s["alpha_2_e2"],
-    }
-    beta = {
-        (e1, e4): s["beta_e1_e4"],
-        (e1, e3): s["beta_e1_e3"],
-        (e3, e5): s["beta_e3_e5"],
-        (e2, e5): s["beta_e2_e5"],
-    }
-    gamma = {
-        (0, e4): s["gamma_e4_1"],
-        (1, e4): s["gamma_e4_2"],
-        (0, e5): s["gamma_e5_1"],
-        (1, e5): s["gamma_e5_2"],
-    }
-    return CodingCoefficients(alpha=alpha, beta=beta, gamma=gamma)
+    maps = {"alpha": {}, "beta": {}, "gamma": {}}
+    for symbol, family, slot in _diamond_slots(diamond_topology()):
+        maps[family][slot] = symbols[symbol]
+    return CodingCoefficients(**maps)
+
+
+def diamond_symbols(topology: NetworkTopology, coefficients: CodingCoefficients) -> dict:
+    """The inverse of ``diamond_coefficients`` on a topology with edges e1..e5;
+    a slot without a coefficient reads 0."""
+    if topology.edge_names is None or sorted(topology.edge_names) != ["e1", "e2", "e3", "e4", "e5"]:
+        raise CodedFlowError("this command needs the five-edge diamond topology (edges e1..e5)")
+    maps = {"alpha": coefficients.alpha, "beta": coefficients.beta, "gamma": coefficients.gamma}
+    return {symbol: maps[family].get(slot, 0.0) for symbol, family, slot in _diamond_slots(topology)}
 
 
 def diamond_compact_matrices(symbols):
@@ -132,8 +132,7 @@ def diamond_compact_system(symbols) -> SystemMatrices:
 
 def seeded_diamond_symbols(seed: int, low: float = 0.3, high: float = 1.0) -> dict:
     """Real coefficient draw, one uniform per symbol in a fixed order."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(0xD1A)])
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = _philox(seed, 0xD1A)
     return {name: float(rng.uniform(low, high)) for name in DIAMOND_SYMBOLS}
 
 
@@ -285,8 +284,7 @@ def grad11_matches_matrix_form(draws: int = 100, seed: int = 7_2025, low: float 
     and a real 2x2 matrix to E (the identity is algebraic, so E need not be
     a valid error matrix here).
     """
-    key = np.array([np.uint64(seed), np.uint64(0x9511)])
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = _philox(seed, 0x9511)
     printed_values = np.zeros(draws, dtype=complex)
     corrected_values = np.zeros(draws, dtype=complex)
     matrix_values = np.zeros(draws, dtype=complex)
@@ -361,10 +359,10 @@ def precoder_ascent(
     Returns a list of (B, information-in-nats) pairs, one per iteration
     plus the starting point.
     """
-    if step < 0:
-        raise ValueError("step must be >= 0")
-    if norm_budget <= 0:
-        raise ValueError("norm budget must be > 0")
+    if not 0 <= step < np.inf:
+        raise ValueError(f"step must be finite and >= 0, got {step!r}")
+    if not 0 < norm_budget < np.inf:
+        raise ValueError(f"norm budget must be finite and > 0, got {norm_budget!r}")
 
     def evaluate(B):
         trial = SystemMatrices.from_factors(sys.A, sys.G, B, form=sys.form)

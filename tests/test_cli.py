@@ -106,6 +106,10 @@ class TestParsing:
         assert config.engine.seed == 99
         assert config.engine.nodes == 16
 
+    def test_seed_flag_leaves_coefficient_seed_alone(self):
+        text = FIGURE1.read_text()
+        assert parse_config(text, {"seed": 1}).coefficients == parse_config(text).coefficients
+
     def test_seeded_coefficients_are_deterministic(self):
         text = FIGURE1.read_text()
         a = parse_config(text)
@@ -223,7 +227,15 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--nodes", "0"), ("--samples", "0"), ("--workers", "0"), ("--tolerance", "-0.001")],
+        [
+            ("--nodes", "0"),
+            ("--samples", "0"),
+            ("--workers", "0"),
+            ("--tolerance", "-0.001"),
+            ("--nodes", "abc"),
+            ("--method", "xx"),
+            ("--units", "x"),
+        ],
     )
     def test_exit_two_on_invalid_override(self, tmp_path, capsys, flag, value):
         cfg = tmp_path / "chain.cfg"
@@ -237,7 +249,27 @@ class TestMain:
         cfg = tmp_path / "chain.cfg"
         cfg.write_text(SCALAR_CHAIN.replace("nodes = 32", "nodes = 0"))
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert "nodes must be" in capsys.readouterr().err
+        assert "nodes must be at least 1, not 0 (line 20)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("seed = 7", "samples = 0"),
+            ("seed = 7", "workers = 0"),
+            ("method = quadrature", "method = mcmc"),
+            ("kind = bpsk", "kind = qam"),
+            ("mode = explicit", "mode = random"),
+            ("units = nats", "units = furlongs"),
+        ],
+    )
+    def test_exit_two_names_key_and_line_of_invalid_setting(self, tmp_path, capsys, old, new):
+        text = SCALAR_CHAIN.replace(old, new)
+        line = text.splitlines().index(new) + 1
+        cfg = tmp_path / "chain.cfg"
+        cfg.write_text(text)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        key = new.split()[0]
+        assert re.search(rf"{key} must .* \(line {line}\)", capsys.readouterr().err)
 
     @pytest.mark.parametrize(
         "entry, command, message",
@@ -279,6 +311,11 @@ class TestMain:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert re.search(message, capsys.readouterr().err)
         assert not out.exists()
+
+    def test_negative_seed_flag_runs_example1(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["example1", "--config", str(FIGURE1), "--seed", "-1", "--out", str(out)]) == 0
+        assert "RESULT: PASS" in (out / "example1_report.txt").read_text()
 
     def test_zero_tolerance_override_is_applied(self, tmp_path):
         config = parse_config(SCALAR_CHAIN, overrides={"tolerance": 0.0})

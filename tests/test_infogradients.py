@@ -165,7 +165,7 @@ class TestCutGradients:
 
     def test_unknown_cut_rejected(self, rng):
         sys = _random_system(rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown objective 'everywhere'"):
             grad_mi_cut("everywhere", "B", sys, _zero_mmse(2))
 
     def test_mid_cut_gradients_match_oracle_scalar(self):

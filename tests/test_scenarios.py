@@ -231,6 +231,10 @@ class TestMatrixComparison:
         np.testing.assert_allclose(G_c, direct.G, atol=1e-15)
         np.testing.assert_allclose(B_c, direct.B, atol=1e-15)
 
+    def test_symbols_read_back_from_coefficients(self):
+        symbols = seeded_diamond_symbols(9)
+        assert scenarios.diamond_symbols(diamond_topology(), diamond_coefficients(symbols)) == symbols
+
 
 class TestCutAnalysis:
     def test_identity_chain_cuts_coincide(self, rng):
@@ -271,7 +275,7 @@ class TestCutAnalysis:
 
     def test_unknown_cut_rejected(self):
         sys = diamond_compact_system(seeded_diamond_symbols(1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown objective 'diagonal'"):
             cut_analysis("diagonal", sys, InputDistribution.gaussian(2), EngineSpec())
 
 
@@ -334,3 +338,12 @@ class TestPrecoderAscent:
             precoder_ascent(sys, InputDistribution.gaussian(1), -0.1, 5, 1.0)
         with pytest.raises(ValueError):
             precoder_ascent(sys, InputDistribution.gaussian(1), 0.1, 5, 0.0)
+
+    @pytest.mark.parametrize(
+        "step, budget",
+        [(np.inf, 1.0), (np.nan, 1.0), (0.5, np.inf), (0.5, np.nan)],
+    )
+    def test_non_finite_step_or_budget_rejected(self, step, budget):
+        sys = SystemMatrices.from_factors(np.eye(2), np.eye(2), np.zeros((2, 2)), form="compact")
+        with pytest.raises(ValueError, match="finite"):
+            precoder_ascent(sys, InputDistribution.qpsk(2), step, 3, budget)
