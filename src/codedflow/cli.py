@@ -72,6 +72,7 @@ from .infogradients import (
     verify_gradients,
 )
 from .netgraph import (
+    _EDGE_POSITIONS,
     CodingCoefficients,
     NetworkTopology,
     SystemMatrices,
@@ -181,21 +182,12 @@ def _parse_complex(tokens, lineno):
 
 
 def _seeded_coefficients(topology, n_in, n_out, seed, low, high):
-    """One uniform real draw per structurally-allowed coefficient slot,
-    visited in a fixed canonical order."""
+    """One uniform real draw per allowed coefficient slot, in ``coefficient_slots`` order."""
     rng = _philox(seed, 0xC0EF)
-    alpha, beta, gamma = {}, {}, {}
-    for e in topology.source_outgoing():
-        for i in range(n_in):
-            alpha[(i, e)] = float(rng.uniform(low, high))
-    for e, (_, head) in enumerate(topology.edges):
-        for e2, (tail, _) in enumerate(topology.edges):
-            if head == tail:
-                beta[(e, e2)] = float(rng.uniform(low, high))
-    for e in topology.sink_incoming():
-        for k in range(n_out):
-            gamma[(k, e)] = float(rng.uniform(low, high))
-    return CodingCoefficients(alpha=alpha, beta=beta, gamma=gamma)
+    slots = topology.coefficient_slots(n_in, n_out)
+    return CodingCoefficients(
+        **{name: {key: float(rng.uniform(low, high)) for key in keys} for name, keys in slots.items()}
+    )
 
 
 def _one_of(*choices):
@@ -292,17 +284,16 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         high = setting("coefficients", "high", "1.0", float, rule=at_least_low)
         coefficients = _seeded_coefficients(topology, n_in, n_out, seed, low, high)
     else:
-        alpha, beta, gamma = {}, {}, {}
-        for family, store in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+        families = {}
+        for family, edge_at in _EDGE_POSITIONS.items():
+            families[family] = store = {}
+            form = " ".join("<edge>" if pos in edge_at else "<index>" for pos in range(2))
             for lineno, args, value in entries.get(("coefficients", family), []):
                 if len(args) != 2:
-                    raise ConfigError(
-                        f"{family} lines read '{family} <index> <edge> = value'", line=lineno
-                    )
+                    raise ConfigError(f"{family} lines read '{family} {form} = value'", line=lineno)
                 indices = []
                 for pos, token in enumerate(args):
-                    is_edge = pos == 1 or family == "beta"
-                    if is_edge:
+                    if pos in edge_at:
                         if token not in names:
                             raise ConfigError(
                                 f"{family} references unknown edge {token!r}", line=lineno
@@ -311,7 +302,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                     else:
                         indices.append(_number(int, token, f"{family} index", lineno) - 1)
                 store[tuple(indices)] = _parse_complex(value, lineno)
-        coefficients = CodingCoefficients(alpha=alpha, beta=beta, gamma=gamma)
+        coefficients = CodingCoefficients(**families)
 
     # -- engine -----------------------------------------------------------
     engine = EngineSpec(
@@ -486,7 +477,8 @@ def _cmd_verify(config: RunConfig, report: Report):
         disc = result.discrepancy(target)
         _matrix_rows(report, "verify", target, result.closed[target], result.oracles[target], config.tolerance)
         report.notes.append(
-            f"grad {target}: max rel discrepancy {disc['max_rel']:.3e} at entry {disc['entry']}"
+            f"grad {target}: max rel discrepancy {disc['max_rel']:.3e} at entry {disc['entry']}, "
+            f"step-halving change {result.refinement[target]:.2e} nats"
         )
 
 
@@ -507,6 +499,7 @@ def _cmd_cuts(config: RunConfig, report: Report):
         for target in result.targets():
             closed, oracle = result.closed[target], result.oracles[target]
             _matrix_rows(report, "cuts", f"{cut}.{target}", closed, oracle, config.tolerance)
+            report.notes.append(f"{cut}.{target}: step-halving change {result.refinement[target]:.2e} nats")
     mi_full = mutual_information(sys_c.M, config.dist, config.engine)
     _info_note(report, "full-cut information", mi_full)
 

@@ -69,10 +69,10 @@ class MmseMatrix:
     """Hermitian PSD error matrix E[(x - xhat)(x - xhat)^H] with provenance.
 
     ``standard_error`` is a per-entry batch-means estimate (Monte Carlo
-    only).  Construction enforces Hermitian symmetry to 1e-10, positive
-    semidefiniteness to -1e-10, and dominance by the input covariance; the
-    dominance floor is widened by five standard errors for Monte-Carlo
-    estimates, whose fluctuation is quantified rather than zero.
+    only).  Construction enforces finite entries, Hermitian symmetry to
+    1e-10, positive semidefiniteness to -1e-10, and dominance by the input
+    covariance; the dominance floor is widened by five standard errors for
+    Monte-Carlo estimates, whose fluctuation is quantified rather than zero.
     """
 
     matrix: np.ndarray
@@ -83,6 +83,8 @@ class MmseMatrix:
     @classmethod
     def checked(cls, matrix, method, count, input_covariance, standard_error=None):
         matrix = np.asarray(matrix, dtype=complex)
+        if not np.all(np.isfinite(matrix)):
+            raise InvariantViolation("error matrix has non-finite entries")
         herm_gap = float(np.max(np.abs(matrix - matrix.conj().T), initial=0.0))
         if herm_gap > _HERMITIAN_TOL:
             raise InvariantViolation(f"error matrix is not Hermitian: gap {herm_gap:.2e}")

@@ -203,10 +203,7 @@ def log_output_density(M, dist: InputDistribution, z) -> float:
     n_out = M.shape[0]
     if z.shape != (n_out,):
         raise ValueError(f"z has shape {z.shape}, expected ({n_out},)")
-    value = float(_log_output_density(M, dist, z[None, :])[0])
-    if value < LOG_UNDERFLOW:
-        raise DensityUnderflow(f"log p(z) = {value:.1f} fell below {LOG_UNDERFLOW}")
-    return value
+    return float(_above_floor(_log_output_density(M, dist, z[None, :]))[0])
 
 
 def output_density(M, dist: InputDistribution, z) -> float:
@@ -227,14 +224,21 @@ def output_score(M, dist: InputDistribution, z) -> np.ndarray:
         return -np.linalg.solve(_output_moments(M), z)
     means = dist.support @ M.T
     log_pz, w, total = _mixture_lse(means, dist.log_probs, z[None, :])
-    if log_pz[0] < LOG_UNDERFLOW:
-        raise DensityUnderflow(f"log p(z) = {log_pz[0]:.1f} fell below {LOG_UNDERFLOW}")
+    _above_floor(log_pz)
     return (w[:, 0] @ means) / total[0] - z
 
 
 # ---------------------------------------------------------------------------
 # batched mixture evaluation (shared by the estimation and information layers)
 # ---------------------------------------------------------------------------
+
+
+def _above_floor(log_pz: np.ndarray) -> np.ndarray:
+    """``log_pz``, or ``DensityUnderflow`` naming its lowest value when that lies below the floor."""
+    lowest = float(log_pz.min(initial=np.inf))
+    if lowest < LOG_UNDERFLOW:
+        raise DensityUnderflow(f"log p(z) = {lowest:.1f} fell below {LOG_UNDERFLOW}")
+    return log_pz
 
 
 def _mixture_lse(means, log_probs, points):
@@ -266,10 +270,7 @@ def mixture_log_density(means, log_probs, points) -> np.ndarray:
     out = np.empty(points.shape[0])
     for start in range(0, points.shape[0], rows):
         out[start : start + rows] = _mixture_lse(means, log_probs, points[start : start + rows])[0]
-    if np.any(out < LOG_UNDERFLOW):
-        worst = float(out.min())
-        raise DensityUnderflow(f"log p(z) = {worst:.1f} fell below {LOG_UNDERFLOW}")
-    return out
+    return _above_floor(out)
 
 
 def mixture_posterior_mean(means, log_probs, support, points) -> np.ndarray:
@@ -280,8 +281,7 @@ def mixture_posterior_mean(means, log_probs, support, points) -> np.ndarray:
     out = np.empty((points.shape[0], parts.shape[1]))
     for start in range(0, points.shape[0], rows):
         log_pz, w, total = _mixture_lse(means, log_probs, points[start : start + rows])
-        if np.any(log_pz < LOG_UNDERFLOW):
-            raise DensityUnderflow("log p(z) fell below the representable floor")
+        _above_floor(log_pz)
         np.divide(w.T @ parts, total[:, None], out=out[start : start + rows])
     return out.view(complex)
 

@@ -94,6 +94,8 @@ class MutualInformationValue:
 
     @classmethod
     def checked(cls, nats, method, count, standard_error=None, entropy_limit=np.inf):
+        if not np.isfinite(nats):
+            raise InvariantViolation(f"mutual information {nats} is not finite")
         slack = max(_BOUND_SLACK, 5.0 * (standard_error or 0.0))
         if nats < -slack:
             raise InvariantViolation(f"mutual information {nats:.3e} below zero beyond tolerance")

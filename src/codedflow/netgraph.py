@@ -28,16 +28,21 @@ from .errors import (
 
 _INVERSE_TOL = 1e-12
 _CONDITION_LIMIT = 1e12
+# the positions of a coefficient key that are edge indices, by family
+_EDGE_POSITIONS = {"alpha": (1,), "beta": (0, 1), "gamma": (1,)}
 
 
 def _vertex_ranks(vertices, edges):
     """Topological rank per vertex via Kahn's algorithm, or None on a cycle.
 
     Vertices are processed in insertion order, so ranks are deterministic.
+    An edge naming a vertex outside ``vertices`` raises ``ValueError``.
     """
     indeg = {v: 0 for v in vertices}
     succ = {v: [] for v in vertices}
     for tail, head in edges:
+        if tail not in indeg or head not in indeg:
+            raise ValueError(f"edge ({tail}, {head}) references unknown vertex")
         indeg[head] += 1
         succ[tail].append(head)
     queue = [v for v in vertices if indeg[v] == 0]
@@ -54,15 +59,6 @@ def _vertex_ranks(vertices, edges):
     if len(rank) != len(vertices):
         return None
     return rank
-
-
-def _canonical_order(vertices, edges) -> list:
-    """Edge positions in canonical order: by tail rank, ties by position;
-    insertion order on a cycle."""
-    rank = _vertex_ranks(vertices, edges)
-    if rank is None:
-        return list(range(len(edges)))
-    return sorted(range(len(edges)), key=lambda i: (rank[edges[i][0]], i))
 
 
 @dataclass(frozen=True)
@@ -86,9 +82,6 @@ class NetworkTopology:
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise ValueError("duplicate vertex identifiers")
-        for tail, head in self.edges:
-            if tail not in vset or head not in vset:
-                raise ValueError(f"edge ({tail}, {head}) references unknown vertex")
         for v in tuple(self.sources) + tuple(self.sinks):
             if v not in vset:
                 raise ValueError(f"source/sink {v!r} is not a vertex")
@@ -105,25 +98,46 @@ class NetworkTopology:
         Canonical order is topological rank of the tail vertex, ties broken
         by insertion order.  Cyclic graphs keep insertion order.
         """
+        return cls._canonical(vertices, edges, sources, sinks, edge_names)[0]
+
+    @classmethod
+    def _canonical(cls, vertices, edges, sources, sinks, edge_names):
+        """``(topology, order)``: the edges in canonical order, ``order[i]`` the
+        position in ``edges`` of the topology's edge ``i``."""
         vertices = tuple(vertices)
         edges = [tuple(e) for e in edges]
         names = list(edge_names) if edge_names is not None else None
-        vset = set(vertices)
-        for tail, head in edges:
-            if tail not in vset or head not in vset:
-                raise ValueError(f"edge ({tail}, {head}) references unknown vertex")
-        order = _canonical_order(vertices, edges)
-        return cls(
+        rank = _vertex_ranks(vertices, edges)  # None on a cycle: insertion order
+        order = sorted(range(len(edges)), key=lambda i: 0 if rank is None else rank[edges[i][0]])
+        topology = cls(
             vertices=vertices,
             edges=tuple(edges[i] for i in order),
             sources=tuple(sources),
             sinks=tuple(sinks),
             edge_names=tuple(names[i] for i in order) if names is not None else None,
         )
+        return topology, order
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    def coefficient_slots(self, n_in: int, n_out: int) -> dict:
+        """The keys each coefficient family may hold nonzero, in a fixed draw order.
+
+        alpha ``(i, e)`` for edges e leaving a source, beta ``(e, e2)`` where
+        head(e) == tail(e2), gamma ``(k, e)`` for edges e entering a sink.
+        """
+        return {
+            "alpha": [(i, e) for e in self.source_outgoing() for i in range(n_in)],
+            "beta": [
+                (e, e2)
+                for e, (_, head) in enumerate(self.edges)
+                for e2, (tail, _) in enumerate(self.edges)
+                if head == tail
+            ],
+            "gamma": [(k, e) for e in self.sink_incoming() for k in range(n_out)],
+        }
 
     def source_outgoing(self) -> tuple:
         """Indices of edges whose tail is a source vertex."""
@@ -158,39 +172,25 @@ class CodingCoefficients:
     gamma: Mapping
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", dict(self.alpha))
-        object.__setattr__(self, "beta", dict(self.beta))
-        object.__setattr__(self, "gamma", dict(self.gamma))
+        for name in _EDGE_POSITIONS:
+            object.__setattr__(self, name, dict(getattr(self, name)))
 
     def validate(self, topology: NetworkTopology, n_in: int, n_out: int):
-        edge_count = topology.edge_count
-        outgoing = set(topology.source_outgoing())
-        incoming = set(topology.sink_incoming())
-        for (i, e), value in self.alpha.items():
-            if not 0 <= e < edge_count:
-                raise UnknownEdge(f"alpha references unknown edge index {e}")
-            if not 0 <= i < n_in:
-                raise SparsityViolation(f"alpha input index {i} out of range")
-            if value != 0 and e not in outgoing:
-                raise SparsityViolation(
-                    f"alpha[{i},{e}] is nonzero but edge {e} does not leave a source"
-                )
-        for (e, e2), value in self.beta.items():
-            if not (0 <= e < edge_count and 0 <= e2 < edge_count):
-                raise UnknownEdge(f"beta references unknown edge index ({e}, {e2})")
-            if value != 0 and topology.edges[e][1] != topology.edges[e2][0]:
-                raise SparsityViolation(
-                    f"beta[{e},{e2}] is nonzero but head({e}) != tail({e2})"
-                )
-        for (k, e), value in self.gamma.items():
-            if not 0 <= e < edge_count:
-                raise UnknownEdge(f"gamma references unknown edge index {e}")
-            if not 0 <= k < n_out:
-                raise SparsityViolation(f"gamma output index {k} out of range")
-            if value != 0 and e not in incoming:
-                raise SparsityViolation(
-                    f"gamma[{k},{e}] is nonzero but edge {e} does not enter a sink"
-                )
+        """Raise ``UnknownEdge`` for an edge index outside the topology, and
+        ``SparsityViolation`` for an input or output index out of range or a
+        nonzero value off ``topology.coefficient_slots``."""
+        slots = topology.coefficient_slots(n_in, n_out)
+        ports = {"alpha": n_in, "gamma": n_out}  # the range of a key's non-edge index
+        for name, edge_at in _EDGE_POSITIONS.items():
+            allowed = set(slots[name])
+            for key, value in getattr(self, name).items():
+                where = f"{name}[{key[0]},{key[1]}]"
+                if any(not 0 <= key[pos] < topology.edge_count for pos in edge_at):
+                    raise UnknownEdge(f"{where} references an unknown edge index")
+                if any(not 0 <= i < ports[name] for pos, i in enumerate(key) if pos not in edge_at):
+                    raise SparsityViolation(f"{where} has an input or output index out of range")
+                if value != 0 and key not in allowed:
+                    raise SparsityViolation(f"{where} is nonzero but the topology has no such slot")
 
 
 @dataclass(frozen=True)
@@ -245,23 +245,19 @@ def _topology_inverse(F: np.ndarray, acyclic: bool, allow_cyclic: bool):
     if acyclic:
         # F is nilpotent, so the finite Neumann sum is the exact inverse:
         # every entry of G is a sum of path products with no solver roundoff
-        G = neumann_topology_sum(F)
-    else:
-        if not allow_cyclic:
-            raise CyclicTopologyError(
-                "topology contains a cycle; pass allow_cyclic=True to invert anyway"
-            )
-        radius = max(np.abs(np.linalg.eigvals(F)), default=0.0)
-        if radius >= 1.0:
-            raise CyclicTopologyError(
-                f"cyclic topology with spectral radius {radius:.3f} >= 1 has no convergent inverse"
-            )
-        if size and np.linalg.cond(eye - F) > _CONDITION_LIMIT:
-            raise SingularIFError("(I - F) condition estimate exceeds 1e12")
-        G = np.linalg.solve(eye - F, eye)
-    if not np.allclose(G @ (eye - F), eye, atol=_INVERSE_TOL):
-        raise SingularIFError("inverse of (I - F) failed the 1e-12 residual check")
-    return G
+        return neumann_topology_sum(F)
+    if not allow_cyclic:
+        raise CyclicTopologyError(
+            "topology contains a cycle; pass allow_cyclic=True to invert anyway"
+        )
+    radius = max(np.abs(np.linalg.eigvals(F)), default=0.0)
+    if radius >= 1.0:
+        raise CyclicTopologyError(
+            f"cyclic topology with spectral radius {radius:.3f} >= 1 has no convergent inverse"
+        )
+    if size and np.linalg.cond(eye - F) > _CONDITION_LIMIT:
+        raise SingularIFError("(I - F) condition estimate exceeds 1e12")
+    return np.linalg.solve(eye - F, eye)
 
 
 def build_coefficient_matrices(
@@ -297,10 +293,7 @@ def build_coefficient_matrices(
         raise SparsityViolation("coupling matrix is not strictly lower triangular")
 
     G = _topology_inverse(F, topology.is_acyclic, allow_cyclic)
-    M = A @ G @ B
-    for arr in (B, F, G, A, M):
-        arr.setflags(write=False)
-    return SystemMatrices(B=B, F=F, G=G, A=A, M=M, form="full")
+    return SystemMatrices.from_factors(A, G, B, F=F, form="full")
 
 
 def compact_form(sys: SystemMatrices, topology: NetworkTopology):
@@ -335,40 +328,40 @@ def remove_edge(topology: NetworkTopology, coeffs: CodingCoefficients, edge: int
     Returns a new (topology, coefficients) pair; the inputs are unchanged.
     Remaining edges are re-indexed densely in canonical order.  Rebuilding
     matrices from the result yields the same transfer matrix M as zeroing
-    the deleted edge's coefficients in the original network.
+    the deleted edge's coefficients in the original network, up to the
+    rounding of sums the re-sorted order adds up differently.
     """
     if not 0 <= edge < topology.edge_count:
         raise UnknownEdge(f"edge index {edge} out of range")
     keep = [i for i in range(topology.edge_count) if i != edge]
-    order = [keep[i] for i in _canonical_order(topology.vertices, [topology.edges[i] for i in keep])]
-    new_index = {old: new for new, old in enumerate(order)}
     names = topology.edge_names
-    new_topology = NetworkTopology(
-        vertices=topology.vertices,
-        edges=tuple(topology.edges[i] for i in order),
-        sources=tuple(topology.sources),
-        sinks=tuple(topology.sinks),
-        edge_names=tuple(names[i] for i in order) if names is not None else None,
+    new_topology, order = NetworkTopology._canonical(
+        topology.vertices,
+        [topology.edges[i] for i in keep],
+        topology.sources,
+        topology.sinks,
+        [names[i] for i in keep] if names is not None else None,
     )
-
-    alpha = {(i, new_index[e]): v for (i, e), v in coeffs.alpha.items() if e != edge}
-    beta = {
-        (new_index[e], new_index[e2]): v
-        for (e, e2), v in coeffs.beta.items()
-        if e != edge and e2 != edge
-    }
-    gamma = {(k, new_index[e]): v for (k, e), v in coeffs.gamma.items() if e != edge}
-    return new_topology, CodingCoefficients(alpha=alpha, beta=beta, gamma=gamma)
+    new_index = {keep[old]: new for new, old in enumerate(order)}
+    families = {name: {} for name in _EDGE_POSITIONS}
+    for name, edge_at in _EDGE_POSITIONS.items():
+        for key, value in getattr(coeffs, name).items():
+            if all(key[pos] != edge for pos in edge_at):
+                new_key = tuple(new_index[i] if pos in edge_at else i for pos, i in enumerate(key))
+                families[name][new_key] = value
+    return new_topology, CodingCoefficients(**families)
 
 
 def zero_edge_coefficients(coeffs: CodingCoefficients, edge: int) -> CodingCoefficients:
     """Zero every coefficient referencing ``edge`` without touching the topology."""
-    alpha = {k: (0.0 if k[1] == edge else v) for k, v in coeffs.alpha.items()}
-    beta = {
-        k: (0.0 if edge in k else v) for k, v in coeffs.beta.items()
+    families = {
+        name: {
+            key: 0.0 if any(key[pos] == edge for pos in edge_at) else value
+            for key, value in getattr(coeffs, name).items()
+        }
+        for name, edge_at in _EDGE_POSITIONS.items()
     }
-    gamma = {k: (0.0 if k[1] == edge else v) for k, v in coeffs.gamma.items()}
-    return CodingCoefficients(alpha=alpha, beta=beta, gamma=gamma)
+    return CodingCoefficients(**families)
 
 
 def neumann_topology_sum(F: np.ndarray) -> np.ndarray:

@@ -17,20 +17,31 @@ import numpy as np
 
 from .errors import CostGuardError
 
-# Per-real-axis node counts giving ~1e-8 or better absolute accuracy on the
-# mixture expectations used in this library, keyed by complex dimension.
+# Per-real-axis node counts, keyed by complex dimension.  Gauss-Hermite converges only
+# algebraically on the mixture integrands, so the error depends on the channel.  Measured
+# against denser rules: 1-D QPSK at 64 nodes, gains 0.25-6, is off from 360 nodes by up to
+# 1.8e-6 nats in MI (gain 3.25) and 2.6e-5 in E (gain 2.5); figure1 (2-D, 16-point QPSK)
+# at 24 nodes is off from 40 nodes by 7.2e-9 nats in MI and 1.1e-7 in E.  The 3-D rule is
+# unmeasured: every denser 3-D rule exceeds MAX_RULE_POINTS.
 DEFAULT_NODES = {1: 64, 2: 24, 3: 12}
 
-MAX_COMPLEX_DIM = 3
+MAX_COMPLEX_DIM = max(DEFAULT_NODES)
 MAX_RULE_POINTS = 1 << 22  # above the 12**6 points of the default 3-D rule, at 56 B a point
 
 
-def default_nodes(dim: int) -> int:
-    if dim not in DEFAULT_NODES:
+def _guarded(dim: int) -> int:
+    """``dim``, refused outside 1..MAX_COMPLEX_DIM complex dimensions."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if dim > MAX_COMPLEX_DIM:
         raise CostGuardError(
             f"quadrature is guarded above {MAX_COMPLEX_DIM} complex dimensions (got {dim})"
         )
-    return DEFAULT_NODES[dim]
+    return dim
+
+
+def default_nodes(dim: int) -> int:
+    return DEFAULT_NODES[_guarded(dim)]
 
 
 @lru_cache(maxsize=8)
@@ -39,28 +50,22 @@ def complex_gauss_hermite(dim: int, nodes: int):
 
     Returns ``(points, weights)`` where ``points`` is a complex array of
     shape ``(Q, dim)`` and ``weights`` a positive real array of shape
-    ``(Q,)`` summing to 1 up to quadrature truncation.
+    ``(Q,)`` summing to 1 up to quadrature truncation.  A node count whose
+    Hermite weights are not positive and summing to sqrt(pi) (numpy's
+    ``hermgauss`` overflows from 371 nodes) raises ``CostGuardError``.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if dim > MAX_COMPLEX_DIM:
-        raise CostGuardError(
-            f"quadrature is guarded above {MAX_COMPLEX_DIM} complex dimensions (got {dim})"
-        )
-    count = (nodes * nodes) ** dim
+    count = (nodes * nodes) ** _guarded(dim)
     if count > MAX_RULE_POINTS:
         raise CostGuardError(
             f"a {nodes}-node rule in {dim} complex dimensions has {count} points, over {MAX_RULE_POINTS}"
         )
-    t, w = np.polynomial.hermite.hermgauss(nodes)
+    with np.errstate(all="ignore"):
+        t, w = np.polynomial.hermite.hermgauss(nodes)
+    if not (np.all(w > 0) and abs(w.sum() - np.sqrt(np.pi)) <= 1e-12):
+        raise CostGuardError(f"the {nodes}-node Hermite rule has non-finite or vanishing weights")
     re, im = np.meshgrid(t, t, indexing="ij")
     axis_points = (re + 1j * im).ravel()
     axis_weights = np.outer(w, w).ravel() / np.pi
-    if dim == 1:
-        points = axis_points[:, None].copy()
-        points.setflags(write=False)
-        axis_weights.setflags(write=False)
-        return points, axis_weights
     grids = np.meshgrid(*([np.arange(nodes * nodes)] * dim), indexing="ij")
     index = np.stack(grids, axis=-1).reshape(-1, dim)
     points = axis_points[index]

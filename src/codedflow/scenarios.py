@@ -42,6 +42,9 @@ from .infogradients import (
 )
 from .netgraph import CodingCoefficients, NetworkTopology, SystemMatrices
 
+_SEEDED_RANGE = (0.3, 1.0)  # the uniform draw of seeded_diamond_symbols
+_GRAD11_RANGE = (-1.0, 1.0)  # the uniform draws of grad11_matches_matrix_form
+
 # ---------------------------------------------------------------------------
 # the diamond network
 # ---------------------------------------------------------------------------
@@ -130,10 +133,10 @@ def diamond_compact_system(symbols) -> SystemMatrices:
     return SystemMatrices.from_factors(A_c, G_c, B_c, form="compact")
 
 
-def seeded_diamond_symbols(seed: int, low: float = 0.3, high: float = 1.0) -> dict:
-    """Real coefficient draw, one uniform per symbol in a fixed order."""
+def seeded_diamond_symbols(seed: int) -> dict:
+    """Real coefficient draw, one uniform on ``_SEEDED_RANGE`` per symbol in a fixed order."""
     rng = _philox(seed, 0xD1A)
-    return {name: float(rng.uniform(low, high)) for name in DIAMOND_SYMBOLS}
+    return {name: float(rng.uniform(*_SEEDED_RANGE)) for name in DIAMOND_SYMBOLS}
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +280,12 @@ class ExpansionCheck:
         return self.max_corrected_gap <= tol and self.max_attribution_gap <= tol
 
 
-def grad11_matches_matrix_form(draws: int = 100, seed: int = 7_2025, low: float = -1.0, high: float = 1.0) -> ExpansionCheck:
+def grad11_matches_matrix_form(draws: int = 100, seed: int = 7_2025) -> ExpansionCheck:
     """Compare both expansion transcriptions with the compact matrix product.
 
-    Each draw assigns independent real uniforms to the twelve coefficients
-    and a real 2x2 matrix to E (the identity is algebraic, so E need not be
-    a valid error matrix here).
+    Each draw assigns independent real uniforms on ``_GRAD11_RANGE`` to the
+    twelve coefficients and a real 2x2 matrix to E (the identity is algebraic,
+    so E need not be a valid error matrix here).
     """
     rng = _philox(seed, 0x9511)
     printed_values = np.zeros(draws, dtype=complex)
@@ -292,8 +295,8 @@ def grad11_matches_matrix_form(draws: int = 100, seed: int = 7_2025, low: float 
     corrected_gap = np.zeros(draws)
     attribution_gap = np.zeros(draws)
     for d in range(draws):
-        symbols = {name: float(rng.uniform(low, high)) for name in DIAMOND_SYMBOLS}
-        E = rng.uniform(low, high, size=(2, 2))
+        symbols = {name: float(rng.uniform(*_GRAD11_RANGE)) for name in DIAMOND_SYMBOLS}
+        E = rng.uniform(*_GRAD11_RANGE, size=(2, 2))
         matrix_values[d] = grad11_matrix_form(symbols, E)
         printed_values[d] = topology_grad11("full", symbols, E)
         corrected_values[d] = topology_grad11("full-corrected", symbols, E)

@@ -28,14 +28,8 @@ def random_dag(rng, max_edges=12, complex_coeffs=True):
             return complex(rng.normal(), rng.normal())
         return float(rng.normal())
 
-    alpha = {(i, e): draw() for e in topology.source_outgoing() for i in range(n_in)}
-    beta = {}
-    for e, (_, head) in enumerate(topology.edges):
-        for e2, (tail, _) in enumerate(topology.edges):
-            if head == tail:
-                beta[(e, e2)] = draw()
-    gamma = {(k, e): draw() for e in topology.sink_incoming() for k in range(n_out)}
-    coeffs = CodingCoefficients(alpha=alpha, beta=beta, gamma=gamma)
+    slots = topology.coefficient_slots(n_in, n_out)
+    coeffs = CodingCoefficients(**{name: {key: draw() for key in keys} for name, keys in slots.items()})
     return topology, coeffs, n_in, n_out
 
 

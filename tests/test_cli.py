@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from pathlib import Path
 
-from codedflow.cli import main, parse_config, run
+from codedflow.cli import _compact, main, parse_config, run
+from codedflow.infogradients import verify_gradients
 from codedflow.errors import ConfigError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -151,6 +152,21 @@ class TestCommands:
             bodies.append((out / "verify.csv").read_bytes())
         assert len(bodies[0].splitlines()) == 13
         assert bodies[0] == bodies[1]
+
+    def test_reports_show_the_step_halving_change(self, tmp_path):
+        config = parse_config(SCALAR_CHAIN)
+        sys_c = _compact(config)
+        verify_text = run(config, "verify", tmp_path).render_text()
+        cuts_text = run(config, "cuts", tmp_path).render_text()
+        for objective, text, label in (
+            ("full", verify_text, "grad {}: max rel"),
+            ("source", cuts_text, "source.{}:"),
+            ("mid", cuts_text, "mid.{}:"),
+        ):
+            result = verify_gradients(sys_c, config.dist, config.engine, step=config.step, objective=objective)
+            for target, change in result.refinement.items():
+                line = rf"^{re.escape(label.format(target))}.* step-halving change {change:.2e} nats$"
+                assert re.search(line, text, re.M)
 
     def test_gradients_with_deterministic_input_is_all_zero(self, tmp_path):
         text = SCALAR_CHAIN.replace("kind = bpsk", "kind = point")
@@ -338,6 +354,15 @@ class TestMain:
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
         text = (out / "verify_report.txt").read_text()
         assert "error: error matrix exceeds the input covariance" in text
+        assert "RESULT: FAIL" in text
+
+    def test_overflowing_hermite_rule_leaves_fail_report(self, tmp_path, capsys):
+        cfg = tmp_path / "chain.cfg"
+        cfg.write_text(SCALAR_CHAIN)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out), "--nodes", "372"]) == 2
+        text = (out / "verify_report.txt").read_text()
+        assert "error: the 372-node Hermite rule has non-finite or vanishing weights" in text
         assert "RESULT: FAIL" in text
 
     def test_unit_override_changes_report_only(self, tmp_path):

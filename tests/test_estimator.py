@@ -27,11 +27,13 @@ from codedflow import (
     estimation_diagnostics,
     invert_flow_estimate,
     mmse_matrix,
+    mutual_information,
     sample,
     score_identity_residual,
     seeded_diamond_symbols,
 )
 from codedflow import flowmodel, quadrature
+from codedflow.errors import InvariantViolation
 from codedflow.estimator import _EXACT_FLOOR, quadrature_moments
 
 # mmse(snr) for equiprobable {+1,-1} through z = sqrt(snr) x + CN(0,1),
@@ -162,6 +164,20 @@ class TestMmseMatrix:
         # an "error" larger than the prior covariance must be rejected
         with pytest.raises(ValueError):
             MmseMatrix.checked(2.0 * np.eye(2), "quadrature", 0, np.eye(2))
+
+    def test_non_finite_matrix_is_refused(self):
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            MmseMatrix.checked(np.array([[np.nan + 0j]]), "quadrature", 372, np.eye(1))
+
+    @pytest.mark.parametrize("nodes", [371, 372])
+    def test_overflowing_hermite_rule_is_refused(self, nodes):
+        # numpy's weights are all zero at 371 nodes and NaN from 372, which read as MI 0 and nan
+        M, dist, spec = np.array([[2.0 + 0j]]), InputDistribution.qpsk(1), EngineSpec(nodes=nodes)
+        with pytest.raises(CostGuardError, match=f"the {nodes}-node Hermite rule"):
+            mmse_matrix(M, dist, spec)
+        with pytest.raises(CostGuardError, match=f"the {nodes}-node Hermite rule"):
+            mutual_information(M, dist, spec)
+        assert mutual_information(M, dist, EngineSpec(nodes=370)).nats > 1.0
 
     def test_quadrature_cost_guard(self):
         dist = InputDistribution.bpsk(4)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,12 +182,18 @@ class TestUnderflow:
         noise = sample(np.zeros((n_out, 1)), dist, seed=seed, count=1000)
         assert np.max(np.abs(noise.outputs)) < gain - np.sqrt(700.0 + np.log(np.pi) * n_out)
         means = dist.support @ M.T
-        with pytest.raises(DensityUnderflow):
-            mixture_log_density(means, dist.log_probs, noise.outputs)
-        with pytest.raises(DensityUnderflow):
-            mixture_posterior_mean(means, dist.log_probs, dist.support, noise.outputs)
-        with pytest.raises(DensityUnderflow):
-            mc_moments(M, dist, EngineSpec(method="mc", samples=1000), want_mmse=False, batch=noise)
+        messages = set()
+        for call in (
+            lambda: mixture_log_density(means, dist.log_probs, noise.outputs),
+            lambda: mixture_posterior_mean(means, dist.log_probs, dist.support, noise.outputs),
+            lambda: mc_moments(M, dist, EngineSpec(method="mc", samples=1000), want_mmse=False, batch=noise),
+        ):
+            with pytest.raises(DensityUnderflow) as caught:
+                call()
+            messages.add(str(caught.value))
+        # one wording, naming the same lowest value on every path
+        assert len(messages) == 1
+        assert re.fullmatch(r"log p\(z\) = -\d+\.\d fell below -700\.0", messages.pop())
 
 
 class TestOutputScore:

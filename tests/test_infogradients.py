@@ -44,6 +44,7 @@ from codedflow import (
 )
 from codedflow import flowmodel
 from codedflow.estimator import mc_moments, quadrature_moments
+from codedflow.errors import InvariantViolation
 from codedflow.infogradients import MutualInformationValue, _CHAIN, _chain, closed_gradient, effective_matrix
 
 FROZEN_SCALAR_INFO_M1 = 0.500072136066845  # two-point input, unit gain, nats
@@ -101,6 +102,11 @@ class TestMutualInformation:
             MutualInformationValue.checked(-1.0, "exact", 0)
         with pytest.raises(ValueError):
             MutualInformationValue.checked(2.0, "quadrature", 64, entropy_limit=np.log(2))
+
+    def test_non_finite_value_refused(self):
+        for value in (np.nan, np.inf):
+            with pytest.raises(InvariantViolation, match="not finite"):
+                MutualInformationValue.checked(value, "quadrature", 372)
 
     def test_discrete_information_capped_by_entropy(self):
         # high gain drives the value to the input entropy, never beyond

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedflow import (
     CodingCoefficients,
@@ -18,8 +22,11 @@ from codedflow import (
     zero_edge_coefficients,
 )
 from codedflow.errors import SingularIFError
+from codedflow.netgraph import _EDGE_POSITIONS
 
 from conftest import random_dag
+
+_DAG_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def _fanout(n_edges=3):
@@ -135,6 +142,16 @@ class TestSparsity:
                 topology, CodingCoefficients(coeffs.alpha, coeffs.beta, bad), 2, 2
             )
 
+    @pytest.mark.parametrize("family, index, edge", [("alpha", 2, "e1"), ("alpha", -1, "e2"), ("gamma", 2, "e4"), ("gamma", -1, "e5")])
+    def test_port_index_out_of_range_is_refused_even_at_zero(self, family, index, edge):
+        # a negative index would otherwise write into the last row or column of B or A
+        topology = diamond_topology()
+        coeffs = diamond_coefficients(seeded_diamond_symbols(1))
+        families = _families(coeffs)
+        families[family][(index, topology.edge_index(edge))] = 0.0
+        with pytest.raises(SparsityViolation):
+            build_coefficient_matrices(topology, CodingCoefficients(**families), 2, 2)
+
     def test_coefficient_on_unknown_edge(self):
         topology = diamond_topology()
         coeffs = diamond_coefficients(seeded_diamond_symbols(1))
@@ -144,6 +161,74 @@ class TestSparsity:
             build_coefficient_matrices(
                 topology, CodingCoefficients(bad, coeffs.beta, coeffs.gamma), 2, 2
             )
+
+
+def _families(coeffs):
+    return {name: dict(getattr(coeffs, name)) for name in _EDGE_POSITIONS}
+
+
+class TestSlots:
+    """Properties of ``coefficient_slots`` and ``validate`` on random DAGs."""
+
+    @given(seed=_DAG_SEEDS)
+    @settings(max_examples=50, deadline=None)
+    def test_a_coefficient_on_every_slot_builds(self, seed):
+        topology, coeffs, n_in, n_out = random_dag(np.random.default_rng(seed))
+        slots = topology.coefficient_slots(n_in, n_out)
+        assert {name: list(keys) for name, keys in _families(coeffs).items()} == slots
+        sys = build_coefficient_matrices(topology, coeffs, n_in, n_out)
+        # each slot fills its own entry of B, F or A
+        placed = np.count_nonzero(sys.B) + np.count_nonzero(sys.F) + np.count_nonzero(sys.A)
+        assert placed == sum(len(keys) for keys in slots.values())
+
+    @given(seed=_DAG_SEEDS, data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_one_nonzero_key_off_the_slots_is_refused(self, seed, data):
+        topology, coeffs, n_in, n_out = random_dag(np.random.default_rng(seed))
+        slots = topology.coefficient_slots(n_in, n_out)
+        E = topology.edge_count
+        key_space = {"alpha": (n_in, E), "beta": (E, E), "gamma": (n_out, E)}
+        off = [
+            (name, key)
+            for name, shape in key_space.items()
+            for key in itertools.product(*map(range, shape))
+            if key not in slots[name]
+        ]
+        name, key = data.draw(st.sampled_from(off))  # never empty: beta (e, e) has no slot
+        families = _families(coeffs)
+        families[name][key] = 0.0
+        build_coefficient_matrices(topology, CodingCoefficients(**families), n_in, n_out)
+        families[name][key] = data.draw(st.sampled_from([1.0, -0.5j]))
+        with pytest.raises(SparsityViolation):
+            build_coefficient_matrices(topology, CodingCoefficients(**families), n_in, n_out)
+
+    @given(seed=_DAG_SEEDS, data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_an_edge_index_out_of_range_is_unknown(self, seed, data):
+        topology, coeffs, n_in, n_out = random_dag(np.random.default_rng(seed))
+        name = data.draw(st.sampled_from(sorted(_EDGE_POSITIONS)))
+        key = [0, 0]
+        key[data.draw(st.sampled_from(_EDGE_POSITIONS[name]))] = data.draw(
+            st.sampled_from([-1, topology.edge_count, topology.edge_count + 7])
+        )
+        families = _families(coeffs)
+        families[name][tuple(key)] = data.draw(st.sampled_from([0.0, 1.0]))
+        with pytest.raises(UnknownEdge):
+            build_coefficient_matrices(topology, CodingCoefficients(**families), n_in, n_out)
+
+    @given(seed=_DAG_SEEDS, data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_deletion_matches_zeroing_to_roundoff(self, seed, data):
+        # removal re-sorts the survivors, so the sums behind M may run in another
+        # order: equal bit for bit only on some graphs (see the 10 exact draws above)
+        topology, coeffs, n_in, n_out = random_dag(np.random.default_rng(seed))
+        edge = data.draw(st.integers(min_value=0, max_value=topology.edge_count - 1))
+        topo2, coeffs2 = remove_edge(topology, coeffs, edge)
+        m_deleted = build_coefficient_matrices(topo2, coeffs2, n_in, n_out).M
+        m_zeroed = build_coefficient_matrices(
+            topology, zero_edge_coefficients(coeffs, edge), n_in, n_out
+        ).M
+        np.testing.assert_allclose(m_deleted, m_zeroed, rtol=0, atol=1e-12 * max(1.0, np.abs(m_zeroed).max()))
 
 
 class TestCompactForm:
@@ -321,5 +406,7 @@ class TestSystemMatrices:
             SystemMatrices.from_factors(np.eye(2), G, np.eye(2), F=F)
 
     def test_topology_validates_membership(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown vertex"):
             NetworkTopology.from_edges(["a"], [("a", "zz")], ("a",), ("a",))
+        with pytest.raises(ValueError, match="unknown vertex"):
+            NetworkTopology(vertices=("a",), edges=(("zz", "a"),), sources=("a",), sinks=("a",))
