@@ -247,14 +247,15 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
     # -- topology -------------------------------------------------------
     vertices = setting("topology", "vertices", required=True).split()
-    sources = setting("topology", "sources", required=True).split()
-    sinks = setting("topology", "sinks", required=True).split()
+    vset = set(vertices)
+    in_vertices = (lambda v: set(v.split()) <= vset, "name only vertices")
+    sources = setting("topology", "sources", required=True, rule=in_vertices).split()
+    sinks = setting("topology", "sinks", required=True, rule=in_vertices).split()
     n_out = setting("topology", "outputs", convert=int, required=True, rule=positive)
     edge_lines = entries.get(("topology", "edge"), [])
     if not edge_lines:
         raise ConfigError("topology needs at least one edge line")
     names, pairs = [], []
-    vset = set(vertices)
     for lineno, args, value in edge_lines:
         if len(args) != 1 or len(value) != 2:
             raise ConfigError("edge lines read 'edge NAME = TAIL HEAD'", line=lineno)
@@ -265,9 +266,6 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         pairs.append((value[0], value[1]))
     if len(set(names)) != len(names):
         raise ConfigError("duplicate edge names")
-    for v in sources + sinks:
-        if v not in vset:
-            raise ConfigError(f"source/sink {v!r} is not a vertex")
     topology = NetworkTopology.from_edges(vertices, pairs, sources, sinks, edge_names=names)
 
     # -- input ----------------------------------------------------------
@@ -350,7 +348,6 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
 @dataclass
 class CheckRow:
-    suite: str
     check_id: str
     target: str
     entry_row: int
@@ -375,33 +372,27 @@ class Report:
     def passed(self) -> bool:
         return self.error is None and all(r.passed for r in self.rows)
 
+    def check(self, check_id, target, closed, oracle, passed, entry=(0, 0), abs_err=None, rel_err=None):
+        """Append one check row; a value left ``None`` is an empty CSV cell."""
+        kinds = ((complex, closed), (complex, oracle), (float, abs_err), (float, rel_err))
+        values = [None if x is None else kind(x) for kind, x in kinds]
+        self.rows.append(CheckRow(check_id, target, *entry, *values, bool(passed)))
+
     def render_csv(self) -> str:
-        def fmt(x):
-            return "" if x is None else format(float(x), ".17g")
+        def fmt(*values):
+            return ["" if x is None else format(float(x), ".17g") for x in values]
+
+        def parts(z):  # the real and imaginary cells of a complex value
+            return fmt(None, None) if z is None else fmt(z.real, z.imag)
 
         lines = [
             "suite,check_id,target,entry_row,entry_col,closed_form_re,closed_form_im,"
             "oracle_re,oracle_im,abs_err,rel_err,pass"
         ]
         for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        r.suite,
-                        r.check_id,
-                        r.target,
-                        str(r.entry_row),
-                        str(r.entry_col),
-                        fmt(None if r.closed is None else np.real(r.closed)),
-                        fmt(None if r.closed is None else np.imag(r.closed)),
-                        fmt(None if r.oracle is None else np.real(r.oracle)),
-                        fmt(None if r.oracle is None else np.imag(r.oracle)),
-                        fmt(r.abs_err),
-                        fmt(r.rel_err),
-                        "true" if r.passed else "false",
-                    ]
-                )
-            )
+            cells = [self.command, r.check_id, r.target, str(r.entry_row), str(r.entry_col)]
+            cells += [*parts(r.closed), *parts(r.oracle), *fmt(r.abs_err, r.rel_err)]
+            lines.append(",".join([*cells, "true" if r.passed else "false"]))
         return "\n".join(lines) + "\n"
 
     def render_text(self) -> str:
@@ -422,29 +413,20 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _matrix_rows(report, suite, target, closed, oracle=None, tolerance=None):
-    """One CheckRow per matrix entry comparing closed form against oracle;
+def _matrix_rows(report, target, closed, oracle=None, tolerance=None):
+    """One check row per matrix entry comparing closed form against oracle;
     without an oracle an entry passes when it is finite."""
     closed = np.asarray(closed)
-    if oracle is not None:
-        oracle = np.asarray(oracle)
-        gap, rel = _relative_gap(closed, oracle)
-    for i in range(closed.shape[0]):
-        for j in range(closed.shape[1]):
-            report.rows.append(
-                CheckRow(
-                    suite=suite,
-                    check_id=f"{target}[{i},{j}]",
-                    target=target,
-                    entry_row=i,
-                    entry_col=j,
-                    closed=complex(closed[i, j]),
-                    oracle=None if oracle is None else complex(oracle[i, j]),
-                    abs_err=None if oracle is None else float(gap[i, j]),
-                    rel_err=None if oracle is None else float(rel[i, j]),
-                    passed=bool(np.isfinite(closed[i, j]) if oracle is None else rel[i, j] <= tolerance),
-                )
-            )
+    if oracle is None:
+        for (i, j), value in np.ndenumerate(closed):
+            report.check(f"{target}[{i},{j}]", target, value, None, np.isfinite(value), (i, j))
+        return
+    oracle = np.asarray(oracle)
+    gap, rel = _relative_gap(closed, oracle)
+    for (i, j), value in np.ndenumerate(closed):
+        report.check(
+            f"{target}[{i},{j}]", target, value, oracle[i, j], rel[i, j] <= tolerance, (i, j), gap[i, j], rel[i, j]
+        )
 
 
 def _info_note(report, label, mi):
@@ -475,7 +457,7 @@ def _cmd_verify(config: RunConfig, report: Report):
     _info_note(report, "mutual information", mi)
     for target in _targets("full"):
         disc = result.discrepancy(target)
-        _matrix_rows(report, "verify", target, result.closed[target], result.oracles[target], config.tolerance)
+        _matrix_rows(report, target, result.closed[target], result.oracles[target], config.tolerance)
         report.notes.append(
             f"grad {target}: max rel discrepancy {disc['max_rel']:.3e} at entry {disc['entry']}, "
             f"step-halving change {result.refinement[target]:.2e} nats"
@@ -486,7 +468,7 @@ def _cmd_gradients(config: RunConfig, report: Report):
     sys_c = _compact(config)
     err = mmse_matrix(sys_c.M, config.dist, config.engine)
     for target in _targets("full"):
-        _matrix_rows(report, "gradients", target, closed_gradient(sys_c, err, target, "full"))
+        _matrix_rows(report, target, closed_gradient(sys_c, err, target, "full"))
     report.notes.append("closed-form gradients only; pass requires finite entries")
 
 
@@ -498,7 +480,7 @@ def _cmd_cuts(config: RunConfig, report: Report):
         _info_note(report, f"{cut}-cut information", mi)
         for target in result.targets():
             closed, oracle = result.closed[target], result.oracles[target]
-            _matrix_rows(report, "cuts", f"{cut}.{target}", closed, oracle, config.tolerance)
+            _matrix_rows(report, f"{cut}.{target}", closed, oracle, config.tolerance)
             report.notes.append(f"{cut}.{target}: step-halving change {result.refinement[target]:.2e} nats")
     mi_full = mutual_information(sys_c.M, config.dist, config.engine)
     _info_note(report, "full-cut information", mi_full)
@@ -506,41 +488,17 @@ def _cmd_cuts(config: RunConfig, report: Report):
     # reduction identities, exact: mid-cut with G = I matches the source form,
     # and the full forms with A = G = I match the source form
     eye = np.eye(sys_c.G.shape[0])
-    sys_gi = SystemMatrices.from_factors(sys_c.A, eye, sys_c.B, form="compact")
-    err_src = mmse_matrix(sys_gi.B, config.dist, config.engine)
-    _matrix_rows(
-        report,
-        "cuts",
-        "reduction.mid_vs_source",
-        closed_gradient(sys_gi, err_src, "B", "mid"),
-        closed_gradient(sys_gi, err_src, "B", "source"),
-        _EXACT_TOL,
-    )
-    sys_agi = SystemMatrices.from_factors(np.eye(sys_c.B.shape[0]), eye, sys_c.B, form="compact")
-    _matrix_rows(
-        report,
-        "cuts",
-        "reduction.full_vs_source",
-        closed_gradient(sys_agi, err_src, "B", "full"),
-        closed_gradient(sys_agi, err_src, "B", "source"),
-        _EXACT_TOL,
-    )
+    err_src = mmse_matrix(sys_c.B, config.dist, config.engine)
+    for cut, A in (("mid", sys_c.A), ("full", np.eye(sys_c.B.shape[0]))):
+        reduced = SystemMatrices.from_factors(A, eye, sys_c.B, form="compact")
+        closed, source = (closed_gradient(reduced, err_src, "B", objective) for objective in (cut, "source"))
+        _matrix_rows(report, f"reduction.{cut}_vs_source", closed, source, _EXACT_TOL)
 
 
-def _count_row(report, suite, check_id, actual, expected):
-    report.rows.append(
-        CheckRow(
-            suite=suite,
-            check_id=check_id,
-            target="terms",
-            entry_row=0,
-            entry_col=0,
-            closed=complex(actual),
-            oracle=complex(expected),
-            abs_err=float(abs(actual - expected)),
-            rel_err=0.0 if actual == expected else 1.0,
-            passed=actual == expected,
-        )
+def _count_row(report, check_id, actual, expected):
+    same = actual == expected
+    report.check(
+        check_id, "terms", actual, expected, same, abs_err=abs(actual - expected), rel_err=float(not same)
     )
 
 
@@ -548,34 +506,23 @@ def _cmd_example1(config: RunConfig, report: Report):
     symbols = scenarios.diamond_symbols(config.topology, config.coefficients)
 
     for variant, expected in (("full", 24), ("no-e3", 16), ("no-e2e5", 8)):
-        _count_row(
-            report, "example1", f"term-count.{variant}", scenarios.EXPANSIONS[variant].term_count, expected
-        )
-    for variant in ("no-e3", "no-e2e5"):
-        reduced = scenarios.reduce_terms(
-            scenarios.TERMS_FULL_PRINTED, scenarios._REMOVED_BY_VARIANT[variant]
-        )
+        _count_row(report, f"term-count.{variant}", scenarios.EXPANSIONS[variant].term_count, expected)
+    # each stored variant against the printed list less what zeroing its removed edge zeroes
+    for variant, edge in (("no-e3", "e3"), ("no-e2e5", "e5")):
+        reduced = scenarios.reduce_terms(scenarios.TERMS_FULL_PRINTED, scenarios.edge_symbols(edge))
         match = sorted(reduced) == sorted(scenarios.EXPANSIONS[variant].terms)
-        _count_row(report, "example1", f"reduction.{variant}", int(match), 1)
+        _count_row(report, f"reduction.{variant}", int(match), 1)
 
     check = scenarios.grad11_matches_matrix_form(draws=100, seed=config.engine.seed)
-    for d in range(len(check.printed_gap)):
-        report.rows.append(
-            CheckRow(
-                suite="example1",
-                check_id=f"draw{d:03d}",
-                target="entry11",
-                entry_row=0,
-                entry_col=0,
-                closed=complex(check.printed_values[d]),
-                oracle=complex(check.matrix_values[d]),
-                abs_err=float(check.printed_gap[d]),
-                rel_err=float(check.attribution_gap[d]),
-                passed=bool(
-                    check.corrected_gap[d] <= _EXACT_TOL
-                    and check.attribution_gap[d] <= _EXACT_TOL
-                ),
-            )
+    for d, passed in enumerate(check.draw_passed(_EXACT_TOL)):
+        report.check(
+            f"draw{d:03d}",
+            "entry11",
+            check.printed_values[d],
+            check.matrix_values[d],
+            passed,
+            abs_err=check.printed_gap[d],
+            rel_err=check.attribution_gap[d],
         )
     report.notes.append(
         "published expansion vs matrix form: max gap "
@@ -583,14 +530,12 @@ def _cmd_example1(config: RunConfig, report: Report):
         f"{check.max_corrected_gap:.3e}; the gap is attributed to the single "
         f"divergent E11 monomial to {check.max_attribution_gap:.3e}"
     )
-    report.notes.append(
-        "erratum: E11 group, term 6 - published gamma_e4_1*gamma_e5_2, matrix form gives gamma_e4_2*gamma_e5_2"
-    )
+    report.notes.append(scenarios.erratum_note())
     at_config = abs(
         scenarios.topology_grad11("full-corrected", symbols, np.eye(2))
         - scenarios.grad11_matrix_form(symbols, np.eye(2))
     )
-    _count_row(report, "example1", "at-config-coefficients", int(at_config <= _EXACT_TOL), 1)
+    _count_row(report, "at-config-coefficients", int(at_config <= _EXACT_TOL), 1)
 
 
 def _cmd_optimize_precoder(config: RunConfig, report: Report):
@@ -609,20 +554,8 @@ def _cmd_optimize_precoder(config: RunConfig, report: Report):
     )
     prev = None
     for k, (_, info) in enumerate(trajectory):
-        report.rows.append(
-            CheckRow(
-                suite="optimize-precoder",
-                check_id=f"iter{k:03d}",
-                target="B",
-                entry_row=k,
-                entry_col=0,
-                closed=complex(info),
-                oracle=None if prev is None else complex(prev),
-                abs_err=None if prev is None else float(max(0.0, prev - info)),
-                rel_err=None,
-                passed=prev is None or info >= prev - 1e-9,
-            )
-        )
+        rise = None if prev is None else max(0.0, prev - info)
+        report.check(f"iter{k:03d}", "B", info, prev, prev is None or info >= prev - 1e-9, (k, 0), rise)
         prev = info
     report.notes.append(
         f"ascent over {len(trajectory) - 1} steps, norm budget {budget:.6g}, "

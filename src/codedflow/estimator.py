@@ -220,11 +220,6 @@ def _batch_se(values: np.ndarray, batches: int):
     return np.sqrt(var / batches)
 
 
-def _log_cond(noise) -> np.ndarray:
-    """``log p(z|x) = -n log pi - |noise|^2`` per sample, the first term of each information sample."""
-    return -noise.shape[1] * np.log(np.pi) - np.sum(np.abs(noise) ** 2, axis=1)
-
-
 def mc_moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mmse=True, want_mi=True, batch: SampleBatch | None = None):
     """Monte-Carlo estimates of mutual information and the error matrix.
 
@@ -238,7 +233,8 @@ def mc_moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mmse=True, 
 
     mi = mi_se = None
     if want_mi:
-        info_samples = _log_cond(z - x @ M.T) - flowmodel._log_output_density(M, dist, z)
+        log_cond = flowmodel._log_noise_density(z - x @ M.T, M.shape[0], axis=1)
+        info_samples = log_cond - flowmodel._log_output_density(M, dist, z)
         mi = float(np.mean(info_samples))
         mi_se = float(_batch_se(info_samples, _SE_BATCHES))
 

@@ -136,8 +136,7 @@ class NoiseModel:
     dimension: int
 
     def log_density(self, v) -> float:
-        v = np.asarray(v, dtype=complex)
-        return float(-self.dimension * np.log(np.pi) - np.sum(np.abs(v) ** 2))
+        return float(_log_noise_density(np.asarray(v, dtype=complex), self.dimension))
 
     def density(self, v) -> float:
         return float(np.exp(self.log_density(v)))
@@ -162,6 +161,12 @@ class SampleBatch:
 # ---------------------------------------------------------------------------
 
 
+def _log_noise_density(v, n, axis=None):
+    """``-n log pi - |v|^2``, the log density of unit complex Gaussian noise
+    ``v`` in n dimensions, with ``|v|^2`` summed over ``axis``."""
+    return -n * np.log(np.pi) - np.sum(np.abs(v) ** 2, axis=axis)
+
+
 def log_conditional_density(M, x, z) -> float:
     """log p(z|x) = -n log(pi) - ||z - Mx||^2."""
     M = np.asarray(M, dtype=complex)
@@ -171,8 +176,7 @@ def log_conditional_density(M, x, z) -> float:
         raise ValueError(
             f"dimension mismatch: M{M.shape}, x{x.shape}, z{z.shape}"
         )
-    resid = z - M @ x
-    return float(-M.shape[0] * np.log(np.pi) - np.sum(np.abs(resid) ** 2))
+    return float(_log_noise_density(z - M @ x, M.shape[0]))
 
 
 def conditional_density(M, x, z) -> float:

@@ -61,7 +61,6 @@ from .estimator import (
     _SE_BATCHES,
     _as_matrix,
     _batch_se,
-    _log_cond,
     _moments,
     gaussian_mutual_information,  # re-exported: the closed form lives with the route
     mmse_matrix,
@@ -250,7 +249,7 @@ def grad_oracle(
         inputs, noise = flowmodel.draw_inputs_and_noise(
             dist, n_out, spec.seed, spec.mc_samples(), workers=spec.workers
         )
-        draws = inputs, noise, _log_cond(noise)
+        draws = inputs, noise, flowmodel._log_noise_density(noise, n_out, axis=1)
 
     rows, cols = base.shape
     coords = [(i, j, unit) for i in range(rows) for j in range(cols) for unit in (1.0, 1j)]

@@ -17,15 +17,17 @@ block (row = source edge, column = input stream).
 The (1,1) entry of the topology gradient ``A^H A G B E B^H`` expands into
 24 monomials over these symbols (six per entry of E).  Two transcriptions
 of the full expansion are kept: the one published with this network, and a
-corrected version.  They differ in exactly one factor -- term 6 of the E11
-group reads ``gamma_e4_1 * gamma_e5_2`` in the published list where the
-matrix product yields ``gamma_e4_2 * gamma_e5_2``.  The comparison report
-quantifies this erratum instead of hiding it; both lists stay available.
+corrected version.  They differ in exactly one factor of one E11 term, the
+erratum recorded once in ``_ERRATUM`` and worded by ``erratum_note``.  The
+comparison report quantifies this erratum instead of hiding it; both lists
+stay available.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .infogradients import (
     grad_mi_precoding,
     mutual_information,
 )
-from .netgraph import CodingCoefficients, NetworkTopology, SystemMatrices
+from .netgraph import CodingCoefficients, NetworkTopology, SystemMatrices, zero_edge_coefficients
 
 _SEEDED_RANGE = (0.3, 1.0)  # the uniform draw of seeded_diamond_symbols
 _GRAD11_RANGE = (-1.0, 1.0)  # the uniform draws of grad11_matches_matrix_form
@@ -174,12 +176,25 @@ TERMS_FULL_CORRECTED = tuple(
     + _group(1, 1, _A12, _A12)
 )
 
-# The published transcription: identical except term 6 of the E11 group,
-# whose gamma pair reads (e4_1, e5_2) instead of (e4_2, e5_2).
-_printed = [list(t) for t in TERMS_FULL_CORRECTED]
-_printed[5][2] = (_G41, _G52, _B25, _A21, _A11)
-TERMS_FULL_PRINTED = tuple((r, c, tuple(f)) for r, c, f in _printed)
-ERRATUM_TERM_INDEX = 5
+# The erratum, the one place the published transcription departs from the
+# corrected list: (index of the term, the factors printed there).
+_ERRATUM = (5, (_G41, _G52, _B25, _A21, _A11))
+TERMS_FULL_PRINTED = tuple(
+    (row, col, _ERRATUM[1] if k == _ERRATUM[0] else factors)
+    for k, (row, col, factors) in enumerate(TERMS_FULL_CORRECTED)
+)
+
+
+def erratum_note() -> str:
+    """The report line naming the erratum term and its gamma pair, printed and corrected."""
+    index, published = _ERRATUM
+    row, col, corrected = TERMS_FULL_CORRECTED[index]
+    printed, fixed = ("*".join(factors[:2]) for factors in (published, corrected))  # the gamma pair leads
+    return (
+        f"erratum: E{row + 1}{col + 1} group, term {index % 6 + 1} - "
+        f"published {printed}, matrix form gives {fixed}"
+    )
+
 
 _REMOVED_BY_VARIANT = {
     "no-e3": frozenset({_B13, _B35}),
@@ -193,15 +208,18 @@ def reduce_terms(terms, zeroed_symbols):
     return tuple(t for t in terms if not zeroed & set(t[2]))
 
 
-TERMS_NO_E3 = reduce_terms(TERMS_FULL_PRINTED, _REMOVED_BY_VARIANT["no-e3"])
-TERMS_NO_E2E5 = reduce_terms(TERMS_FULL_PRINTED, _REMOVED_BY_VARIANT["no-e2e5"])
+def edge_symbols(edge: str) -> frozenset:
+    """The diamond symbols that ``zero_edge_coefficients`` zeroes on ``edge``."""
+    topology = diamond_topology()
+    ones = diamond_coefficients(dict.fromkeys(DIAMOND_SYMBOLS, 1.0))
+    cut = diamond_symbols(topology, zero_edge_coefficients(ones, topology.edge_index(edge)))
+    return frozenset(symbol for symbol, value in cut.items() if value == 0)
 
 
 @dataclass(frozen=True)
 class Grad11Expansion:
     """One variant of the expanded gradient entry, stored term by term."""
 
-    variant: str
     terms: tuple
 
     @property
@@ -223,11 +241,15 @@ class Grad11Expansion:
 
 
 EXPANSIONS = {
-    "full": Grad11Expansion("full", TERMS_FULL_PRINTED),
-    "full-corrected": Grad11Expansion("full-corrected", TERMS_FULL_CORRECTED),
-    "no-e3": Grad11Expansion("no-e3", TERMS_NO_E3),
-    "no-e2e5": Grad11Expansion("no-e2e5", TERMS_NO_E2E5),
+    "full": Grad11Expansion(TERMS_FULL_PRINTED),
+    "full-corrected": Grad11Expansion(TERMS_FULL_CORRECTED),
+    **{
+        variant: Grad11Expansion(reduce_terms(TERMS_FULL_PRINTED, removed))
+        for variant, removed in _REMOVED_BY_VARIANT.items()
+    },
 }
+TERMS_NO_E3 = EXPANSIONS["no-e3"].terms
+TERMS_NO_E2E5 = EXPANSIONS["no-e2e5"].terms
 
 
 def topology_grad11(variant: str, symbols, error_matrix) -> complex:
@@ -244,11 +266,11 @@ def grad11_matrix_form(symbols, error_matrix) -> complex:
 
 def erratum_delta(symbols, error_matrix) -> complex:
     """Value of (published - corrected): the single divergent monomial pair."""
+    index, published = _ERRATUM
+    row, col, corrected = TERMS_FULL_CORRECTED[index]
+    printed, fixed = (reduce(mul, (symbols[f] for f in factors)) for factors in (published, corrected))
     E = np.asarray(error_matrix, dtype=complex)
-    s = symbols
-    printed = s[_G41] * s[_G52] * s[_B25] * s[_A21] * s[_A11]
-    corrected = s[_G42] * s[_G52] * s[_B25] * s[_A21] * s[_A11]
-    return complex(E[0, 0] * (printed - corrected))
+    return complex(E[row, col] * (printed - fixed))
 
 
 @dataclass(frozen=True)
@@ -256,7 +278,6 @@ class ExpansionCheck:
     """Per-draw comparison of the printed expansion against the matrix form."""
 
     printed_values: np.ndarray
-    corrected_values: np.ndarray
     matrix_values: np.ndarray
     printed_gap: np.ndarray
     corrected_gap: np.ndarray
@@ -274,10 +295,14 @@ class ExpansionCheck:
     def max_attribution_gap(self) -> float:
         return float(self.attribution_gap.max())
 
-    def erratum_confirmed(self, tol: float = 1e-10) -> bool:
-        """True when the corrected list matches the matrix form and the
+    def draw_passed(self, tol: float = 1e-10) -> np.ndarray:
+        """Per draw: the corrected list matches the matrix form and the
         published/matrix discrepancy is exactly the known divergent term."""
-        return self.max_corrected_gap <= tol and self.max_attribution_gap <= tol
+        return (self.corrected_gap <= tol) & (self.attribution_gap <= tol)
+
+    def erratum_confirmed(self, tol: float = 1e-10) -> bool:
+        """True when every draw passes ``draw_passed``."""
+        return bool(self.draw_passed(tol).all())
 
 
 def grad11_matches_matrix_form(draws: int = 100, seed: int = 7_2025) -> ExpansionCheck:
@@ -285,33 +310,30 @@ def grad11_matches_matrix_form(draws: int = 100, seed: int = 7_2025) -> Expansio
 
     Each draw assigns independent real uniforms on ``_GRAD11_RANGE`` to the
     twelve coefficients and a real 2x2 matrix to E (the identity is algebraic,
-    so E need not be a valid error matrix here).
+    so E need not be a valid error matrix here).  ``draws`` must be at least 1.
     """
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws!r}")
     rng = _philox(seed, 0x9511)
-    printed_values = np.zeros(draws, dtype=complex)
-    corrected_values = np.zeros(draws, dtype=complex)
-    matrix_values = np.zeros(draws, dtype=complex)
-    printed_gap = np.zeros(draws)
-    corrected_gap = np.zeros(draws)
-    attribution_gap = np.zeros(draws)
-    for d in range(draws):
+    values = []
+    for _ in range(draws):
         symbols = {name: float(rng.uniform(*_GRAD11_RANGE)) for name in DIAMOND_SYMBOLS}
         E = rng.uniform(*_GRAD11_RANGE, size=(2, 2))
-        matrix_values[d] = grad11_matrix_form(symbols, E)
-        printed_values[d] = topology_grad11("full", symbols, E)
-        corrected_values[d] = topology_grad11("full-corrected", symbols, E)
-        printed_gap[d] = abs(printed_values[d] - matrix_values[d])
-        corrected_gap[d] = abs(corrected_values[d] - matrix_values[d])
-        attribution_gap[d] = abs(
-            printed_values[d] - matrix_values[d] - erratum_delta(symbols, E)
+        values.append(
+            (
+                topology_grad11("full", symbols, E),
+                grad11_matrix_form(symbols, E),
+                topology_grad11("full-corrected", symbols, E),
+                erratum_delta(symbols, E),
+            )
         )
+    printed, matrix, corrected, delta = (np.array(column, dtype=complex) for column in zip(*values))
     return ExpansionCheck(
-        printed_values=printed_values,
-        corrected_values=corrected_values,
-        matrix_values=matrix_values,
-        printed_gap=printed_gap,
-        corrected_gap=corrected_gap,
-        attribution_gap=attribution_gap,
+        printed_values=printed,
+        matrix_values=matrix,
+        printed_gap=np.abs(printed - matrix),
+        corrected_gap=np.abs(corrected - matrix),
+        attribution_gap=np.abs(printed - matrix - delta),
     )
 
 

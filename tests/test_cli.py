@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from pathlib import Path
 
+from codedflow import scenarios
 from codedflow.cli import _compact, main, parse_config, run
 from codedflow.infogradients import verify_gradients
 from codedflow.errors import ConfigError
@@ -186,6 +187,19 @@ class TestCommands:
         assert report.passed
         assert any("erratum" in note for note in report.notes)
 
+    def test_example1_reduction_row_fails_on_a_corrupted_variant(self, tmp_path, monkeypatch):
+        # the hand-written no-e3 symbol set made wrong (gamma_e5_1 is not on edge
+        # e3), with the stored variant built from it, so the two still agree
+        removed = frozenset({"beta_e1_e3", "beta_e3_e5", "gamma_e5_1"})
+        wrong = scenarios.Grad11Expansion(scenarios.reduce_terms(scenarios.TERMS_FULL_PRINTED, removed))
+        monkeypatch.setitem(scenarios._REMOVED_BY_VARIANT, "no-e3", removed)
+        monkeypatch.setitem(scenarios.EXPANSIONS, "no-e3", wrong)
+        report = run(parse_config(FIGURE1.read_text()), "example1", tmp_path)
+        verdicts = {row.check_id: row.passed for row in report.rows}
+        assert verdicts["reduction.no-e3"] is False
+        assert verdicts["reduction.no-e2e5"] is True
+        assert not report.passed
+
     def test_example1_needs_diamond_topology(self, tmp_path):
         report = run(parse_config(SCALAR_CHAIN), "example1", tmp_path)
         assert not report.passed
@@ -276,6 +290,8 @@ class TestMain:
             ("kind = bpsk", "kind = qam"),
             ("mode = explicit", "mode = random"),
             ("units = nats", "units = furlongs"),
+            ("sources = a", "sources = zz"),
+            ("sinks = b", "sinks = b zz"),
         ],
     )
     def test_exit_two_names_key_and_line_of_invalid_setting(self, tmp_path, capsys, old, new):

@@ -209,6 +209,34 @@ class TestMatrixComparison:
         assert check.max_attribution_gap <= 1e-10
         assert check.erratum_confirmed()
 
+    @pytest.mark.parametrize("draws", [0, -3])
+    def test_draws_below_one_rejected(self, draws):
+        with pytest.raises(ValueError, match="draws must be at least 1"):
+            grad11_matches_matrix_form(draws=draws)
+
+    def test_per_draw_verdict_backs_erratum_confirmed(self):
+        check = grad11_matches_matrix_form(draws=5, seed=3)
+        assert check.draw_passed().tolist() == [True] * 5
+        failing = scenarios.ExpansionCheck(
+            **{**check.__dict__, "attribution_gap": check.attribution_gap + np.array([0, 0, 1.0, 0, 0])}
+        )
+        assert failing.draw_passed().tolist() == [True, True, False, True, True]
+        assert not failing.erratum_confirmed()
+
+    def test_erratum_record_is_the_only_difference(self):
+        index, published = scenarios._ERRATUM
+        assert scenarios.TERMS_FULL_PRINTED[index][2] == published
+        assert scenarios.TERMS_FULL_PRINTED[:index] == scenarios.TERMS_FULL_CORRECTED[:index]
+        assert scenarios.TERMS_FULL_PRINTED[index + 1 :] == scenarios.TERMS_FULL_CORRECTED[index + 1 :]
+        assert scenarios.erratum_note() == (
+            "erratum: E11 group, term 6 - published gamma_e4_1*gamma_e5_2, "
+            "matrix form gives gamma_e4_2*gamma_e5_2"
+        )
+
+    @pytest.mark.parametrize("edge, variant", [("e3", "no-e3"), ("e5", "no-e2e5")])
+    def test_edge_zeroing_names_the_variant_symbols(self, edge, variant):
+        assert scenarios.edge_symbols(edge) == scenarios._REMOVED_BY_VARIANT[variant]
+
     def test_gradient_entry_matches_corrected_expansion(self):
         """The closed-form topology gradient's first entry equals the
         corrected expansion at the same real coefficients."""
