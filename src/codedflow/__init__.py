@@ -42,12 +42,9 @@ from .netgraph import (
 )
 from .flowmodel import (
     InputDistribution,
-    NoiseModel,
     SampleBatch,
-    conditional_density,
     log_conditional_density,
     log_output_density,
-    output_density,
     output_score,
     sample,
 )

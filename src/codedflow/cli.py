@@ -170,15 +170,17 @@ def _number(convert, text, key, line=None):
         raise ConfigError(f"{key} must be {kind}, not {text!r}", line=line) from None
 
 
-def _parse_complex(tokens, lineno):
+def _parse_complex(tokens, lineno, key):
     if len(tokens) not in (1, 2):
         raise ConfigError("coefficient values take one or two numbers", line=lineno)
     try:
-        re_part = float(tokens[0])
-        im_part = float(tokens[1]) if len(tokens) == 2 else 0.0
+        parts = [float(token) for token in tokens]
     except ValueError:
         raise ConfigError(f"bad number in {' '.join(tokens)!r}", line=lineno) from None
-    return complex(re_part, im_part)
+    for token, part in zip(tokens, parts):
+        if not np.isfinite(part):
+            raise ConfigError(f"{key} must be finite, not {token!r}", line=lineno)
+    return complex(*parts)
 
 
 def _seeded_coefficients(topology, n_in, n_out, seed, low, high):
@@ -299,7 +301,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                         indices.append(topology.edge_index(token))
                     else:
                         indices.append(_number(int, token, f"{family} index", lineno) - 1)
-                store[tuple(indices)] = _parse_complex(value, lineno)
+                store[tuple(indices)] = _parse_complex(value, lineno, family)
         coefficients = CodingCoefficients(**families)
 
     # -- engine -----------------------------------------------------------
@@ -430,12 +432,9 @@ def _matrix_rows(report, target, closed, oracle=None, tolerance=None):
 
 
 def _info_note(report, label, mi):
-    value = mi.nats / NATS_PER_BIT if report.units == "bits" else mi.nats
-    se = ""
-    if mi.standard_error is not None:
-        se_val = mi.standard_error / (NATS_PER_BIT if report.units == "bits" else 1.0)
-        se = f" +- {se_val:.2e}"
-    report.notes.append(f"{label}: {value:.9f} {report.units}{se} [{mi.method}]")
+    per_unit = NATS_PER_BIT if report.units == "bits" else 1.0
+    se = "" if mi.standard_error is None else f" +- {mi.standard_error / per_unit:.2e}"
+    report.notes.append(f"{label}: {mi.nats / per_unit:.9f} {report.units}{se} [{mi.method}]")
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +473,9 @@ def _cmd_gradients(config: RunConfig, report: Report):
 
 def _cmd_cuts(config: RunConfig, report: Report):
     sys_c = _compact(config)
+    results = {}
     for cut in ("source", "mid"):
-        result = verify_gradients(sys_c, config.dist, config.engine, step=config.step, objective=cut)
+        result = results[cut] = verify_gradients(sys_c, config.dist, config.engine, step=config.step, objective=cut)
         mi = mutual_information(effective_matrix(cut, sys_c), config.dist, config.engine)
         _info_note(report, f"{cut}-cut information", mi)
         for target in result.targets():
@@ -485,13 +485,12 @@ def _cmd_cuts(config: RunConfig, report: Report):
     mi_full = mutual_information(sys_c.M, config.dist, config.engine)
     _info_note(report, "full-cut information", mi_full)
 
-    # reduction identities, exact: mid-cut with G = I matches the source form,
-    # and the full forms with A = G = I match the source form
-    eye = np.eye(sys_c.G.shape[0])
-    err_src = mmse_matrix(sys_c.B, config.dist, config.engine)
-    for cut, A in (("mid", sys_c.A), ("full", np.eye(sys_c.B.shape[0]))):
-        reduced = SystemMatrices.from_factors(A, eye, sys_c.B, form="compact")
-        closed, source = (closed_gradient(reduced, err_src, "B", objective) for objective in (cut, "source"))
+    # reduction identities, exact: with A = G = I the mid and full forms equal the source form
+    eye = np.eye(sys_c.B.shape[0])
+    reduced = SystemMatrices.from_factors(eye, eye, sys_c.B, form="compact")
+    source = closed_gradient(reduced, results["source"].mmse, "B", "source")
+    for cut in ("mid", "full"):
+        closed = closed_gradient(reduced, results["source"].mmse, "B", cut)
         _matrix_rows(report, f"reduction.{cut}_vs_source", closed, source, _EXACT_TOL)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DensityUnderflow, EmptySupport
+from .errors import CostGuardError, DensityUnderflow, EmptySupport
 
 LOG_UNDERFLOW = -700.0
 _PROB_TOL = 1e-12
@@ -35,6 +35,7 @@ _SAMPLE_CHUNK = 4096
 # per chunk of points, 8*K B a point, never the worker count: fixes the chunking.  512 KiB was
 # the fastest of 64 KiB-4 MiB at 2e5 points, K = 16 and 64, on 1 and 2 threads (2 MiB L2 a core)
 _LSE_CHUNK_BYTES = 1 << 19
+_DRAW_CAP_BYTES = 1 << 30  # input and noise draws, 16 B an entry: 16,777,216 figure1 samples (64 B each)
 
 _QPSK_SYMBOLS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
@@ -130,19 +131,6 @@ def _product_constellation(symbols: np.ndarray, dimension: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NoiseModel:
-    """Circularly-symmetric complex Gaussian noise, unit variance per component."""
-
-    dimension: int
-
-    def log_density(self, v) -> float:
-        return float(_log_noise_density(np.asarray(v, dtype=complex), self.dimension))
-
-    def density(self, v) -> float:
-        return float(np.exp(self.log_density(v)))
-
-
-@dataclass(frozen=True)
 class SampleBatch:
     """Paired (x, z) draws; identical (seed, count, model) gives identical arrays."""
 
@@ -179,10 +167,6 @@ def log_conditional_density(M, x, z) -> float:
     return float(_log_noise_density(z - M @ x, M.shape[0]))
 
 
-def conditional_density(M, x, z) -> float:
-    return float(np.exp(log_conditional_density(M, x, z)))
-
-
 def _output_moments(M) -> np.ndarray:
     """Output covariance I + M M^H for a unit-covariance Gaussian input."""
     M = np.asarray(M, dtype=complex)
@@ -208,10 +192,6 @@ def log_output_density(M, dist: InputDistribution, z) -> float:
     if z.shape != (n_out,):
         raise ValueError(f"z has shape {z.shape}, expected ({n_out},)")
     return float(_above_floor(_log_output_density(M, dist, z[None, :]))[0])
-
-
-def output_density(M, dist: InputDistribution, z) -> float:
-    return float(np.exp(log_output_density(M, dist, z)))
 
 
 def output_score(M, dist: InputDistribution, z) -> np.ndarray:
@@ -322,10 +302,16 @@ def draw_inputs_and_noise(dist: InputDistribution, n_out: int, seed: int, count:
 
     Draws are keyed per fixed-size chunk by (seed, chunk index) through a
     counter-based bit generator, so identical (seed, count) produce
-    bitwise-identical arrays for any number of workers.
+    bitwise-identical arrays for any number of workers.  Draws over
+    ``_DRAW_CAP_BYTES`` raise ``CostGuardError`` before any allocation.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    need = count * (dist.dimension + n_out) * 16
+    if need > _DRAW_CAP_BYTES:
+        raise CostGuardError(
+            f"{count} Monte Carlo samples need {need / 2**30:.3g} GiB of draws, over the {_DRAW_CAP_BYTES >> 30} GiB cost guard"
+        )
     xs = np.empty((count, dist.dimension), dtype=complex)
     ns = np.empty((count, n_out), dtype=complex)
     spans = [

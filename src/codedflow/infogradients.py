@@ -4,9 +4,11 @@ Closed forms
 ------------
 Every closed form is one chain rule.  For a channel ``z = M x + n`` with
 conditional-mean error matrix ``E``, the information gradient with respect
-to ``M`` is ``M E`` (Palomar & Verdu 2006).  An objective's channel factors
-around the target matrix ``X`` as ``M_eff = L X R``, so the gradient with
-respect to ``X`` is ``L^H M_eff E R^H``.  One table fixes ``(X, L, R)``:
+to ``M`` is ``M E`` (Palomar & Verdu 2006).  Each objective's channel is a
+suffix of the factor chain: full = (A, G, B), mid = (G, B), source = (B,).
+Around a target ``X`` in it ``M_eff = L X R``, with ``L`` and ``R`` the
+products of the factors left and right of ``X`` (an empty product is ``I``),
+so the gradient with respect to ``X`` is ``L^H M_eff E R^H``.  Expanded:
 
     objective  channel            X   L     R      gradient
     full       z = A G B x + n    A   I     G B    M E B^H G^H
@@ -17,8 +19,8 @@ respect to ``X`` is ``L^H M_eff E R^H``.  One table fixes ``(X, L, R)``:
                                   B   G     I      G^H G B E
 
 where ``E`` is always the error matrix of the objective's own channel.  The
-same table rebuilds the channel from a perturbed factor for the
-finite-difference oracle, and gives the Gaussian-input gradient
+same ``L`` and ``R`` rebuild the channel from a perturbed factor for the
+finite-difference oracle, and give the Gaussian-input gradient
 ``L^H (I + M_eff M_eff^H)^{-1} M_eff R^H`` of ``log det(I + M_eff M_eff^H)``
 without any error matrix.
 
@@ -28,9 +30,9 @@ evaluation here: the reported values, the oracle and the refinement probe.
 
 Oracles
 -------
-``_slope`` is the one finite difference: it forms ``X +- step D``, rebuilds
-the channel and differences the information, by ``_moments`` or, for a
-Monte Carlo oracle, on one common draw whose ``log p(z|x)`` is computed once.
+``_slope`` is the one finite difference: it forms ``L (X +- step D) R`` and
+differences the information, by ``_moments`` or, for a Monte Carlo oracle,
+on one common draw whose ``log p(z|x)`` is computed once.
 ``grad_oracle`` maps it over the unit directions ``E_ij`` and ``i E_ij``;
 ``directional_derivative`` is one quadrature call of it.
 
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -122,31 +125,30 @@ def mutual_information(M, dist: InputDistribution, spec: EngineSpec = EngineSpec
 # ---------------------------------------------------------------------------
 
 
-# (objective, target) -> sys -> (X, L, R): the target factor X and its
-# surroundings in the objective's channel M_eff = L @ X @ R.  Identities are
-# real np.eye matrices, so products with them are exact.
-_CHAIN = {
-    ("full", "A"): lambda s: (s.A, np.eye(s.A.shape[0]), s.G @ s.B),
-    ("full", "G"): lambda s: (s.G, s.A, s.B),
-    ("full", "B"): lambda s: (s.B, s.A @ s.G, np.eye(s.B.shape[1])),
-    ("source", "B"): lambda s: (s.B, np.eye(s.B.shape[0]), np.eye(s.B.shape[1])),
-    ("mid", "G"): lambda s: (s.G, np.eye(s.G.shape[0]), s.B),
-    ("mid", "B"): lambda s: (s.B, s.G, np.eye(s.B.shape[1])),
-}
-
-
-def _chain(sys: SystemMatrices, objective: str, target: str):
-    if not _targets(objective):
-        raise ValueError(f"unknown objective {objective!r}")
-    rule = _CHAIN.get((objective, target))
-    if rule is None:
-        raise ValueError(f"target {target!r} does not enter the {objective!r} objective")
-    return rule(sys)
+# objective -> the factors its channel multiplies, a suffix of M = A G B
+_OBJECTIVES = {"full": ("A", "G", "B"), "mid": ("G", "B"), "source": ("B",)}
 
 
 def _targets(objective: str) -> tuple:
-    """The factors an objective's channel depends on, in table order."""
-    return tuple(t for o, t in _CHAIN if o == objective)
+    """The factors an objective's channel multiplies, in chain order."""
+    if objective not in _OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}")
+    return _OBJECTIVES[objective]
+
+
+def _chain(sys: SystemMatrices, objective: str, target: str):
+    """``(X, L, R)`` with ``M_eff = L @ X @ R``: ``L`` and ``R`` multiply the factors left and
+    right of the target, in chain order; an empty product is a real ``np.eye``, so it is exact."""
+    factors = _targets(objective)
+    if target not in factors:
+        raise ValueError(f"target {target!r} does not enter the {objective!r} objective")
+    k = factors.index(target)
+    X = getattr(sys, target)
+    left = [getattr(sys, f) for f in factors[:k]]
+    right = [getattr(sys, f) for f in factors[k + 1 :]]
+    L = reduce(np.matmul, left) if left else np.eye(X.shape[0])
+    R = reduce(np.matmul, right) if right else np.eye(X.shape[1])
+    return X, L, R
 
 
 def _gradient(sys: SystemMatrices, E: np.ndarray, target: str, objective: str) -> np.ndarray:
@@ -186,26 +188,21 @@ def grad_mi_cut(cut: str, which: str, sys: SystemMatrices, mmse_cut: MmseMatrix)
     return _gradient(sys, mmse_cut.matrix, which, cut)
 
 
-def _rebuilder(sys: SystemMatrices, target: str, objective: str):
-    """Returns (base matrix, function mapping a replacement to the effective channel)."""
-    X, L, R = _chain(sys, objective, target)
-    return X, lambda Y: L @ Y @ R
-
-
 # ---------------------------------------------------------------------------
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 
 
-def _slope(rebuild, base, direction, dist, spec, step, draws=None):
-    """``(slope, se)``: the central difference of I along ``direction``, the one finite difference.
+def _slope(L, base, R, direction, dist, spec, step, draws=None):
+    """``(slope, se)``: the central difference of I along ``direction``, the one finite difference,
+    through the channels ``L @ (base +- step * direction) @ R``.
 
     Without ``draws`` it differences two evaluations by ``estimator._moments`` (se 0).  With
     ``draws = (inputs, noise, log_cond)``, common random numbers shared by every call, it averages
     the per-sample information difference ``(log_cond - log p(z+)) - (log_cond - log p(z-))`` at
     ``z = inputs @ M^T + noise`` and returns its batch-means standard error.
     """
-    plus, minus = rebuild(base + step * direction), rebuild(base - step * direction)
+    plus, minus = L @ (base + step * direction) @ R, L @ (base - step * direction) @ R
     if draws is None:
         diff = _moments(plus, dist, spec, want_mmse=False)[0] - _moments(minus, dist, spec, want_mmse=False)[0]
         return diff / (2.0 * step), 0.0
@@ -239,13 +236,13 @@ def grad_oracle(
     """
     if not STEP_RANGE[0] <= step <= STEP_RANGE[1]:
         raise ValueError(f"step must lie in [{STEP_RANGE[0]:g}, {STEP_RANGE[1]:g}]")
-    base, rebuild = _rebuilder(sys, target, objective)
+    base, L, R = _chain(sys, objective, target)
     if not np.all(np.isfinite(base)):
         raise ValueError("target matrix has non-finite entries")
 
     draws = None
     if spec.method == "mc":
-        n_out = effective_matrix(objective, sys).shape[0]
+        n_out = L.shape[0]
         inputs, noise = flowmodel.draw_inputs_and_noise(
             dist, n_out, spec.seed, spec.mc_samples(), workers=spec.workers
         )
@@ -258,7 +255,7 @@ def grad_oracle(
         i, j, unit = coord
         direction = np.zeros(base.shape, dtype=complex)
         direction[i, j] = unit
-        return _slope(rebuild, base, direction, dist, spec, step, draws)
+        return _slope(L, base, R, direction, dist, spec, step, draws)
 
     if spec.workers > 1:
         with ThreadPoolExecutor(max_workers=spec.workers) as pool:
@@ -294,9 +291,9 @@ def directional_derivative(
 ) -> float:
     """Central difference of I along a fixed matrix direction, always by the
     deterministic route: under a Monte Carlo spec it stays a quadrature check."""
-    base, rebuild = _rebuilder(sys, target, objective)
+    base, L, R = _chain(sys, objective, target)
     direction = np.asarray(direction, dtype=complex)
-    return _slope(rebuild, base, direction, dist, replace(spec, method="quadrature"), step)[0]
+    return _slope(L, base, R, direction, dist, replace(spec, method="quadrature"), step)[0]
 
 
 def gaussian_logdet_gradient(sys: SystemMatrices, target: str, objective: str = "full") -> np.ndarray:

@@ -39,6 +39,32 @@ tolerance = 1e-3
 units = nats
 """
 
+# fan-in relay s -> {a, b} -> c -> t: the compact G is 1 x 2, not square
+FAN_IN = """
+[topology]
+vertices = s a b c t
+outputs = 1
+edge e1 = s a
+edge e2 = s b
+edge e3 = a c
+edge e4 = b c
+edge e5 = c t
+sources = s
+sinks = t
+
+[coefficients]
+mode = seeded
+seed = 11
+
+[input]
+kind = qpsk
+dimension = 2
+
+[engine]
+method = quadrature
+nodes = 16
+"""
+
 
 class TestParsing:
     def test_figure1_parses_to_diamond(self):
@@ -292,6 +318,9 @@ class TestMain:
             ("units = nats", "units = furlongs"),
             ("sources = a", "sources = zz"),
             ("sinks = b", "sinks = b zz"),
+            ("alpha 1 e1 = 1.0", "alpha 1 e1 = inf"),
+            ("alpha 1 e1 = 1.0", "alpha 1 e1 = nan"),
+            ("alpha 1 e1 = 1.0", "alpha 1 e1 = 1e400"),
         ],
     )
     def test_exit_two_names_key_and_line_of_invalid_setting(self, tmp_path, capsys, old, new):
@@ -343,6 +372,25 @@ class TestMain:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert re.search(message, capsys.readouterr().err)
         assert not out.exists()
+
+    def test_cuts_on_a_non_square_topology_runs_its_reductions(self, tmp_path, capsys):
+        cfg = tmp_path / "fan_in.cfg"
+        cfg.write_text(FAN_IN)
+        out = tmp_path / "out"
+        assert main(["cuts", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+        assert (out / "cuts_report.txt").exists()
+        lines = (out / "cuts.csv").read_text().splitlines()
+        for reduction in ("mid_vs_source", "full_vs_source"):
+            rows = [line for line in lines if line.startswith(f"cuts,reduction.{reduction}[")]
+            assert rows and all(line.endswith(",true") for line in rows), reduction
+
+    def test_oversized_monte_carlo_draw_leaves_fail_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        flags = ["--method", "mc", "--samples", "1000000000000"]
+        assert main(["verify", "--config", str(FIGURE1), "--out", str(out), *flags]) == 2
+        text = (out / "verify_report.txt").read_text()
+        assert re.search(r"error: 1000000000000 Monte Carlo samples need .* over the 1 GiB cost guard", text)
+        assert "RESULT: FAIL" in text
 
     def test_negative_seed_flag_runs_example1(self, tmp_path):
         out = tmp_path / "out"

@@ -11,11 +11,8 @@ from codedflow import (
     EmptySupport,
     EngineSpec,
     InputDistribution,
-    NoiseModel,
-    conditional_density,
     log_conditional_density,
     log_output_density,
-    output_density,
     output_score,
     sample,
 )
@@ -29,15 +26,15 @@ class TestConditionalDensity:
     def test_zero_residual_scalar(self):
         M = np.array([[0.3 + 0.1j]])
         x = np.array([2.0 - 1.0j])
-        assert conditional_density(M, x, M @ x) == pytest.approx(1.0 / np.pi)
+        assert np.exp(log_conditional_density(M, x, M @ x)) == pytest.approx(1.0 / np.pi)
 
     def test_zero_residual_two_outputs(self, rng):
         M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         x = rng.normal(size=2) + 1j * rng.normal(size=2)
-        assert conditional_density(M, x, M @ x) == pytest.approx(1.0 / np.pi**2)
+        assert np.exp(log_conditional_density(M, x, M @ x)) == pytest.approx(1.0 / np.pi**2)
 
     def test_unit_residual(self):
-        value = conditional_density(np.array([[1.0]]), np.array([1.0]), np.array([0.0]))
+        value = np.exp(log_conditional_density(np.array([[1.0]]), np.array([1.0]), np.array([0.0])))
         assert value == pytest.approx(np.exp(-1.0) / np.pi)
 
     def test_dimension_mismatch(self):
@@ -51,7 +48,8 @@ class TestOutputDensity:
         x0 = np.array([1.0 + 1j, -0.5j])
         dist = InputDistribution.point(x0)
         z = rng.normal(size=2) + 1j * rng.normal(size=2)
-        assert output_density(M, dist, z) == pytest.approx(conditional_density(M, x0, z))
+        expected = np.exp(log_conditional_density(M, x0, z))
+        assert np.exp(log_output_density(M, dist, z)) == pytest.approx(expected)
 
     def test_indistinguishable_inputs_give_pure_noise_density(self, rng):
         dist = InputDistribution.bpsk(1)
@@ -59,7 +57,7 @@ class TestOutputDensity:
         for _ in range(5):
             z = np.array([complex(rng.normal(), rng.normal())])
             expected = np.exp(-abs(z[0]) ** 2) / np.pi
-            assert output_density(M, dist, z) == pytest.approx(expected, rel=1e-12)
+            assert np.exp(log_output_density(M, dist, z)) == pytest.approx(expected, rel=1e-12)
 
     def test_gaussian_closed_form_vs_fine_discrete_approximation(self, rng):
         # a discrete cloud of Gaussian draws approximates the Gaussian input;
@@ -70,8 +68,8 @@ class TestOutputDensity:
         approx = InputDistribution.discrete(cloud)
         for _ in range(3):
             z = rng.normal(size=2) + 1j * rng.normal(size=2)
-            exact = output_density(M, gauss, z)
-            estimate = output_density(M, approx, z)
+            exact = np.exp(log_output_density(M, gauss, z))
+            estimate = np.exp(log_output_density(M, approx, z))
             assert estimate == pytest.approx(exact, rel=0.05)
 
     def test_empty_support_rejected(self):
@@ -89,10 +87,10 @@ class TestOutputDensity:
         for _ in range(10):
             z = rng.normal(size=2) + 1j * rng.normal(size=2)
             direct = sum(
-                p * conditional_density(M, x, z)
+                p * np.exp(log_conditional_density(M, x, z))
                 for p, x in zip(dist.probs, dist.support)
             )
-            assert output_density(M, dist, z) == pytest.approx(direct, rel=1e-10)
+            assert np.exp(log_output_density(M, dist, z)) == pytest.approx(direct, rel=1e-10)
 
     def test_scalar_normalization_by_quadrature(self):
         # importance-reweighted Gauss-Hermite integral of p(z) over the plane
@@ -268,9 +266,9 @@ class TestInputDistribution:
         z = np.array([complex(rng.normal(), rng.normal())])
         # total probability over support equals the mixture density
         direct = sum(
-            p * conditional_density(M, x, z) for p, x in zip(dist.probs, dist.support)
+            p * np.exp(log_conditional_density(M, x, z)) for p, x in zip(dist.probs, dist.support)
         )
-        assert output_density(M, dist, z) == pytest.approx(direct, rel=1e-9)
+        assert np.exp(log_output_density(M, dist, z)) == pytest.approx(direct, rel=1e-9)
 
 
 class TestSampling:
@@ -307,10 +305,11 @@ class TestSampling:
             sample(np.eye(1), InputDistribution.bpsk(1), seed=0, count=0)
 
     def test_noise_model_density_normalizes(self):
-        noise = NoiseModel(dimension=1)
-        assert noise.density(np.array([0.0])) == pytest.approx(1 / np.pi)
+        # with M = 0 the conditional density of z is the noise density
+        M, x = np.zeros((1, 1)), np.zeros(1)
+        assert np.exp(log_conditional_density(M, x, np.array([0.0]))) == pytest.approx(1 / np.pi)
         points, weights = complex_gauss_hermite(1, 64)
         # E_{CN(0,1)}[density / density] integrates the density exactly
-        values = np.array([noise.density(p) for p in points])
+        values = np.array([np.exp(log_conditional_density(M, x, p)) for p in points])
         reference = np.exp(-np.abs(points[:, 0]) ** 2) / np.pi
         assert float(weights @ (values / reference)) == pytest.approx(1.0, abs=1e-10)

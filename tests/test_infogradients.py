@@ -45,7 +45,16 @@ from codedflow import (
 from codedflow import flowmodel
 from codedflow.estimator import mc_moments, quadrature_moments
 from codedflow.errors import InvariantViolation
-from codedflow.infogradients import MutualInformationValue, _CHAIN, _chain, closed_gradient, effective_matrix
+from codedflow.infogradients import (
+    MutualInformationValue,
+    _OBJECTIVES,
+    _chain,
+    closed_gradient,
+    effective_matrix,
+)
+
+# every (objective, target) pair of the objective table
+_PAIRS = [(objective, target) for objective, factors in _OBJECTIVES.items() for target in factors]
 
 FROZEN_SCALAR_INFO_M1 = 0.500072136066845  # two-point input, unit gain, nats
 
@@ -405,11 +414,23 @@ def _hand_forms(sys, E):
 
 
 class TestChainTable:
-    """The (objective, target) -> (X, L, R) table against hand-written forms.
+    """The (X, L, R) derived from the objective table against hand-written forms.
 
     Random DAGs give rectangular factors and empty dimensions, which square
     2x2 factors cannot: an identity of the wrong size shows up only there.
     """
+
+    @pytest.mark.parametrize("seed", [4, 9])
+    def test_suffix_rule_expands_to_the_six_rows_in_chain_order(self, seed):
+        _, sys = _dag_system(seed)
+        assert sorted(_PAIRS) == sorted(_hand_forms(sys, None))
+        # non-empty products are the plain chain-order products, empty ones real identities
+        np.testing.assert_array_equal(_chain(sys, "full", "A")[2], sys.G @ sys.B)
+        np.testing.assert_array_equal(_chain(sys, "full", "B")[1], sys.A @ sys.G)
+        X, L, R = _chain(sys, "source", "B")
+        assert L.dtype == R.dtype == np.float64
+        np.testing.assert_array_equal(L, np.eye(X.shape[0]))
+        np.testing.assert_array_equal(R, np.eye(X.shape[1]))
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @example(seed=4)  # A is 2x0, G is 0x2: an empty middle dimension
@@ -488,7 +509,7 @@ class TestSharedSlope:
     def test_quadrature_oracle_is_two_directional_derivatives(self, seed, n_out, n_mid, n_in, kind):
         sys, dist = _compact_case(seed, n_out, n_mid, n_in, kind)
         spec = EngineSpec(nodes=6)
-        for objective, target in _CHAIN:
+        for objective, target in _PAIRS:
             oracle = grad_oracle(sys, dist, target, spec, step=self.STEP, objective=objective)
             expected = np.zeros_like(oracle)
             for i, j in np.ndindex(oracle.shape):
@@ -506,7 +527,7 @@ class TestSharedSlope:
     def test_monte_carlo_oracle_matches_explicit_common_draws(self, seed, n_out, n_mid, n_in, kind):
         sys, dist = _compact_case(seed, n_out, n_mid, n_in, kind)
         spec = EngineSpec(method="mc", samples=2000, seed=seed % 1000)
-        for objective, target in _CHAIN:
+        for objective, target in _PAIRS:
             X, L, R = _chain(sys, objective, target)
             inputs, noise = flowmodel.draw_inputs_and_noise(dist, L.shape[0], spec.seed, spec.samples)
             log_cond = -L.shape[0] * np.log(np.pi) - np.sum(np.abs(noise) ** 2, axis=1)
