@@ -172,11 +172,8 @@ def _number(convert, text, key, line=None):
 
 def _parse_complex(tokens, lineno, key):
     if len(tokens) not in (1, 2):
-        raise ConfigError("coefficient values take one or two numbers", line=lineno)
-    try:
-        parts = [float(token) for token in tokens]
-    except ValueError:
-        raise ConfigError(f"bad number in {' '.join(tokens)!r}", line=lineno) from None
+        raise ConfigError(f"{key} must be one or two numbers, not {' '.join(tokens)!r}", line=lineno)
+    parts = [_number(float, token, key, lineno) for token in tokens]
     for token, part in zip(tokens, parts):
         if not np.isfinite(part):
             raise ConfigError(f"{key} must be finite, not {token!r}", line=lineno)

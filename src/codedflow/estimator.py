@@ -10,7 +10,8 @@ Monte Carlo with batch-means standard errors when the spec asks for it, else the
 forms ``log det(I + M M^H)`` and ``(I + M^H M)^{-1}``, else tensorized Gauss-Hermite quadrature
 (guarded at three complex output dimensions), whose mixture sums are matrix products of
 max-shifted exponentials, recomputed exactly where they underflow, and whose information is
-``sum p_k w_q ((T2 - a) - log total - (b - m2))`` per entry.
+``sum p_k w_q ((T2 - a) - log total - (b - m2))`` per entry, over one orbit of the input's phase
+symmetry.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import flowmodel
 from .errors import CostGuardError, InvariantViolation, SingularSystemMatrix
 from .flowmodel import InputDistribution, SampleBatch
 from .netgraph import SystemMatrices
-from .quadrature import complex_gauss_hermite, default_nodes
+from .quadrature import default_nodes, phase_orbit_rule
 
 _SE_BATCHES = 32
 _HERMITIAN_TOL = 1e-10
@@ -145,6 +146,10 @@ def conditional_mean_batch(M, dist: InputDistribution, points) -> np.ndarray:
 def quadrature_moments(M, dist: InputDistribution, nodes: int, *, want_mmse=True, want_mi=True):
     """Exact-expectation pass over the output density of a discrete input, ``nodes`` per axis.
 
+    The pass sums over ``phase_orbit_rule(n_out, nodes, dist.phase_order)``, which is exact: if
+    ``x -> omega x`` maps the law onto itself, ``n -> omega n`` maps the information and
+    error-matrix integrands, summed over the support, onto themselves.
+
     Returns ``(mi_nats, error_matrix, node_count)``; either output may be
     ``None`` if not requested.  Component j's exponent ``C[j,k] + T2[j,q]`` at ``mean_k + noise_q``
     (``C[j,k] = c_j + 2 S[j,k]``, S the mean Gram matrix, T2 twice the noise/mean cross terms)
@@ -158,7 +163,7 @@ def quadrature_moments(M, dist: InputDistribution, nodes: int, *, want_mmse=True
     if dist.kind != "discrete":
         raise ValueError("quadrature_moments expects a discrete input")
     n_out = M.shape[0]
-    noise, weights = complex_gauss_hermite(n_out, nodes)
+    noise, weights = phase_orbit_rule(n_out, nodes, dist.phase_order)
 
     support, probs = dist.support, dist.probs
     K, dim = support.shape

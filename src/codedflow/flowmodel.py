@@ -23,7 +23,7 @@ applied to ``log p(z)``.  Under this convention the posterior-mean identity
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,12 +42,14 @@ _QPSK_SYMBOLS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class InputDistribution:
-    """Input law of the flow vector: finite support or unit Gaussian."""
+    """Input law of the flow vector: finite support or unit Gaussian.  ``phase_order`` is 4 when
+    ``x -> i x`` leaves the law unchanged, else 2 when ``x -> -x`` does, else 1."""
 
     kind: str
     dimension: int
     support: np.ndarray | None = None
     probs: np.ndarray | None = None
+    phase_order: int = field(default=4, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("discrete", "gaussian"):
@@ -71,6 +73,7 @@ class InputDistribution:
             probs.setflags(write=False)
             object.__setattr__(self, "support", support)
             object.__setattr__(self, "probs", probs)
+            object.__setattr__(self, "phase_order", _phase_order(support, probs))
 
     # -- constructors ---------------------------------------------------
 
@@ -122,6 +125,20 @@ class InputDistribution:
             return np.inf
         p = self.probs[self.probs > 0]
         return float(-(p @ np.log(p)))
+
+
+def _phase_order(support: np.ndarray, probs: np.ndarray) -> int:
+    """The first of 4 (``x -> i x``) and 2 (``x -> -x``) whose rotation maps the (point, probability)
+    rows onto themselves, else 1; compared exactly, as multiplying by i or -1 is exact."""
+
+    def rows(points):
+        table = np.column_stack([points.real, points.imag, probs])
+        return table[np.lexsort(table.T[::-1])]
+
+    for order, omega in ((4, 1j), (2, -1)):
+        if np.array_equal(rows(support * omega), rows(support)):
+            return order
+    return 1
 
 
 def _product_constellation(symbols: np.ndarray, dimension: int) -> np.ndarray:

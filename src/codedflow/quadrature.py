@@ -7,6 +7,11 @@ used unscaled, and each complex component contributes a factor
 ``w_i * w_j / pi`` to the weight.  Rules are tensorized across complex
 components, so a rule with ``nodes`` points per real axis over ``dim``
 complex dimensions has ``nodes ** (2 * dim)`` points.
+
+numpy's Hermite nodes and weights are exactly symmetric about 0, so multiplying every coordinate
+by ``i`` (or ``-1``) permutes the grid and keeps each weight.  An expectation that rotation leaves
+unchanged is ``order`` times its sum over one representative of each orbit of points, which
+``phase_orbit_rule`` keeps: exact up to the rounding of the shorter sums.
 """
 
 from __future__ import annotations
@@ -70,6 +75,32 @@ def complex_gauss_hermite(dim: int, nodes: int):
     index = np.stack(grids, axis=-1).reshape(-1, dim)
     points = axis_points[index]
     weights = np.prod(axis_weights[index], axis=1)
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    return points, weights
+
+
+@lru_cache(maxsize=8)
+def phase_orbit_rule(dim: int, nodes: int, order: int):
+    """``complex_gauss_hermite(dim, nodes)`` over the orbits of ``n -> i n`` (order 4) or ``-n`` (2).
+
+    It keeps, in the full rule's order, the points whose first nonzero coordinate has ``Re > 0,
+    Im >= 0`` (order 4) or ``Re > 0`` or ``Re == 0, Im > 0`` (order 2), at ``order`` times their
+    weight, and the origin of odd node counts at its own.  Order 1 returns the full rule itself.
+    """
+    if order not in (1, 2, 4):
+        raise ValueError(f"phase order must be 1, 2 or 4, got {order}")
+    rule = complex_gauss_hermite(dim, nodes)
+    if order == 1:
+        return rule
+    points, weights = rule
+    nonzero = points != 0
+    lead = points[np.arange(len(points)), nonzero.argmax(axis=1)]  # first nonzero coordinate
+    re, im = lead.real, lead.imag
+    sector = (re > 0) & (im >= 0) if order == 4 else (re > 0) | ((re == 0) & (im > 0))
+    origin = ~nonzero.any(axis=1)
+    keep = sector | origin
+    points, weights = points[keep], weights[keep] * np.where(origin[keep], 1.0, order)
     points.setflags(write=False)
     weights.setflags(write=False)
     return points, weights

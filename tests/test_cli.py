@@ -108,7 +108,12 @@ class TestParsing:
 
     def test_bad_number(self):
         text = SCALAR_CHAIN.replace("alpha 1 e1 = 1.0", "alpha 1 e1 = one")
-        with pytest.raises(ConfigError, match="bad number"):
+        with pytest.raises(ConfigError, match=r"alpha must be a number, not 'one' \(line \d+\)"):
+            parse_config(text)
+
+    def test_too_many_numbers(self):
+        text = SCALAR_CHAIN.replace("alpha 1 e1 = 1.0", "alpha 1 e1 = 1.0 2.0 3.0")
+        with pytest.raises(ConfigError, match=r"alpha must be one or two numbers, not '1.0 2.0 3.0' \(line \d+\)"):
             parse_config(text)
 
     def test_entry_outside_section(self):

@@ -228,8 +228,9 @@ def _brute_force_moments(M, dist, nodes):
 
 def _underflow_gap(M, dist, nodes):
     """max_j(2T[q,j] + C[j,k]) - a_q - b_k over all (q, k): how far the
-    separable product's largest term sits below 1, in log units."""
-    noise, _ = quadrature.complex_gauss_hermite(M.shape[0], nodes)
+    separable product's largest term sits below 1, in log units, at the
+    points of the phase-orbit rule the kernel sums over."""
+    noise, _ = quadrature.phase_orbit_rule(M.shape[0], nodes, dist.phase_order)
     means = dist.support @ M.T
     C = (dist.log_probs - np.sum(np.abs(means) ** 2, axis=1))[:, None] + 2.0 * np.real(
         means.conj() @ means.T
@@ -239,11 +240,11 @@ def _underflow_gap(M, dist, nodes):
     return joint - T2.max(axis=1)[:, None] - C.max(axis=0)[None, :]
 
 
-def _assert_matches_brute_force(M, dist, nodes):
+def _assert_matches_brute_force(M, dist, nodes, rel=1e-12):
     mi, err, _ = quadrature_moments(M, dist, nodes)
     mi_ref, err_ref = _brute_force_moments(M, dist, nodes)
-    assert abs(mi - mi_ref) <= 1e-12 * abs(mi_ref)
-    assert np.max(np.abs(err - err_ref)) <= 1e-12 * max(1.0, np.max(np.abs(err_ref)))
+    assert abs(mi - mi_ref) <= rel * abs(mi_ref)
+    assert np.max(np.abs(err - err_ref)) <= rel * max(1.0, np.max(np.abs(err_ref)))
     # a pass for one output gives the combined pass's value bit for bit
     assert quadrature_moments(M, dist, nodes, want_mmse=False) == (mi, None, nodes)
     mi_skipped, err_only, _ = quadrature_moments(M, dist, nodes, want_mi=False)
@@ -298,6 +299,52 @@ class TestQuadratureKernel:
         with caplog.at_level(logging.DEBUG, logger="codedflow"):
             quadrature_moments(np.array([[0.8 + 0.3j, -0.4j]]), InputDistribution.qpsk(2), 12)
         assert caplog.records == []
+
+
+class TestPhaseOrbitRule:
+    @given(
+        n_out=st.integers(min_value=1, max_value=2),
+        kind=st.sampled_from(["bpsk", "qpsk"]),
+        n_in=st.integers(min_value=1, max_value=2),
+        odd=st.booleans(),
+        gain=st.floats(min_value=0.5, max_value=2.5),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_full_rule_brute_force(self, n_out, kind, n_in, odd, gain, seed):
+        # the brute force sums log-densities over the full rule; its own rounding reaches 1e-13
+        # of MI near gains 0.15 and 4 (kernel and reference alike, with or without the orbit
+        # rule), which the 1e-12 test above covers
+        rng = np.random.default_rng(seed)
+        M = gain * (rng.normal(size=(n_out, n_in)) + 1j * rng.normal(size=(n_out, n_in)))
+        dist = getattr(InputDistribution, kind)(n_in)
+        assert dist.phase_order == {"bpsk": 2, "qpsk": 4}[kind]
+        _assert_matches_brute_force(M, dist, (12 if n_out == 1 else 6) + odd, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "dim, nodes, order, count",
+        [(2, 16, 4, 16384), (1, 15, 4, 57), (1, 15, 2, 113), (2, 15, 4, 12657), (2, 16, 2, 32768), (3, 5, 4, 3907), (1, 1, 2, 1)],
+    )
+    def test_orbits_tile_the_full_rule(self, dim, nodes, order, count):
+        points, weights = quadrature.phase_orbit_rule(dim, nodes, order)
+        assert len(points) == len(weights) == count
+        # the orbit rule's rotations, each at 1/order of its weight, are the full rule
+        origin = ~np.any(points != 0, axis=1)
+        omega = 1j if order == 4 else -1
+        rotated = [points[~origin] * omega**k for k in range(order)] + [points[origin]]
+        shares = [weights[~origin] / order] * order + [weights[origin]]
+
+        def table(pts, wts):
+            rows = np.column_stack([pts.real, pts.imag, wts])
+            return rows[np.lexsort(rows.T[::-1])]
+
+        full = quadrature.complex_gauss_hermite(dim, nodes)
+        assert np.array_equal(table(np.concatenate(rotated), np.concatenate(shares)), table(*full))
+
+    def test_order_one_is_the_full_rule(self):
+        assert quadrature.phase_orbit_rule(2, 6, 1) is quadrature.complex_gauss_hermite(2, 6)
+        with pytest.raises(ValueError, match="phase order"):
+            quadrature.phase_orbit_rule(2, 6, 3)
 
 
 class TestExactInformation:

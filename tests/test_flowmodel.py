@@ -255,6 +255,38 @@ class TestInputDistribution:
         assert InputDistribution.bpsk(1).entropy_nats() == pytest.approx(np.log(2))
         assert InputDistribution.gaussian(1).entropy_nats() == np.inf
 
+    @given(
+        kind=st.sampled_from(["qpsk", "bpsk"]),
+        dim=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_phase_order_ignores_support_order(self, kind, dim, seed):
+        law = getattr(InputDistribution, kind)(dim)
+        shuffled = InputDistribution.discrete(np.random.default_rng(seed).permutation(law.support))
+        assert law.phase_order == shuffled.phase_order == {"qpsk": 4, "bpsk": 2}[kind]
+
+    @given(
+        case=st.sampled_from(["point", "unequal-orbit", "partial-orbit", "generic"]),
+        dim=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_laws_without_the_symmetry_get_order_one(self, case, dim, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=dim) + 1j * rng.normal(size=dim)  # nonzero almost surely
+        orbit = np.array([x, 1j * x, -x, -1j * x])
+        if case == "point":
+            law = InputDistribution.point(x)
+        elif case == "unequal-orbit":
+            raw = rng.random(4) + 0.05
+            law = InputDistribution.discrete(orbit, probs=raw / raw.sum())
+        elif case == "partial-orbit":  # x, ix, -x: x -> ix maps ix to -x but -x to -ix
+            law = InputDistribution.discrete(orbit[:3])
+        else:
+            law = InputDistribution.discrete(rng.normal(size=(5, dim)) + 1j * rng.normal(size=(5, dim)))
+        assert law.phase_order == 1
+
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=25, deadline=None)
     def test_posterior_weights_sum_to_one(self, k, seed):

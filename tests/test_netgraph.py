@@ -110,6 +110,23 @@ class TestBuild:
         with pytest.raises((SingularIFError, CyclicTopologyError)):
             build_coefficient_matrices(topology, coeffs, 1, 1, allow_cyclic=True)
 
+    def test_ill_conditioned_cycle_below_unit_radius_raises_singular(self):
+        # the loop gain 1e7 * 1e-8 keeps the spectral radius at sqrt(0.1) = 0.32, but the
+        # lopsided pair puts cond(I - F) near 1e14, past the 1e12 limit
+        topology = NetworkTopology.from_edges(
+            ["s", "a", "b", "t"],
+            [("s", "a"), ("a", "b"), ("b", "a"), ("b", "t")],
+            sources=("s",),
+            sinks=("t",),
+            edge_names=["sa", "ab", "ba", "bt"],
+        )
+        sa, ab, ba, bt = (topology.edge_index(name) for name in ("sa", "ab", "ba", "bt"))
+        coeffs = CodingCoefficients(
+            {(0, sa): 1.0}, {(sa, ab): 1.0, (ab, ba): 1e7, (ba, ab): 1e-8, (ab, bt): 1.0}, {(0, bt): 1.0}
+        )
+        with pytest.raises(SingularIFError, match="condition estimate exceeds 1e12"):
+            build_coefficient_matrices(topology, coeffs, 1, 1, allow_cyclic=True)
+
 
 class TestSparsity:
     def test_alpha_off_source_edge(self):

@@ -1,10 +1,11 @@
 """Stored reference outputs, checked in the test suite.
 
-Runs the figure1 quadrature workloads of ``perfbench/workloads.py`` in this
-process and applies the benchmark's own output check: the closed forms and
-the ascent's information values within 1e-12 relative of the stored CSVs,
-the finite-difference oracle columns within 1e-9, the same rows and pass
-column.  A refactor that moves any of them fails here before it reaches the
+Runs the figure1 workloads of ``perfbench/workloads.py`` in this process
+and applies the benchmark's own output check: the closed forms and the
+ascent's information values within 1e-12 relative of the stored CSVs, the
+finite-difference oracle columns within 1e-9, the same rows and pass column;
+the Monte Carlo ``verify`` within its pass tolerance of the quadrature
+reference.  A refactor that moves any of them fails here before it reaches the
 benchmark.  The module reads ``perfbench/`` and changes nothing there.
 
 The commands the benchmark does not run (``example1``, ``cuts`` and
@@ -30,7 +31,7 @@ def _workloads():
     return module
 
 
-@pytest.mark.parametrize("workload", ["verify-quad", "ascent-quad"])
+@pytest.mark.parametrize("workload", ["verify-quad", "verify-mc", "ascent-quad"])
 def test_cli_output_matches_benchmark_reference(workload, tmp_path):
     workloads = _workloads()
     flags = workloads.CLI_WORKLOADS[workload][1]
