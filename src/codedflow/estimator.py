@@ -23,7 +23,7 @@ import numpy as np
 
 from . import flowmodel
 from .errors import CostGuardError, InvariantViolation, SingularSystemMatrix
-from .flowmodel import InputDistribution, SampleBatch
+from .flowmodel import _EXACT_FLOOR, InputDistribution, SampleBatch
 from .netgraph import SystemMatrices
 from .quadrature import default_nodes, phase_orbit_rule
 
@@ -33,7 +33,6 @@ _PSD_FLOOR = -1e-10
 _DOMINANCE_FLOOR = -1e-8
 _MC_MIN_SAMPLES = 1000
 _QUAD_CHUNK_BYTES = 1 << 19  # per chunk of quadrature rows, 16*K*(dim+1) B a row; sets the summation order
-_EXACT_FLOOR = 1e-290  # shifted mixture sums at or below this are recomputed
 _SYSTEM_CONDITION_LIMIT = 1e10
 
 
@@ -217,12 +216,15 @@ def quadrature_moments(M, dist: InputDistribution, nodes: int, *, want_mmse=True
 # ---------------------------------------------------------------------------
 
 
+def _means_se(means: np.ndarray):
+    """Standard error of the mean from batch means stacked on axis 0; works for complex arrays."""
+    var = np.var(means.real, axis=0, ddof=1) + np.var(means.imag, axis=0, ddof=1)
+    return np.sqrt(var / len(means))
+
+
 def _batch_se(values: np.ndarray, batches: int):
     """Batch-means standard error along axis 0; works for complex arrays."""
-    splits = np.array_split(values, batches)
-    means = np.stack([np.mean(b, axis=0) for b in splits])
-    var = np.var(means.real, axis=0, ddof=1) + np.var(means.imag, axis=0, ddof=1)
-    return np.sqrt(var / batches)
+    return _means_se(np.stack([np.mean(b, axis=0) for b in np.array_split(values, batches)]))
 
 
 def mc_moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mmse=True, want_mi=True, batch: SampleBatch | None = None):
@@ -246,9 +248,8 @@ def mc_moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mmse=True, 
     err = err_se = None
     if want_mmse:
         resid = x - conditional_mean_batch(M, dist, z)
-        outer = np.einsum("ni,nj->nij", resid, resid.conj())
-        err = np.mean(outer, axis=0)
-        err_se = _batch_se(outer, _SE_BATCHES)
+        err = resid.T @ resid.conj() / len(resid)  # the mean of the outer products, never formed
+        err_se = _means_se(np.stack([b.T @ b.conj() / len(b) for b in np.array_split(resid, _SE_BATCHES)]))
 
     return mi, mi_se, err, err_se, batch.count
 

@@ -7,12 +7,12 @@ complex constellation with point probabilities or a unit-covariance complex
 Gaussian; Gaussian inputs use exact closed forms for the output density and
 score instead of mixture sums.
 
-Mixture log-densities come from one support-major kernel, ``_mixture_lse``:
-a (K, N) real product of exponents, max-shifted and summed over components,
-that also returns the unnormalised posterior weights.  ``mixture_log_density``,
-``mixture_posterior_mean``, ``output_score`` and the exact fallback of
-``estimator.quadrature_moments`` all call it.  An output log-density below
--700 raises ``DensityUnderflow`` rather than silently flushing to zero.
+``mixture_log_density`` and ``mixture_posterior_mean`` share one fused chunk kernel whose weights
+``p_j exp(-|z - mean_j|^2)`` are one real product, exponentiated in place without a max shift.
+``_mixture_lse``, the exact max-shifted kernel, serves ``output_score`` and redoes every sum at or
+below ``_EXACT_FLOOR`` there and in ``estimator.quadrature_moments``.  An output log-density below
+-700 raises ``DensityUnderflow`` rather than silently flushing to zero.  ``workers`` is the whole
+thread budget of a call: the library's pools hold BLAS at one thread (``_pool_map``).
 
 Score convention: the gradient with respect to the output is taken in
 conjugate coordinates, entry k being ``(d/dRe z_k + i d/dIm z_k) / 2``
@@ -22,8 +22,10 @@ applied to ``log p(z)``.  Under this convention the posterior-mean identity
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +37,7 @@ _SAMPLE_CHUNK = 4096
 # per chunk of points, 8*K B a point, never the worker count: fixes the chunking.  512 KiB was
 # the fastest of 64 KiB-4 MiB at 2e5 points, K = 16 and 64, on 1 and 2 threads (2 MiB L2 a core)
 _LSE_CHUNK_BYTES = 1 << 19
+_EXACT_FLOOR = 1e-290  # unshifted mixture sums at or below this may have underflowed: redone exactly
 _DRAW_CAP_BYTES = 1 << 30  # input and noise draws, 16 B an entry: 16,777,216 figure1 samples (64 B each)
 
 _QPSK_SYMBOLS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
@@ -260,36 +263,108 @@ def _mixture_lse(means, log_probs, points):
     return log_pz, w, total
 
 
+def _mixture_chunks(means, log_probs, points):
+    """``(span, w, total, log p(z))`` per chunk of points; ``w / total`` is the posterior over components.
+
+    ``w[j, n] = p_j exp(-|z_n - mean_j|^2)`` is one real product ``[2 mean, log p - |mean|^2, -1] .
+    [z, 1, |z|^2]^T`` exponentiated in place, in one buffer reused for every chunk.  Its exponent is
+    at most ``log p_j <= 0``, so it needs no shift; totals at or below ``_EXACT_FLOOR`` may have
+    underflowed, and ``_mixture_lse`` redoes them."""
+    means = np.ascontiguousarray(means, dtype=complex)
+    points = np.ascontiguousarray(points, dtype=complex)
+    (K, n), N = means.shape, len(points)
+    coef = np.column_stack([2.0 * means.view(float), log_probs - np.sum(np.abs(means) ** 2, axis=1), -np.ones(K)])
+    rows = max(1, min(N, _LSE_CHUNK_BYTES // (8 * K)))
+    cols, buf, ones = np.ones((rows, 2 * n + 2)), np.empty(K * rows), np.ones(K)
+    for start in range(0, N, rows):
+        block = points[start : start + rows]
+        z = cols[: len(block)]
+        z[:, : 2 * n] = block.view(float)
+        np.einsum("ij,ij->i", z[:, : 2 * n], z[:, : 2 * n], out=z[:, -1])
+        w = np.matmul(coef, z.T, out=buf[: K * len(block)].reshape(K, -1))
+        total = ones @ np.exp(w, out=w)
+        log_pz = np.log(np.maximum(total, _EXACT_FLOOR)) - n * np.log(np.pi)
+        if total.min() <= _EXACT_FLOOR:  # one test a chunk, the scan only if it fires
+            redo = np.flatnonzero(total <= _EXACT_FLOOR)
+            log_pz[redo], w[:, redo], total[redo] = _mixture_lse(means, log_probs, block[redo])
+        yield slice(start, start + len(block)), w, total, log_pz
+
+
 def mixture_log_density(means, log_probs, points) -> np.ndarray:
     """log p(z) at many points for a complex-Gaussian mixture with unit noise.
 
     ``means`` has shape (K, n), ``points`` (N, n); returns shape (N,).  A
     value below ``LOG_UNDERFLOW`` raises ``DensityUnderflow``.
     """
-    points = np.asarray(points, dtype=complex)
-    rows = max(1, _LSE_CHUNK_BYTES // (8 * len(means)))
-    out = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], rows):
-        out[start : start + rows] = _mixture_lse(means, log_probs, points[start : start + rows])[0]
+    out = np.empty(len(points))
+    for span, _, _, log_pz in _mixture_chunks(means, log_probs, points):
+        out[span] = log_pz
     return _above_floor(out)
 
 
 def mixture_posterior_mean(means, log_probs, support, points) -> np.ndarray:
     """Posterior mean of the mixture label vector at each point, chunked."""
-    points = np.asarray(points, dtype=complex)
     parts = np.ascontiguousarray(support, dtype=complex).view(float)  # (K, 2d), re/im interleaved
-    rows = max(1, _LSE_CHUNK_BYTES // (8 * len(means)))
-    out = np.empty((points.shape[0], parts.shape[1]))
-    for start in range(0, points.shape[0], rows):
-        log_pz, w, total = _mixture_lse(means, log_probs, points[start : start + rows])
+    out = np.empty((len(points), parts.shape[1]))
+    for span, w, total, log_pz in _mixture_chunks(means, log_probs, points):
         _above_floor(log_pz)
-        np.divide(w.T @ parts, total[:, None], out=out[start : start + rows])
+        np.divide(w.T @ parts, total[:, None], out=out[span])
     return out.view(complex)
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# sampling, on the library's thread pools
 # ---------------------------------------------------------------------------
+
+
+class _OneBlasThread:
+    """Holds numpy's bundled OpenBLAS at one thread while any of the library's pools runs.  The count
+    is process-wide, so pools share a depth count under a lock: the first in saves it, the last out
+    restores it.  The library is looked up on first entry, never at import; if absent, no-op."""
+
+    def __init__(self):
+        self._lock, self._depth, self._saved = threading.Lock(), 0, None
+        self._calls = ...  # (get, set) once looked up, None if not found
+
+    @staticmethod
+    def _find():
+        import ctypes
+
+        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+        for path in sorted(libs.glob("*openblas*")) if libs.is_dir() else ():
+            lib = ctypes.CDLL(str(path))
+            if hasattr(lib, "scipy_openblas_get_num_threads64_") and hasattr(lib, "scipy_openblas_set_num_threads64_"):
+                get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+                get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+                return get, put
+        return None
+
+    def __enter__(self):
+        with self._lock:
+            if self._calls is ...:
+                self._calls = self._find()
+            if self._calls is not None and self._depth == 0:
+                self._saved = self._calls[0]()
+                self._calls[1](1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._calls is not None and self._depth == 0:
+                self._calls[1](self._saved)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
+def _pool_map(fn, items, workers: int) -> list:
+    """``[fn(item) for item in items]``; with more than one worker, on a pool of ``workers`` threads
+    with BLAS held at one thread, so that ``workers`` is the whole thread budget."""
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
@@ -319,7 +394,9 @@ def draw_inputs_and_noise(dist: InputDistribution, n_out: int, seed: int, count:
 
     Draws are keyed per fixed-size chunk by (seed, chunk index) through a
     counter-based bit generator, so identical (seed, count) produce
-    bitwise-identical arrays for any number of workers.  Draws over
+    bitwise-identical arrays for any number of workers.  ``workers`` is the
+    whole thread budget: the chunks are filled on that many threads, with
+    BLAS held at one thread (``_pool_map``).  Draws over
     ``_DRAW_CAP_BYTES`` raise ``CostGuardError`` before any allocation.
     """
     if count < 1:
@@ -342,12 +419,7 @@ def draw_inputs_and_noise(dist: InputDistribution, n_out: int, seed: int, count:
         xs[start:stop] = x
         ns[start:stop] = noise
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, spans))
-    else:
-        for span in spans:
-            fill(span)
+    _pool_map(fill, spans, workers)
     return xs, ns
 
 

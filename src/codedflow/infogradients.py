@@ -50,7 +50,6 @@ independently of them.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import reduce
 
@@ -207,9 +206,15 @@ def _slope(L, base, R, direction, dist, spec, step, draws=None):
         diff = _moments(plus, dist, spec, want_mmse=False)[0] - _moments(minus, dist, spec, want_mmse=False)[0]
         return diff / (2.0 * step), 0.0
     inputs, noise, log_cond = draws
-    diff = (log_cond - flowmodel._log_output_density(plus, dist, inputs @ plus.T + noise)) - (
-        log_cond - flowmodel._log_output_density(minus, dist, inputs @ minus.T + noise)
-    )
+
+    def info(M):  # in place, so each pool thread holds fewer arrays; the same bits as out of place
+        z = inputs @ M.T
+        z += noise
+        log_pz = flowmodel._log_output_density(M, dist, z)
+        return np.subtract(log_cond, log_pz, out=log_pz)
+
+    diff = info(plus)
+    diff -= info(minus)
     return float(np.mean(diff)) / (2.0 * step), float(_batch_se(diff, _SE_BATCHES)) / (2.0 * step)
 
 
@@ -233,6 +238,9 @@ def grad_oracle(
     cancels in the difference; the residual noise floor is estimated by
     batch means and the call fails with ``StepTooSmallError`` when it
     exceeds ``noise_ratio_limit`` of the largest gradient entry.
+
+    ``spec.workers`` is the whole thread budget: the coordinates run on that
+    many threads, with BLAS held at one thread (``flowmodel._pool_map``).
     """
     if not STEP_RANGE[0] <= step <= STEP_RANGE[1]:
         raise ValueError(f"step must lie in [{STEP_RANGE[0]:g}, {STEP_RANGE[1]:g}]")
@@ -257,12 +265,7 @@ def grad_oracle(
         direction[i, j] = unit
         return _slope(L, base, R, direction, dist, spec, step, draws)
 
-    if spec.workers > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(slope, coords))
-    else:
-        results = [slope(c) for c in coords]
-
+    results = flowmodel._pool_map(slope, coords, spec.workers)
     oracle = np.zeros((rows, cols), dtype=complex)
     worst_se = 0.0
     for (i, j, unit), (value, se) in zip(coords, results):

@@ -177,13 +177,13 @@ class TestCommands:
     def test_monte_carlo_verify_is_identical_across_workers(self, tmp_path):
         # 20000 samples span several sampler chunks and mixture-kernel chunks
         bodies = []
-        for workers in (1, 2):
+        for workers in (1, 2, 8):
             out = tmp_path / f"w{workers}"
             argv = ["verify", "--config", str(FIGURE1), "--method", "mc", "--samples", "20000"]
             main(argv + ["--workers", str(workers), "--tolerance", "5e-2", "--out", str(out)])
             bodies.append((out / "verify.csv").read_bytes())
         assert len(bodies[0].splitlines()) == 13
-        assert bodies[0] == bodies[1]
+        assert bodies[0] == bodies[1] == bodies[2]
 
     def test_reports_show_the_step_halving_change(self, tmp_path):
         config = parse_config(SCALAR_CHAIN)

@@ -161,6 +161,33 @@ class TestMixtureKernel:
         _assert_mixture_matches_reference(*case)
 
 
+class TestExactFallback:
+    """Points about 26 from every mean of a one-output mixture: each unshifted total p_j exp(-|z -
+    mean_j|^2) is at or below the chunk kernel's 1e-290 floor, yet log p(z) stays near -685, above
+    the -700 floor.  The exact kernel redoes exactly those points, and nothing raises."""
+
+    @pytest.mark.parametrize("ordinary", [0, 5])
+    def test_far_points_are_redone_exactly(self, ordinary, monkeypatch):
+        rng = np.random.default_rng(ordinary)
+        means = np.array([[0.1], [-0.05 + 0.08j], [-0.07j]])  # |mean| <= 0.1
+        log_probs = np.log([0.5, 0.3, 0.2])
+        support = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        far = 26.2 * np.exp(2j * np.pi * rng.random((7, 1)))  # |z - mean|^2 in [681, 692]
+        near = means[rng.integers(0, 3, ordinary)] + 0.3 * (rng.normal(size=(ordinary, 1)) + 1j * rng.normal(size=(ordinary, 1)))
+        points = rng.permutation(np.concatenate([far, near]))  # one chunk mixing both
+        redone, exact = [], flowmodel._mixture_lse
+
+        def spy(means, log_probs, points):
+            redone.append(len(points))
+            return exact(means, log_probs, points)
+
+        monkeypatch.setattr(flowmodel, "_mixture_lse", spy)
+        _assert_mixture_matches_reference(means, log_probs, support, points)
+        assert redone == [7, 7]  # the far points once for each of the two kernels
+        log_pz = mixture_log_density(means, log_probs, points)
+        assert np.all(log_pz[np.abs(points[:, 0]) > 26] > -700.0)
+
+
 class TestUnderflow:
     """High-SNR channels observed at pure-noise outputs: every mean lies at
     least ``gain - |z|`` from every point, so log p(z) is far below -700."""

@@ -10,7 +10,13 @@ gradients, so a real directional perturbation moves the information at
 anchors below; every other gradient test inherits it.
 """
 
+import ctypes
+import subprocess
+import sys
+import threading
+from dataclasses import replace
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +26,7 @@ from hypothesis import strategies as st
 
 from codedflow import (
     CostGuardError,
+    DensityUnderflow,
     EngineSpec,
     GradientReport,
     InputDistribution,
@@ -544,7 +551,105 @@ class TestSharedSlope:
                     minus[i, j] -= delta
                     slope = float(np.mean(info(plus) - info(minus))) / (2.0 * self.STEP)
                     expected[i, j] += (slope if delta == self.STEP else 1j * slope) / WIRTINGER_SCALE
-            oracle = grad_oracle(
-                sys, dist, target, spec, step=self.STEP, objective=objective, noise_ratio_limit=np.inf
-            )
-            np.testing.assert_array_equal(oracle, expected, err_msg=str((objective, target)))
+            for workers in (1, 2):  # serial, and pooled with BLAS held at one thread
+                oracle = grad_oracle(
+                    sys, dist, target, replace(spec, workers=workers), step=self.STEP, objective=objective,
+                    noise_ratio_limit=np.inf,
+                )
+                np.testing.assert_array_equal(oracle, expected, err_msg=str((objective, target, workers)))
+
+
+def _blas_thread_getter():
+    """``scipy_openblas_get_num_threads64_`` of numpy's bundled OpenBLAS, None when not found."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")) if libs.is_dir() else ():
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            getter = lib.scipy_openblas_get_num_threads64_
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter
+    return None
+
+
+_BLAS_THREADS = _blas_thread_getter()
+
+
+@pytest.mark.skipif(_BLAS_THREADS is None, reason="numpy's bundled OpenBLAS not found")
+class TestBlasThreads:
+    """``workers`` is the whole thread budget: pooled calls hold BLAS at one thread, and every call
+    leaves the count as it found it, when a task raises and when pools overlap too."""
+
+    SPEC = EngineSpec(method="mc", samples=2000, seed=5, workers=2)
+
+    @staticmethod
+    def _recording(monkeypatch, fail=False):
+        """Patch the oracle's log-density to record the BLAS thread count it runs under."""
+        seen, real = [], flowmodel._log_output_density
+
+        def log_density(*args):
+            seen.append(_BLAS_THREADS())
+            if fail:
+                raise DensityUnderflow("log p(z) = -701.0 fell below -700.0")
+            return real(*args)
+
+        monkeypatch.setattr(flowmodel, "_log_output_density", log_density)
+        return seen
+
+    def test_import_leaves_the_count_and_resolves_nothing(self):
+        script = (
+            "import ctypes, pathlib, numpy as np\n"
+            "libs = pathlib.Path(np.__file__).resolve().parent.parent / 'numpy.libs'\n"
+            "get = ctypes.CDLL(str(sorted(libs.glob('*openblas*'))[0])).scipy_openblas_get_num_threads64_\n"
+            "before = get()\n"
+            "import codedflow\n"
+            "print(before, get(), codedflow.flowmodel._ONE_BLAS_THREAD._calls is ...)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, cwd=src)
+        before, after, unresolved = done.stdout.split()
+        assert before == after and unresolved == "True", done.stderr
+
+    def test_pooled_oracle_holds_one_thread_and_restores(self, monkeypatch):
+        sys_c, dist = _compact_case(1, 2, 2, 2, "qpsk")
+        seen = self._recording(monkeypatch)
+        before = _BLAS_THREADS()
+        grad_oracle(sys_c, dist, "G", self.SPEC, noise_ratio_limit=np.inf)
+        assert _BLAS_THREADS() == before
+        assert len(seen) == 16 and set(seen) == {1}
+
+    def test_raising_slope_restores(self, monkeypatch):
+        sys_c, dist = _compact_case(2, 2, 2, 2, "qpsk")
+        seen = self._recording(monkeypatch, fail=True)
+        before = _BLAS_THREADS()
+        with pytest.raises(DensityUnderflow):
+            grad_oracle(sys_c, dist, "G", self.SPEC, noise_ratio_limit=np.inf)
+        assert _BLAS_THREADS() == before
+        assert seen and set(seen) == {1}
+
+    def test_overlapping_pools_restore(self, monkeypatch):
+        # more pool threads than cores and a short switch interval, so the pools interleave
+        sys_c, dist = _compact_case(3, 2, 2, 2, "qpsk")
+        seen = self._recording(monkeypatch)
+        spec = replace(self.SPEC, workers=4)
+        before, errors = _BLAS_THREADS(), []
+
+        def oracles():
+            try:
+                for _ in range(3):
+                    grad_oracle(sys_c, dist, "G", spec, noise_ratio_limit=np.inf)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=oracles) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert _BLAS_THREADS() == before
+        assert len(seen) == 2 * 3 * 16 and set(seen) == {1}

@@ -11,9 +11,14 @@ benchmark.  The module reads ``perfbench/`` and changes nothing there.
 The commands the benchmark does not run (``example1``, ``cuts`` and
 ``gradients`` on figure1) are held to the same bounds against the CSVs in
 ``tests/reference/``.
+
+``perfbench/selftest.py`` runs as is, so its exact call-count pins (``verify-mc``'s 49 mixture
+log-densities and 12 quadrature calls among them) fail here too.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +65,11 @@ def test_figure1_output_matches_stored_reference(command, tmp_path):
             assert (value is None) == (expected is None), (row["check_id"], prefix)
             if value is not None:
                 assert workloads._rel(value, expected) <= tol, (row["check_id"], prefix)
+
+
+def test_benchmark_selftest_passes():
+    # about 7 s; its scratch directory .perfbench-out/ is gitignored and removed by the script
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")], cwd=ROOT, capture_output=True, text=True, timeout=600
+    )
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
