@@ -11,7 +11,7 @@ forms ``log det(I + M M^H)`` and ``(I + M^H M)^{-1}``, else tensorized Gauss-Her
 (guarded at three complex output dimensions), whose mixture sums are matrix products of
 max-shifted exponentials, recomputed exactly where they underflow, and whose information is
 ``sum p_k w_q ((T2 - a) - log total - (b - m2))`` per entry, over one orbit of the input's phase
-symmetry.
+symmetry (with conjugation for a real channel and a conjugation-closed law).
 """
 
 from __future__ import annotations
@@ -142,12 +142,23 @@ def conditional_mean_batch(M, dist: InputDistribution, points) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _kernel_rule(M: np.ndarray, dist: InputDistribution, nodes: int):
+    """The orbit rule ``quadrature_moments`` sums over, and whether it includes conjugation: it
+    does for a real channel and a conjugation-closed law."""
+    conjugate = dist.conjugate_closed and not M.imag.any()
+    return phase_orbit_rule(M.shape[0], nodes, dist.phase_order, conjugate), conjugate
+
+
 def quadrature_moments(M, dist: InputDistribution, nodes: int, *, want_mmse=True, want_mi=True):
     """Exact-expectation pass over the output density of a discrete input, ``nodes`` per axis.
 
-    The pass sums over ``phase_orbit_rule(n_out, nodes, dist.phase_order)``, which is exact: if
-    ``x -> omega x`` maps the law onto itself, ``n -> omega n`` maps the information and
-    error-matrix integrands, summed over the support, onto themselves.
+    The pass sums over ``phase_orbit_rule`` for the group generated by the law's phase rotation
+    and, for a real channel and a conjugation-closed law, ``n -> conj(n)``; for QPSK through a real
+    channel that is the dihedral group of order 8.  It is exact: if ``x -> omega x`` maps the law
+    onto itself, ``n -> omega n`` maps the information and error-matrix integrands, summed over the
+    support, onto themselves; if ``x -> conj(x)`` does and M is real, ``n -> conj(n)`` keeps the
+    information and conjugates the error matrix, so the error matrix is returned as its real part,
+    with an imaginary part of exactly 0.
 
     Returns ``(mi_nats, error_matrix, node_count)``; either output may be
     ``None`` if not requested.  Component j's exponent ``C[j,k] + T2[j,q]`` at ``mean_k + noise_q``
@@ -162,7 +173,7 @@ def quadrature_moments(M, dist: InputDistribution, nodes: int, *, want_mmse=True
     if dist.kind != "discrete":
         raise ValueError("quadrature_moments expects a discrete input")
     n_out = M.shape[0]
-    noise, weights = phase_orbit_rule(n_out, nodes, dist.phase_order)
+    (noise, weights), conjugate = _kernel_rule(M, dist, nodes)
 
     support, probs = dist.support, dist.probs
     K, dim = support.shape
@@ -208,6 +219,8 @@ def quadrature_moments(M, dist: InputDistribution, nodes: int, *, want_mmse=True
             mi_total += float((lin - probs @ logt) @ wq)
     if recomputed:
         logging.getLogger(__name__).debug("quadrature recomputed %d underflowed sums exactly", recomputed)
+    if conjugate and want_mmse:
+        err_total.imag = 0.0
     return (mi_total if want_mi else None), err_total, nodes
 
 

@@ -46,13 +46,15 @@ _QPSK_SYMBOLS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 @dataclass(frozen=True)
 class InputDistribution:
     """Input law of the flow vector: finite support or unit Gaussian.  ``phase_order`` is 4 when
-    ``x -> i x`` leaves the law unchanged, else 2 when ``x -> -x`` does, else 1."""
+    ``x -> i x`` leaves the law unchanged, else 2 when ``x -> -x`` does, else 1;
+    ``conjugate_closed`` says whether ``x -> conj(x)`` leaves it unchanged."""
 
     kind: str
     dimension: int
     support: np.ndarray | None = None
     probs: np.ndarray | None = None
     phase_order: int = field(default=4, init=False, repr=False, compare=False)
+    conjugate_closed: bool = field(default=True, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("discrete", "gaussian"):
@@ -76,7 +78,9 @@ class InputDistribution:
             probs.setflags(write=False)
             object.__setattr__(self, "support", support)
             object.__setattr__(self, "probs", probs)
-            object.__setattr__(self, "phase_order", _phase_order(support, probs))
+            order, closed = _symmetries(support, probs)
+            object.__setattr__(self, "phase_order", order)
+            object.__setattr__(self, "conjugate_closed", closed)
 
     # -- constructors ---------------------------------------------------
 
@@ -130,18 +134,21 @@ class InputDistribution:
         return float(-(p @ np.log(p)))
 
 
-def _phase_order(support: np.ndarray, probs: np.ndarray) -> int:
-    """The first of 4 (``x -> i x``) and 2 (``x -> -x``) whose rotation maps the (point, probability)
-    rows onto themselves, else 1; compared exactly, as multiplying by i or -1 is exact."""
+def _symmetries(support: np.ndarray, probs: np.ndarray) -> tuple[int, bool]:
+    """``(phase_order, conjugate_closed)``: the first of 4 (``x -> i x``) and 2 (``x -> -x``) whose
+    rotation maps the (point, probability) rows onto themselves, else 1, and whether ``x -> conj(x)``
+    does; compared exactly, as multiplying by i or -1 and conjugating are exact."""
 
     def rows(points):
         table = np.column_stack([points.real, points.imag, probs])
         return table[np.lexsort(table.T[::-1])]
 
+    own = rows(support)
+    closed = np.array_equal(rows(support.conj()), own)
     for order, omega in ((4, 1j), (2, -1)):
-        if np.array_equal(rows(support * omega), rows(support)):
-            return order
-    return 1
+        if np.array_equal(rows(support * omega), own):
+            return order, closed
+    return 1, closed
 
 
 def _product_constellation(symbols: np.ndarray, dimension: int) -> np.ndarray:

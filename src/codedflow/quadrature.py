@@ -9,9 +9,10 @@ components, so a rule with ``nodes`` points per real axis over ``dim``
 complex dimensions has ``nodes ** (2 * dim)`` points.
 
 numpy's Hermite nodes and weights are exactly symmetric about 0, so multiplying every coordinate
-by ``i`` (or ``-1``) permutes the grid and keeps each weight.  An expectation that rotation leaves
-unchanged is ``order`` times its sum over one representative of each orbit of points, which
-``phase_orbit_rule`` keeps: exact up to the rounding of the shorter sums.
+by ``i`` (or ``-1``), or conjugating it, permutes the grid and keeps each weight.  An expectation
+that a group of these maps leaves unchanged is the sum over one representative of each orbit of
+points, each weighted by its orbit's size, which ``phase_orbit_rule`` keeps: exact up to the
+rounding of the shorter sums.
 """
 
 from __future__ import annotations
@@ -49,16 +50,10 @@ def default_nodes(dim: int) -> int:
     return DEFAULT_NODES[_guarded(dim)]
 
 
-@lru_cache(maxsize=8)
-def complex_gauss_hermite(dim: int, nodes: int):
-    """Quadrature rule for E[f(n)] with n ~ CN(0, I_dim).
-
-    Returns ``(points, weights)`` where ``points`` is a complex array of
-    shape ``(Q, dim)`` and ``weights`` a positive real array of shape
-    ``(Q,)`` summing to 1 up to quadrature truncation.  A node count whose
-    Hermite weights are not positive and summing to sqrt(pi) (numpy's
-    ``hermgauss`` overflows from 371 nodes) raises ``CostGuardError``.
-    """
+def _axis_rule(dim: int, nodes: int):
+    """The per-complex-axis rule ``(points, weights)``, ``nodes ** 2`` of each, at flat index
+    ``i * nodes + j`` for ``t_i + 1j t_j``, refused before anything is built if the tensor rule
+    over ``dim`` axes would exceed ``MAX_RULE_POINTS`` or the Hermite weights are broken."""
     count = (nodes * nodes) ** _guarded(dim)
     if count > MAX_RULE_POINTS:
         raise CostGuardError(
@@ -69,38 +64,74 @@ def complex_gauss_hermite(dim: int, nodes: int):
     if not (np.all(w > 0) and abs(w.sum() - np.sqrt(np.pi)) <= 1e-12):
         raise CostGuardError(f"the {nodes}-node Hermite rule has non-finite or vanishing weights")
     re, im = np.meshgrid(t, t, indexing="ij")
-    axis_points = (re + 1j * im).ravel()
-    axis_weights = np.outer(w, w).ravel() / np.pi
-    grids = np.meshgrid(*([np.arange(nodes * nodes)] * dim), indexing="ij")
-    index = np.stack(grids, axis=-1).reshape(-1, dim)
-    points = axis_points[index]
-    weights = np.prod(axis_weights[index], axis=1)
-    points.setflags(write=False)
-    weights.setflags(write=False)
-    return points, weights
+    return (re + 1j * im).ravel(), np.outer(w, w).ravel() / np.pi
 
 
 @lru_cache(maxsize=8)
-def phase_orbit_rule(dim: int, nodes: int, order: int):
-    """``complex_gauss_hermite(dim, nodes)`` over the orbits of ``n -> i n`` (order 4) or ``-n`` (2).
+def complex_gauss_hermite(dim: int, nodes: int):
+    """Quadrature rule for E[f(n)] with n ~ CN(0, I_dim).
 
-    It keeps, in the full rule's order, the points whose first nonzero coordinate has ``Re > 0,
-    Im >= 0`` (order 4) or ``Re > 0`` or ``Re == 0, Im > 0`` (order 2), at ``order`` times their
-    weight, and the origin of odd node counts at its own.  Order 1 returns the full rule itself.
+    Returns ``(points, weights)`` where ``points`` is a complex array of
+    shape ``(Q, dim)`` and ``weights`` a positive real array of shape
+    ``(Q,)`` summing to 1 up to quadrature truncation.  A node count whose
+    Hermite weights are not positive and summing to sqrt(pi) (numpy's
+    ``hermgauss`` overflows from 371 nodes) raises ``CostGuardError``.
+    """
+    return _orbit_rule(dim, nodes, np.arange(nodes * nodes)[None])
+
+
+def _axis_group(nodes: int, order: int, conjugate: bool) -> np.ndarray:
+    """The group as permutations of one axis's flat indices, one row per element: the powers of
+    ``n -> i n`` (order 4) or ``-n`` (order 2), then each of them after ``n -> conj(n)`` if asked.
+    Node ``flip - i`` is ``-t_i``, so ``i (t_re + 1j t_im)`` sits at ``(flip - im, re)``."""
+    re, im = np.divmod(np.arange(nodes * nodes), nodes)
+    flip = nodes - 1
+    rotate = (flip - im) * nodes + re if order == 4 else (flip - re) * nodes + (flip - im)
+    group = [re * nodes + im]
+    while len(group) < order:
+        group.append(rotate[group[-1]])
+    if conjugate:
+        group += [g[re * nodes + (flip - im)] for g in group]
+    return np.array(group)
+
+
+@lru_cache(maxsize=8)
+def phase_orbit_rule(dim: int, nodes: int, order: int, conjugate: bool):
+    """``complex_gauss_hermite(dim, nodes)`` over the orbits of the group generated by ``n -> i n``
+    (order 4) or ``-n`` (order 2), and by ``n -> conj(n)`` when ``conjugate``: for order 4 with
+    conjugation the dihedral group of order 8, which keeps about an eighth of the grid.  The
+    trivial group returns the full rule itself.
     """
     if order not in (1, 2, 4):
         raise ValueError(f"phase order must be 1, 2 or 4, got {order}")
-    rule = complex_gauss_hermite(dim, nodes)
-    if order == 1:
-        return rule
-    points, weights = rule
-    nonzero = points != 0
-    lead = points[np.arange(len(points)), nonzero.argmax(axis=1)]  # first nonzero coordinate
-    re, im = lead.real, lead.imag
-    sector = (re > 0) & (im >= 0) if order == 4 else (re > 0) | ((re == 0) & (im > 0))
-    origin = ~nonzero.any(axis=1)
-    keep = sector | origin
-    points, weights = points[keep], weights[keep] * np.where(origin[keep], 1.0, order)
+    if order == 1 and not conjugate:
+        return complex_gauss_hermite(dim, nodes)
+    return _orbit_rule(dim, nodes, _axis_group(nodes, order, conjugate))
+
+
+def _orbit_rule(dim: int, nodes: int, group: np.ndarray):
+    """The tensor rule over one representative of each orbit of ``group`` (at most 8 rows, each a
+    permutation of one axis's flat indices that acts on every coordinate alike).
+
+    A point is kept, in the full rule's order, when no image of it has a smaller flat index, at
+    ``|G| / |stabiliser|`` times its weight, so origin, axis and diagonal points keep their smaller
+    orbits.  The flat index is compared coordinate by coordinate, carrying the elements that fix
+    the prefix so far, so the full grid is never formed.
+    """
+    axis_points, axis_weights = _axis_rule(dim, nodes)
+    bits = (1 << np.arange(len(group), dtype=np.uint8))[:, None]
+    own = np.arange(nodes * nodes)
+    lowering = np.bitwise_or.reduce(bits * (group < own), axis=0)  # per index, the elements that lower it
+    fixing = np.bitwise_or.reduce(bits * (group == own), axis=0)  # and those that fix it
+    coords, tied = [], np.array([(1 << len(group)) - 1], dtype=np.uint8)
+    for _ in range(dim):
+        prefix, index = np.nonzero((tied[:, None] & lowering) == 0)
+        coords, tied = [c[prefix] for c in coords] + [index], tied[prefix] & fixing[index]
+    points, weights = np.empty((len(tied), dim), dtype=complex), np.ones(len(tied))
+    for k, index in enumerate(coords):
+        points[:, k] = axis_points[index]
+        weights *= axis_weights[index]
+    weights *= len(group) // np.bitwise_count(tied)  # the identity fixes every point: never 0
     points.setflags(write=False)
     weights.setflags(write=False)
     return points, weights

@@ -377,8 +377,9 @@ def precoder_ascent(
 ):
     """Projected gradient ascent on the precoding matrix.
 
-    After each gradient step the precoder is rescaled to Frobenius norm
-    ``norm_budget``.  When a step would decrease the information it is
+    A start outside the ball of Frobenius norm ``norm_budget`` is rescaled
+    onto its sphere, and after each gradient step the precoder is rescaled to
+    Frobenius norm ``norm_budget``.  When a step would decrease the information it is
     halved until the ascent resumes (up to ``_HALVINGS`` times); a
     non-finite gradient aborts, returning the trajectory collected so far.
     Returns a list of (B, information-in-nats) pairs, one per iteration
@@ -403,6 +404,8 @@ def precoder_ascent(
         return B * (norm_budget / norm)
 
     current = np.array(sys.B, dtype=complex)
+    if np.linalg.norm(current) > norm_budget:
+        current = project(current)
     trial, err, info = evaluate(current)
     trajectory = [(current.copy(), info)]
     for _ in range(iterations):

@@ -7,6 +7,7 @@ reproduce them.
 """
 
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from codedflow import (
     score_identity_residual,
     seeded_diamond_symbols,
 )
-from codedflow import flowmodel, quadrature
+from codedflow import estimator, flowmodel, quadrature
 from codedflow.errors import InvariantViolation
 from codedflow.estimator import _EXACT_FLOOR, quadrature_moments
 
@@ -199,6 +200,8 @@ class TestMmseMatrix:
         monkeypatch.setattr(np.polynomial.hermite, "hermgauss", no_rule)
         with pytest.raises(CostGuardError, match="68719476736 points"):
             quadrature.complex_gauss_hermite(3, 64)
+        with pytest.raises(CostGuardError, match="68719476736 points"):  # counts the full grid
+            quadrature.phase_orbit_rule(3, 64, 4, True)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -229,8 +232,8 @@ def _brute_force_moments(M, dist, nodes):
 def _underflow_gap(M, dist, nodes):
     """max_j(2T[q,j] + C[j,k]) - a_q - b_k over all (q, k): how far the
     separable product's largest term sits below 1, in log units, at the
-    points of the phase-orbit rule the kernel sums over."""
-    noise, _ = quadrature.phase_orbit_rule(M.shape[0], nodes, dist.phase_order)
+    points of the orbit rule the kernel sums over."""
+    (noise, _), _ = estimator._kernel_rule(M, dist, nodes)
     means = dist.support @ M.T
     C = (dist.log_probs - np.sum(np.abs(means) ** 2, axis=1))[:, None] + 2.0 * np.real(
         means.conj() @ means.T
@@ -321,30 +324,109 @@ class TestPhaseOrbitRule:
         assert dist.phase_order == {"bpsk": 2, "qpsk": 4}[kind]
         _assert_matches_brute_force(M, dist, (12 if n_out == 1 else 6) + odd, rel=1e-13)
 
-    @pytest.mark.parametrize(
-        "dim, nodes, order, count",
-        [(2, 16, 4, 16384), (1, 15, 4, 57), (1, 15, 2, 113), (2, 15, 4, 12657), (2, 16, 2, 32768), (3, 5, 4, 3907), (1, 1, 2, 1)],
+    @given(
+        n_out=st.integers(min_value=1, max_value=2),
+        kind=st.sampled_from(["bpsk", "qpsk"]),
+        n_in=st.integers(min_value=1, max_value=2),
+        odd=st.booleans(),
+        gain=st.floats(min_value=0.1, max_value=4.0),
+        seed=st.integers(min_value=0, max_value=2**31),
     )
-    def test_orbits_tile_the_full_rule(self, dim, nodes, order, count):
-        points, weights = quadrature.phase_orbit_rule(dim, nodes, order)
+    @settings(max_examples=30, deadline=None)
+    def test_real_channels_match_the_kernel_on_the_full_rule(self, n_out, kind, n_in, odd, gain, seed):
+        M = gain * np.random.default_rng(seed).normal(size=(n_out, n_in)) + 0j
+        dist = getattr(InputDistribution, kind)(n_in)
+        nodes = (12 if n_out == 1 else 6) + odd
+        with mock.patch.object(estimator, "phase_orbit_rule", wraps=quadrature.phase_orbit_rule) as rule:
+            mi, err, _ = quadrature_moments(M, dist, nodes)
+        assert rule.call_args.args == (n_out, nodes, dist.phase_order, True)
+        full = quadrature.complex_gauss_hermite
+        with mock.patch.object(estimator, "phase_orbit_rule", lambda dim, nodes, *_: full(dim, nodes)):
+            mi_full, err_full, _ = quadrature_moments(M, dist, nodes)
+        # both rules round their O(1) per-entry terms alike: at most 1.6e-15 nats over 600 draws,
+        # which is 6e-13 of an MI of 2.5e-5 nats, and E of 1e-33 is rounding noise in both
+        assert abs(mi - mi_full) <= 1e-14 * max(1.0, abs(mi_full))
+        assert np.max(np.abs(err - err_full)) <= 1e-14 * max(1.0, np.max(np.abs(err_full)))
+        assert not err.imag.any()
+        # the brute force sums the full rule and keeps its imaginary part: that part is rounding
+        _, err_ref = _brute_force_moments(M, dist, nodes)
+        scale = 1e-12 * max(1.0, np.max(np.abs(err_ref)))
+        assert np.max(np.abs(err_ref.imag)) <= scale
+        assert np.max(np.abs(err - err_ref.real)) <= scale
+
+    @pytest.mark.parametrize(
+        "M, dist",
+        [
+            (np.array([[0.9 + 0.4j, -0.7]]), InputDistribution.qpsk(2)),  # a complex channel
+            (np.array([[1.3 + 0j]]), InputDistribution.discrete(np.array([[1], [1j], [-1], [-1j]]) * (1 + 0.3j))),
+        ],
+        ids=["complex-channel", "law-not-conjugation-closed"],
+    )
+    def test_no_conjugation_without_the_symmetry(self, M, dist):
+        assert dist.phase_order == 4
+        with mock.patch.object(estimator, "phase_orbit_rule", wraps=quadrature.phase_orbit_rule) as rule:
+            quadrature_moments(M, dist, 8)
+        assert rule.call_args.args == (M.shape[0], 8, 4, False)
+
+    # (dim, nodes, order, conjugate, count): every group at dims 1-3 and odd and even node counts
+    ORBIT_CASES = [
+        (2, 16, 4, False, 16384), (1, 15, 4, False, 57), (1, 15, 2, False, 113), (2, 15, 4, False, 12657),
+        (2, 16, 2, False, 32768), (3, 5, 4, False, 3907), (1, 1, 2, False, 1),
+        (1, 16, 4, False, 64), (1, 16, 2, False, 128), (1, 15, 1, False, 225), (2, 6, 4, False, 324),
+        (2, 5, 2, False, 313), (2, 6, 1, False, 1296), (3, 4, 4, False, 1024), (3, 4, 2, False, 2048),
+        (3, 5, 2, False, 7813),
+        (1, 15, 4, True, 36), (1, 16, 4, True, 36), (1, 15, 2, True, 64), (1, 16, 2, True, 64),
+        (1, 15, 1, True, 120), (1, 16, 1, True, 128), (1, 3, 4, True, 3), (1, 1, 4, True, 1),
+        (2, 15, 4, True, 6441), (2, 16, 4, True, 8256), (2, 5, 2, True, 169), (2, 6, 2, True, 324),
+        (2, 5, 1, True, 325), (2, 6, 1, True, 648),
+        (3, 5, 4, True, 2016), (3, 4, 4, True, 528), (3, 5, 2, True, 3969), (3, 4, 2, True, 1024),
+        (3, 5, 1, True, 7875), (3, 4, 1, True, 2048),
+    ]
+
+    @pytest.mark.parametrize(
+        "dim, nodes, order, conjugate, count",
+        ORBIT_CASES,
+        ids=["-".join(map(str, (d, n, o) + (("conj",) if c else ()) + (k,))) for d, n, o, c, k in ORBIT_CASES],
+    )
+    def test_orbits_tile_the_full_rule(self, dim, nodes, order, conjugate, count):
+        points, weights = quadrature.phase_orbit_rule(dim, nodes, order, conjugate)
         assert len(points) == len(weights) == count
-        # the orbit rule's rotations, each at 1/order of its weight, are the full rule
-        origin = ~np.any(points != 0, axis=1)
+        # each representative's distinct group images, each at 1/|orbit| of its weight, are the full rule
         omega = 1j if order == 4 else -1
-        rotated = [points[~origin] * omega**k for k in range(order)] + [points[origin]]
-        shares = [weights[~origin] / order] * order + [weights[origin]]
+        rotations = [points * omega**k for k in range(order)]
+        images = np.stack(rotations + [p.conj() for p in rotations] if conjugate else rotations)
+        rep = np.broadcast_to(np.arange(count), images.shape[:2])
+        rows = np.unique(np.column_stack([rep.ravel(), images.reshape(-1, dim).view(float)]), axis=0)
+        rep, image = rows[:, 0].astype(int), rows[:, 1:].copy().view(complex)
+        orbit = np.bincount(rep, minlength=count)
+        assert np.all(len(images) % orbit == 0)
 
         def table(pts, wts):
             rows = np.column_stack([pts.real, pts.imag, wts])
             return rows[np.lexsort(rows.T[::-1])]
 
         full = quadrature.complex_gauss_hermite(dim, nodes)
-        assert np.array_equal(table(np.concatenate(rotated), np.concatenate(shares)), table(*full))
+        assert np.array_equal(table(image, weights[rep] / orbit[rep]), table(*full))
+
+    @pytest.mark.parametrize(
+        "order, conjugate, axis, diagonal",
+        [(2, False, [2, 2], [2, 2]), (1, True, [1, 1, 2], [2, 2]), (2, True, [2, 2], [4]), (4, False, [4], [4]), (4, True, [4], [4])],
+    )
+    def test_origin_axis_and_diagonal_points_have_smaller_orbits(self, order, conjugate, axis, diagonal):
+        # 3 nodes are -a, 0, a: the origin, 4 axis points and 4 diagonal points, whose orbits
+        # have 1, at most 4 and at most 4 points where a generic orbit of the group has |G|
+        full = dict(zip(*(a.ravel() for a in quadrature.complex_gauss_hermite(1, 3))))
+        points, weights = quadrature.phase_orbit_rule(1, 3, order, conjugate)
+        sizes = {"origin": [], "axis": [], "diagonal": []}
+        for p, w in zip(points.ravel(), weights):
+            kind = "origin" if p == 0 else "axis" if p.real * p.imag == 0 else "diagonal"
+            sizes[kind].append(w / full[p])
+        assert {kind: sorted(n) for kind, n in sizes.items()} == {"origin": [1], "axis": axis, "diagonal": diagonal}
 
     def test_order_one_is_the_full_rule(self):
-        assert quadrature.phase_orbit_rule(2, 6, 1) is quadrature.complex_gauss_hermite(2, 6)
+        assert quadrature.phase_orbit_rule(2, 6, 1, False) is quadrature.complex_gauss_hermite(2, 6)
         with pytest.raises(ValueError, match="phase order"):
-            quadrature.phase_orbit_rule(2, 6, 3)
+            quadrature.phase_orbit_rule(2, 6, 3, False)
 
 
 class TestExactInformation:

@@ -292,6 +292,27 @@ class TestInputDistribution:
         law = getattr(InputDistribution, kind)(dim)
         shuffled = InputDistribution.discrete(np.random.default_rng(seed).permutation(law.support))
         assert law.phase_order == shuffled.phase_order == {"qpsk": 4, "bpsk": 2}[kind]
+        assert law.conjugate_closed and shuffled.conjugate_closed
+
+    @given(
+        dim=st.integers(min_value=1, max_value=3),
+        equal=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_conjugate_closure_ignores_support_order(self, dim, equal, seed):
+        # a non-real x and conj(x) are closed only at equal probabilities; the phase orbit of
+        # 1+0.3i is closed under i but not under conjugation
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=dim) + 1j * (rng.random(size=dim) + 0.1)
+        pair = np.array([x, x.conj()]), np.array([0.5, 0.5] if equal else [0.3, 0.7])
+        orbit = np.array([[1], [1j], [-1], [-1j]]) * (1 + 0.3j) * np.ones(dim), np.full(4, 0.25)
+        for (support, probs), closed in ((pair, equal), (orbit, False)):
+            order = rng.permutation(len(support))
+            law = InputDistribution.discrete(support, probs)
+            shuffled = InputDistribution.discrete(support[order], probs[order])
+            assert law.conjugate_closed == shuffled.conjugate_closed == closed
+        assert InputDistribution.discrete(*orbit).phase_order == 4
 
     @given(
         case=st.sampled_from(["point", "unequal-orbit", "partial-orbit", "generic"]),

@@ -8,10 +8,13 @@ The expansion tables are cross-checked two independent ways:
   mechanical zeroing of the full list.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import codedflow.scenarios as scenarios
+from codedflow.cli import _compact, parse_config
 from codedflow import (
     EngineSpec,
     InputDistribution,
@@ -340,6 +343,19 @@ class TestPrecoderAscent:
         traj = precoder_ascent(sys, InputDistribution.gaussian(2), 0.4, 10, 1.7)
         for Bk, _ in traj[1:]:
             assert np.linalg.norm(Bk) == pytest.approx(1.7, rel=1e-12)
+
+    def test_start_outside_the_budget_is_projected(self):
+        # figure1's seeded compact B has |B|^2 = 2.35 over the budget 2; unprojected, every
+        # projected step lost information and the ascent stopped at its first point
+        config = parse_config((Path(__file__).resolve().parent.parent / "configs" / "figure1.cfg").read_text())
+        sys = _compact(config)
+        budget = np.sqrt(2.0)
+        assert np.linalg.norm(sys.B) > budget
+        traj = precoder_ascent(sys, config.dist, 0.5, 3, budget, config.engine)
+        values = [info for _, info in traj]
+        assert len(traj) > 1
+        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+        assert np.linalg.norm(traj[0][0]) == pytest.approx(budget, rel=1e-12)
 
     def test_discrete_input_path(self):
         sys = SystemMatrices.from_factors(
