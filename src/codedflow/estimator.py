@@ -36,6 +36,13 @@ _QUAD_CHUNK_BYTES = 1 << 19  # per chunk of quadrature rows, 16*K*(dim+1) B a ro
 _SYSTEM_CONDITION_LIMIT = 1e10
 
 
+def _enough_samples(count: int) -> int:
+    """``count``, or ``CostGuardError`` if it is too few samples for ``_SE_BATCHES`` batch means."""
+    if count < _MC_MIN_SAMPLES:
+        raise CostGuardError(f"Monte Carlo needs at least {_MC_MIN_SAMPLES} samples")
+    return count
+
+
 @dataclass(frozen=True)
 class EngineSpec:
     """How expectations are evaluated: exact quadrature or Monte Carlo."""
@@ -56,9 +63,7 @@ class EngineSpec:
 
     def mc_samples(self) -> int:
         """The sample count for a Monte Carlo draw, refused before any draw if too few for batch means."""
-        if self.samples < _MC_MIN_SAMPLES:
-            raise CostGuardError(f"Monte Carlo needs at least {_MC_MIN_SAMPLES} samples")
-        return self.samples
+        return _enough_samples(self.samples)
 
     def resolve_nodes(self, dim: int) -> int:
         return self.nodes if self.nodes is not None else default_nodes(dim)
@@ -243,17 +248,23 @@ def _batch_se(values: np.ndarray, batches: int):
 def mc_moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mmse=True, want_mi=True, batch: SampleBatch | None = None):
     """Monte-Carlo estimates of mutual information and the error matrix.
 
-    Returns ``(mi, mi_se, error_matrix, error_se, count)``.  A pre-drawn
-    ``batch`` may be supplied for common-random-number workflows.
+    Returns ``(mi, mi_se, error_matrix, error_se, count)``.  Without a ``batch`` the samples are the
+    spec's draw (``flowmodel._draws``) and ``log p(z|x)`` is the density of its noise; a pre-drawn
+    ``batch`` of at least ``_MC_MIN_SAMPLES`` may be supplied for common-random-number workflows.
     """
     M = np.asarray(M, dtype=complex)
     if batch is None:
-        batch = flowmodel.sample(M, dist, spec.seed, spec.mc_samples(), workers=spec.workers)
-    x, z = batch.inputs, batch.outputs
+        x, noise = flowmodel._draws(dist, M.shape[0], spec.seed, spec.mc_samples(), spec.workers)
+        z = x @ M.T
+        z += noise
+    else:
+        _enough_samples(batch.count)
+        x, z = batch.inputs, batch.outputs
+        noise = z - x @ M.T if want_mi else None
 
     mi = mi_se = None
     if want_mi:
-        log_cond = flowmodel._log_noise_density(z - x @ M.T, M.shape[0], axis=1)
+        log_cond = flowmodel._log_noise_density(noise, M.shape[0], axis=1)
         info_samples = log_cond - flowmodel._log_output_density(M, dist, z)
         mi = float(np.mean(info_samples))
         mi_se = float(_batch_se(info_samples, _SE_BATCHES))
@@ -264,7 +275,7 @@ def mc_moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mmse=True, 
         err = resid.T @ resid.conj() / len(resid)  # the mean of the outer products, never formed
         err_se = _means_se(np.stack([b.T @ b.conj() / len(b) for b in np.array_split(resid, _SE_BATCHES)]))
 
-    return mi, mi_se, err, err_se, batch.count
+    return mi, mi_se, err, err_se, len(x)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +354,10 @@ def estimation_diagnostics(M, dist: InputDistribution, batch: SampleBatch):
 
     Returns a dict with the cross-moment ``E[(x - xhat) z^H]`` and the
     posterior-mean bias ``E[xhat] - E[x]``, each paired with per-entry
-    standard errors.
+    standard errors.  A batch below ``_MC_MIN_SAMPLES`` raises ``CostGuardError``.
     """
     M = np.asarray(M, dtype=complex)
+    _enough_samples(batch.count)
     x, z = batch.inputs, batch.outputs
     xhat = conditional_mean_batch(M, dist, z)
     resid = x - xhat

@@ -8,11 +8,16 @@ Gaussian; Gaussian inputs use exact closed forms for the output density and
 score instead of mixture sums.
 
 ``mixture_log_density`` and ``mixture_posterior_mean`` share one fused chunk kernel whose weights
-``p_j exp(-|z - mean_j|^2)`` are one real product, exponentiated in place without a max shift.
+``p_j exp(-|z - mean_j|^2)`` are one real product of row-major operands, the (K, 2n+2) coefficients
+times a C-contiguous (2n+2, rows) block of the points, exponentiated in place without a max shift.
 ``_mixture_lse``, the exact max-shifted kernel, serves ``output_score`` and redoes every sum at or
 below ``_EXACT_FLOOR`` there and in ``estimator.quadrature_moments``.  An output log-density below
 -700 raises ``DensityUnderflow`` rather than silently flushing to zero.  ``workers`` is the whole
 thread budget of a call: the library's pools hold BLAS at one thread (``_pool_map``).
+
+A Monte Carlo run draws once: ``sample``, ``estimator.mc_moments`` and ``infogradients.grad_oracle``
+take their input and noise draws from ``_draws``, which keeps the last draw, read-only, for its key
+(law, ``n_out``, seed, count, workers) and redraws on any other.
 
 Score convention: the gradient with respect to the output is taken in
 conjugate coordinates, entry k being ``(d/dRe z_k + i d/dIm z_k) / 2``
@@ -34,8 +39,10 @@ from .errors import CostGuardError, DensityUnderflow, EmptySupport
 LOG_UNDERFLOW = -700.0
 _PROB_TOL = 1e-12
 _SAMPLE_CHUNK = 4096
-# per chunk of points, 8*K B a point, never the worker count: fixes the chunking.  512 KiB was
-# the fastest of 64 KiB-4 MiB at 2e5 points, K = 16 and 64, on 1 and 2 threads (2 MiB L2 a core)
+# per chunk of points, 8*K B a point, never the worker count: fixes the chunking.  At 2e5 points,
+# K = 16 and 64, one call on one thread was level from 256 KiB to 2 MiB within timing noise; two
+# calls on two threads ran 1.4-2.8x slower at 256 KiB and below.  1 MiB beat 512 KiB there by
+# 12-30% but raised figure1's Monte Carlo verify peak memory by 1.8 MB (2 vCPUs, 2 MiB L2 a core)
 _LSE_CHUNK_BYTES = 1 << 19
 _EXACT_FLOOR = 1e-290  # unshifted mixture sums at or below this may have underflowed: redone exactly
 _DRAW_CAP_BYTES = 1 << 30  # input and noise draws, 16 B an entry: 16,777,216 figure1 samples (64 B each)
@@ -276,19 +283,21 @@ def _mixture_chunks(means, log_probs, points):
     ``w[j, n] = p_j exp(-|z_n - mean_j|^2)`` is one real product ``[2 mean, log p - |mean|^2, -1] .
     [z, 1, |z|^2]^T`` exponentiated in place, in one buffer reused for every chunk.  Its exponent is
     at most ``log p_j <= 0``, so it needs no shift; totals at or below ``_EXACT_FLOOR`` may have
-    underflowed, and ``_mixture_lse`` redoes them."""
+    underflowed, and ``_mixture_lse`` redoes them.  Both factors are row-major: the points fill a
+    C-contiguous (2n+2, rows) block, reused like ``w``'s buffer."""
     means = np.ascontiguousarray(means, dtype=complex)
     points = np.ascontiguousarray(points, dtype=complex)
     (K, n), N = means.shape, len(points)
     coef = np.column_stack([2.0 * means.view(float), log_probs - np.sum(np.abs(means) ** 2, axis=1), -np.ones(K)])
     rows = max(1, min(N, _LSE_CHUNK_BYTES // (8 * K)))
-    cols, buf, ones = np.ones((rows, 2 * n + 2)), np.empty(K * rows), np.ones(K)
+    cols, buf, ones = np.ones((2 * n + 2, rows)), np.empty(K * rows), np.ones(K)  # cols: [z, 1, |z|^2]^T
     for start in range(0, N, rows):
         block = points[start : start + rows]
-        z = cols[: len(block)]
-        z[:, : 2 * n] = block.view(float)
-        np.einsum("ij,ij->i", z[:, : 2 * n], z[:, : 2 * n], out=z[:, -1])
-        w = np.matmul(coef, z.T, out=buf[: K * len(block)].reshape(K, -1))
+        z = cols[:, : len(block)]
+        flat = block.view(float)
+        z[: 2 * n] = flat.T
+        np.einsum("ij,ij->i", flat, flat, out=z[-1])
+        w = np.matmul(coef, z, out=buf[: K * len(block)].reshape(K, -1))
         total = ones @ np.exp(w, out=w)
         log_pz = np.log(np.maximum(total, _EXACT_FLOOR)) - n * np.log(np.pi)
         if total.min() <= _EXACT_FLOOR:  # one test a chunk, the scan only if it fires
@@ -430,14 +439,34 @@ def draw_inputs_and_noise(dist: InputDistribution, n_out: int, seed: int, count:
     return xs, ns
 
 
+_LAST_DRAW_LOCK = threading.Lock()
+_last_draw = [None]  # (dist, n_out, seed, count, workers, inputs, noise) of the last draw, or None
+
+
+def _draws(dist: InputDistribution, n_out: int, seed: int, count: int, workers: int = 1):
+    """``draw_inputs_and_noise``, kept for one key: the last (law, ``n_out``, seed, count, workers)
+    drawn returns the same read-only arrays, and any other key drops them before drawing afresh.
+    The law is held and compared by identity; a draw that raises leaves nothing kept."""
+    with _LAST_DRAW_LOCK:
+        last = _last_draw[0]
+        if last is None or last[0] is not dist or last[1:5] != (n_out, seed, count, workers):
+            _last_draw[0] = None
+            xs, ns = draw_inputs_and_noise(dist, n_out, seed, count, workers=workers)
+            xs.setflags(write=False)
+            ns.setflags(write=False)
+            last = _last_draw[0] = (dist, n_out, seed, count, workers, xs, ns)
+        return last[5:]
+
+
 def sample(M, dist: InputDistribution, seed: int, count: int, *, workers: int = 1) -> SampleBatch:
     """Draw ``count`` paired (x, z) samples with z = Mx + n.
 
     Reproducibility contract: identical (seed, count, model) give
-    bitwise-identical batches regardless of the worker count.
+    bitwise-identical batches regardless of the worker count.  The inputs
+    are the kept draw of ``_draws``, shared with Monte Carlo runs on its key.
     """
     M = np.asarray(M, dtype=complex)
     if dist.dimension != M.shape[1]:
         raise ValueError("input dimension does not match the system matrix")
-    xs, ns = draw_inputs_and_noise(dist, M.shape[0], seed, count, workers=workers)
+    xs, ns = _draws(dist, M.shape[0], seed, count, workers)
     return SampleBatch(seed=seed, count=count, inputs=xs, outputs=xs @ M.T + ns)

@@ -251,9 +251,7 @@ def grad_oracle(
     draws = None
     if spec.method == "mc":
         n_out = L.shape[0]
-        inputs, noise = flowmodel.draw_inputs_and_noise(
-            dist, n_out, spec.seed, spec.mc_samples(), workers=spec.workers
-        )
+        inputs, noise = flowmodel._draws(dist, n_out, spec.seed, spec.mc_samples(), spec.workers)
         draws = inputs, noise, flowmodel._log_noise_density(noise, n_out, axis=1)
 
     rows, cols = base.shape

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from pathlib import Path
 
-from codedflow import scenarios
+from codedflow import flowmodel, scenarios
 from codedflow.cli import _compact, main, parse_config, run
 from codedflow.infogradients import verify_gradients
 from codedflow.errors import ConfigError
@@ -184,6 +184,19 @@ class TestCommands:
             bodies.append((out / "verify.csv").read_bytes())
         assert len(bodies[0].splitlines()) == 13
         assert bodies[0] == bodies[1] == bodies[2]
+
+    def test_monte_carlo_verify_draws_once(self, tmp_path, monkeypatch):
+        # the error matrix, the three oracles and the report's information share one draw
+        calls, real = [], flowmodel.draw_inputs_and_noise
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(flowmodel, "draw_inputs_and_noise", counted)
+        argv = ["verify", "--config", str(FIGURE1), "--method", "mc", "--samples", "20000"]
+        assert main(argv + ["--workers", "2", "--tolerance", "5e-2", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
     def test_reports_show_the_step_halving_change(self, tmp_path):
         config = parse_config(SCALAR_CHAIN)

@@ -530,6 +530,31 @@ class TestInvertFlowEstimate:
             invert_flow_estimate(sys, dist, np.array([1.0 + 0j, 0.0]))
 
 
+class TestSmallBatches:
+    """A pre-drawn batch too small for batch means is refused before any density work."""
+
+    @pytest.fixture
+    def no_density(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("density work on a batch below the Monte Carlo minimum")
+
+        for name in ("_log_output_density", "mixture_log_density", "mixture_posterior_mean"):
+            monkeypatch.setattr(flowmodel, name, refuse)
+
+    @pytest.mark.parametrize("count", [10, 999])
+    def test_mc_moments_refuses(self, count, no_density):
+        M, dist = np.array([[1.0 + 0j]]), InputDistribution.qpsk(1)
+        batch = sample(M, dist, seed=1, count=count)
+        with pytest.raises(CostGuardError, match="at least 1000 samples"):
+            estimator.mc_moments(M, dist, EngineSpec(method="mc"), batch=batch)
+
+    @pytest.mark.parametrize("count", [10, 999])
+    def test_diagnostics_refuse(self, count, no_density):
+        M, dist = np.array([[1.0 + 0j]]), InputDistribution.qpsk(1)
+        with pytest.raises(CostGuardError, match="at least 1000 samples"):
+            estimation_diagnostics(M, dist, sample(M, dist, seed=1, count=count))
+
+
 class TestDiagnostics:
     @pytest.mark.parametrize("kind", ["qpsk", "gaussian"])
     def test_orthogonality_and_tower(self, kind):

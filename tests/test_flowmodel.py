@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp, softmax
 
 from codedflow import (
+    CostGuardError,
     DensityUnderflow,
     EmptySupport,
     EngineSpec,
@@ -384,6 +385,15 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(np.eye(1), InputDistribution.bpsk(1), seed=0, count=0)
 
+    def test_sample_uses_the_kept_draw(self, monkeypatch):
+        monkeypatch.setattr(flowmodel, "_last_draw", [None])
+        dist = InputDistribution.qpsk(2)
+        M = np.array([[0.6, 0.1], [0.2, 0.9]]) + 0j
+        batch = sample(M, dist, seed=5, count=3000)
+        inputs, noise = flowmodel._draws(dist, 2, 5, 3000)
+        assert batch.inputs is inputs
+        np.testing.assert_array_equal(batch.outputs, inputs @ M.T + noise)
+
     def test_noise_model_density_normalizes(self):
         # with M = 0 the conditional density of z is the noise density
         M, x = np.zeros((1, 1)), np.zeros(1)
@@ -393,3 +403,60 @@ class TestSampling:
         values = np.array([np.exp(log_conditional_density(M, x, p)) for p in points])
         reference = np.exp(-np.abs(points[:, 0]) ** 2) / np.pi
         assert float(weights @ (values / reference)) == pytest.approx(1.0, abs=1e-10)
+
+
+class TestKeptDraw:
+    """``_draws`` keeps the last draw for its (law, n_out, seed, count, workers) key."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        """Start from an empty memo and count the draws made."""
+        monkeypatch.setattr(flowmodel, "_last_draw", [None])
+        calls, real = [], flowmodel.draw_inputs_and_noise
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(flowmodel, "draw_inputs_and_noise", counted)
+        return calls
+
+    def test_kept_arrays_are_read_only_and_equal_a_fresh_draw(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        dist = InputDistribution.qpsk(2)
+        inputs, noise = flowmodel._draws(dist, 2, 11, 9000, 2)
+        again = flowmodel._draws(dist, 2, 11, 9000, 2)
+        assert len(calls) == 1 and again[0] is inputs and again[1] is noise
+        fresh = flowmodel.draw_inputs_and_noise(dist, 2, 11, 9000, workers=2)
+        for kept, new in zip((inputs, noise), fresh):
+            assert not kept.flags.writeable
+            np.testing.assert_array_equal(kept, new)
+        with pytest.raises(ValueError):
+            inputs[0] = 0.0
+
+    def test_any_other_key_redraws(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        dist = InputDistribution.bpsk(1)
+        base = (dist, 1, 3, 2000, 1)
+        changed = [
+            (dist, 1, 4, 2000, 1),  # seed
+            (dist, 1, 3, 2001, 1),  # count
+            (dist, 2, 3, 2000, 1),  # n_out
+            (InputDistribution.bpsk(1), 1, 3, 2000, 1),  # an equal law, another object
+            (dist, 1, 3, 2000, 2),  # workers
+        ]
+        for key in changed:  # each pair draws twice: the base key was dropped by the last change
+            flowmodel._draws(*base)
+            flowmodel._draws(*key)
+        assert len(calls) == 2 * len(changed)
+
+    def test_refused_draw_keeps_nothing(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        dist = InputDistribution.bpsk(1)
+        flowmodel._draws(dist, 1, 3, 2000)
+        monkeypatch.setattr(flowmodel, "_DRAW_CAP_BYTES", 2000 * 32)
+        with pytest.raises(CostGuardError):
+            flowmodel._draws(dist, 1, 3, 2001)
+        assert flowmodel._last_draw == [None]
+        flowmodel._draws(dist, 1, 3, 2000)
+        assert len(calls) == 3
