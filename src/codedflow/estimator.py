@@ -245,36 +245,41 @@ def _batch_se(values: np.ndarray, batches: int):
     return _means_se(np.stack([np.mean(b, axis=0) for b in np.array_split(values, batches)]))
 
 
-def mc_moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mmse=True, want_mi=True, batch: SampleBatch | None = None):
-    """Monte-Carlo estimates of mutual information and the error matrix.
+def _cross_moment(a: np.ndarray, b: np.ndarray):
+    """``(E[a b^H], its batch-means standard error)`` over paired rows, one product per batch."""
+    parts = zip(np.array_split(a, _SE_BATCHES), np.array_split(b, _SE_BATCHES))
+    return a.T @ b.conj() / len(a), _means_se(np.stack([pa.T @ pb.conj() / len(pa) for pa, pb in parts]))
 
-    Returns ``(mi, mi_se, error_matrix, error_se, count)``.  Without a ``batch`` the samples are the
-    spec's draw (``flowmodel._draws``) and ``log p(z|x)`` is the density of its noise; a pre-drawn
-    ``batch`` of at least ``_MC_MIN_SAMPLES`` may be supplied for common-random-number workflows.
+
+def _information(M, dist: InputDistribution, spec: EngineSpec) -> np.ndarray:
+    """Information samples of M, whose mean is its information: under Monte Carlo ``log p(z|x) -
+    log p(z)`` at ``z = x M^T + noise`` on the spec's kept draw, in place; else the ``_moments`` value."""
+    if spec.method != "mc":
+        return np.array([_moments(M, dist, spec, want_mmse=False)[0]])
+    x, noise, log_cond = flowmodel._draws(dist, M.shape[0], spec.seed, spec.mc_samples(), spec.workers)
+    z = x @ M.T
+    z += noise
+    log_pz = flowmodel._log_output_density(M, dist, z)
+    return np.subtract(log_cond, log_pz, out=log_pz)
+
+
+def mc_moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mmse=True, want_mi=True):
+    """Monte-Carlo estimates of mutual information and the error matrix on the spec's kept draw.
+
+    Returns ``(mi, mi_se, error_matrix, error_se, count)``: the means of ``_information``'s samples
+    and of the error's outer products, each with its batch-means standard error.
     """
     M = np.asarray(M, dtype=complex)
-    if batch is None:
-        x, noise = flowmodel._draws(dist, M.shape[0], spec.seed, spec.mc_samples(), spec.workers)
+    x, noise, _ = flowmodel._draws(dist, M.shape[0], spec.seed, spec.mc_samples(), spec.workers)
+    mi = mi_se = err = err_se = None
+    if want_mi:
+        info_samples = _information(M, dist, spec)
+        mi, mi_se = float(np.mean(info_samples)), float(_batch_se(info_samples, _SE_BATCHES))
+    if want_mmse:
         z = x @ M.T
         z += noise
-    else:
-        _enough_samples(batch.count)
-        x, z = batch.inputs, batch.outputs
-        noise = z - x @ M.T if want_mi else None
-
-    mi = mi_se = None
-    if want_mi:
-        log_cond = flowmodel._log_noise_density(noise, M.shape[0], axis=1)
-        info_samples = log_cond - flowmodel._log_output_density(M, dist, z)
-        mi = float(np.mean(info_samples))
-        mi_se = float(_batch_se(info_samples, _SE_BATCHES))
-
-    err = err_se = None
-    if want_mmse:
         resid = x - conditional_mean_batch(M, dist, z)
-        err = resid.T @ resid.conj() / len(resid)  # the mean of the outer products, never formed
-        err_se = _means_se(np.stack([b.T @ b.conj() / len(b) for b in np.array_split(resid, _SE_BATCHES)]))
-
+        err, err_se = _cross_moment(resid, resid)
     return mi, mi_se, err, err_se, len(x)
 
 
@@ -360,11 +365,10 @@ def estimation_diagnostics(M, dist: InputDistribution, batch: SampleBatch):
     _enough_samples(batch.count)
     x, z = batch.inputs, batch.outputs
     xhat = conditional_mean_batch(M, dist, z)
-    resid = x - xhat
-    cross = np.einsum("ni,nj->nij", resid, z.conj())
+    orthogonality, orthogonality_se = _cross_moment(x - xhat, z)
     return {
-        "orthogonality": np.mean(cross, axis=0),
-        "orthogonality_se": _batch_se(cross, _SE_BATCHES),
+        "orthogonality": orthogonality,
+        "orthogonality_se": orthogonality_se,
         "tower_gap": np.mean(xhat, axis=0) - dist.mean(),
         "tower_se": _batch_se(xhat, _SE_BATCHES),
     }

@@ -15,9 +15,9 @@ below ``_EXACT_FLOOR`` there and in ``estimator.quadrature_moments``.  An output
 -700 raises ``DensityUnderflow`` rather than silently flushing to zero.  ``workers`` is the whole
 thread budget of a call: the library's pools hold BLAS at one thread (``_pool_map``).
 
-A Monte Carlo run draws once: ``sample``, ``estimator.mc_moments`` and ``infogradients.grad_oracle``
-take their input and noise draws from ``_draws``, which keeps the last draw, read-only, for its key
-(law, ``n_out``, seed, count, workers) and redraws on any other.
+A Monte Carlo run draws once: ``sample`` and ``estimator._information`` draw through ``_draws``, which
+keeps the last draw and its noise's log density, read-only, for its key (law, ``n_out``, seed, count,
+workers) and redraws on any other.
 
 Score convention: the gradient with respect to the output is taken in
 conjugate coordinates, entry k being ``(d/dRe z_k + i d/dIm z_k) / 2``
@@ -440,21 +440,22 @@ def draw_inputs_and_noise(dist: InputDistribution, n_out: int, seed: int, count:
 
 
 _LAST_DRAW_LOCK = threading.Lock()
-_last_draw = [None]  # (dist, n_out, seed, count, workers, inputs, noise) of the last draw, or None
+_last_draw = [None]  # (dist, n_out, seed, count, workers, inputs, noise, log p(noise)), or None
 
 
 def _draws(dist: InputDistribution, n_out: int, seed: int, count: int, workers: int = 1):
-    """``draw_inputs_and_noise``, kept for one key: the last (law, ``n_out``, seed, count, workers)
-    drawn returns the same read-only arrays, and any other key drops them before drawing afresh.
-    The law is held and compared by identity; a draw that raises leaves nothing kept."""
+    """``draw_inputs_and_noise`` and the noise's log density, kept for one key: the last (law, ``n_out``,
+    seed, count, workers) drawn returns the same read-only arrays, and any other key drops them before
+    drawing afresh.  The law is held and compared by identity; a draw that raises leaves nothing kept."""
     with _LAST_DRAW_LOCK:
         last = _last_draw[0]
         if last is None or last[0] is not dist or last[1:5] != (n_out, seed, count, workers):
             _last_draw[0] = None
             xs, ns = draw_inputs_and_noise(dist, n_out, seed, count, workers=workers)
-            xs.setflags(write=False)
-            ns.setflags(write=False)
-            last = _last_draw[0] = (dist, n_out, seed, count, workers, xs, ns)
+            kept = xs, ns, _log_noise_density(ns, n_out, axis=1)
+            for array in kept:
+                array.setflags(write=False)
+            last = _last_draw[0] = (dist, n_out, seed, count, workers, *kept)
         return last[5:]
 
 
@@ -468,5 +469,5 @@ def sample(M, dist: InputDistribution, seed: int, count: int, *, workers: int = 
     M = np.asarray(M, dtype=complex)
     if dist.dimension != M.shape[1]:
         raise ValueError("input dimension does not match the system matrix")
-    xs, ns = _draws(dist, M.shape[0], seed, count, workers)
+    xs, ns, _ = _draws(dist, M.shape[0], seed, count, workers)
     return SampleBatch(seed=seed, count=count, inputs=xs, outputs=xs @ M.T + ns)

@@ -30,9 +30,11 @@ evaluation here: the reported values, the oracle and the refinement probe.
 
 Oracles
 -------
-``_slope`` is the one finite difference: it forms ``L (X +- step D) R`` and
-differences the information, by ``_moments`` or, for a Monte Carlo oracle,
-on one common draw whose ``log p(z|x)`` is computed once.
+``_slope`` is the one finite difference, with one code path for every engine:
+it forms ``L (X +- step D) R`` and averages the paired differences of
+``estimator._information``, the per-sample ``log p(z|x) - log p(z)`` on the
+spec's kept draw under Monte Carlo (common random numbers), else the single
+``_moments`` value.
 ``grad_oracle`` maps it over the unit directions ``E_ij`` and ``i E_ij``;
 ``directional_derivative`` is one quadrature call of it.
 
@@ -63,6 +65,7 @@ from .estimator import (
     _SE_BATCHES,
     _as_matrix,
     _batch_se,
+    _information,
     _moments,
     gaussian_mutual_information,  # re-exported: the closed form lives with the route
     mmse_matrix,
@@ -192,30 +195,17 @@ def grad_mi_cut(cut: str, which: str, sys: SystemMatrices, mmse_cut: MmseMatrix)
 # ---------------------------------------------------------------------------
 
 
-def _slope(L, base, R, direction, dist, spec, step, draws=None):
+def _slope(L, base, R, direction, dist, spec, step):
     """``(slope, se)``: the central difference of I along ``direction``, the one finite difference,
     through the channels ``L @ (base +- step * direction) @ R``.
 
-    Without ``draws`` it differences two evaluations by ``estimator._moments`` (se 0).  With
-    ``draws = (inputs, noise, log_cond)``, common random numbers shared by every call, it averages
-    the per-sample information difference ``(log_cond - log p(z+)) - (log_cond - log p(z-))`` at
-    ``z = inputs @ M^T + noise`` and returns its batch-means standard error.
+    It is the mean of the paired differences of ``estimator._information``, with their batch-means
+    standard error under Monte Carlo (on common random numbers, the spec's kept draw), else 0.
     """
-    plus, minus = L @ (base + step * direction) @ R, L @ (base - step * direction) @ R
-    if draws is None:
-        diff = _moments(plus, dist, spec, want_mmse=False)[0] - _moments(minus, dist, spec, want_mmse=False)[0]
-        return diff / (2.0 * step), 0.0
-    inputs, noise, log_cond = draws
-
-    def info(M):  # in place, so each pool thread holds fewer arrays; the same bits as out of place
-        z = inputs @ M.T
-        z += noise
-        log_pz = flowmodel._log_output_density(M, dist, z)
-        return np.subtract(log_cond, log_pz, out=log_pz)
-
-    diff = info(plus)
-    diff -= info(minus)
-    return float(np.mean(diff)) / (2.0 * step), float(_batch_se(diff, _SE_BATCHES)) / (2.0 * step)
+    diff = _information(L @ (base + step * direction) @ R, dist, spec)
+    diff -= _information(L @ (base - step * direction) @ R, dist, spec)
+    se = float(_batch_se(diff, _SE_BATCHES)) if spec.method == "mc" else 0.0
+    return float(np.mean(diff)) / (2.0 * step), se / (2.0 * step)
 
 
 def grad_oracle(
@@ -248,11 +238,8 @@ def grad_oracle(
     if not np.all(np.isfinite(base)):
         raise ValueError("target matrix has non-finite entries")
 
-    draws = None
-    if spec.method == "mc":
-        n_out = L.shape[0]
-        inputs, noise = flowmodel._draws(dist, n_out, spec.seed, spec.mc_samples(), spec.workers)
-        draws = inputs, noise, flowmodel._log_noise_density(noise, n_out, axis=1)
+    if spec.method == "mc":  # draw before the pool, so its threads share the kept draw
+        flowmodel._draws(dist, L.shape[0], spec.seed, spec.mc_samples(), spec.workers)
 
     rows, cols = base.shape
     coords = [(i, j, unit) for i in range(rows) for j in range(cols) for unit in (1.0, 1j)]
@@ -261,7 +248,7 @@ def grad_oracle(
         i, j, unit = coord
         direction = np.zeros(base.shape, dtype=complex)
         direction[i, j] = unit
-        return _slope(L, base, R, direction, dist, spec, step, draws)
+        return _slope(L, base, R, direction, dist, spec, step)
 
     results = flowmodel._pool_map(slope, coords, spec.workers)
     oracle = np.zeros((rows, cols), dtype=complex)
@@ -271,7 +258,7 @@ def grad_oracle(
         worst_se = max(worst_se, se / WIRTINGER_SCALE)
 
     scale = float(np.max(np.abs(oracle), initial=0.0))
-    if draws is not None and scale > 0.0 and worst_se > noise_ratio_limit * scale:
+    if spec.method == "mc" and scale > 0.0 and worst_se > noise_ratio_limit * scale:
         raise StepTooSmallError(
             f"finite-difference noise floor {worst_se:.2e} exceeds "
             f"{noise_ratio_limit:.0%} of the largest gradient entry {scale:.2e}; "

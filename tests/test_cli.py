@@ -198,6 +198,19 @@ class TestCommands:
         assert main(argv + ["--workers", "2", "--tolerance", "5e-2", "--out", str(tmp_path)]) == 0
         assert len(calls) == 1
 
+    def test_monte_carlo_verify_computes_the_noise_density_once(self, tmp_path, monkeypatch):
+        # the kept draw holds log p(z|x): the error matrix, the oracles and the report never redo it
+        calls, real = [], flowmodel._log_noise_density
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(flowmodel, "_log_noise_density", counted)
+        argv = ["verify", "--config", str(FIGURE1), "--method", "mc", "--samples", "20000"]
+        assert main(argv + ["--workers", "2", "--tolerance", "5e-2", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
     def test_reports_show_the_step_halving_change(self, tmp_path):
         config = parse_config(SCALAR_CHAIN)
         sys_c = _compact(config)

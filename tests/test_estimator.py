@@ -531,7 +531,7 @@ class TestInvertFlowEstimate:
 
 
 class TestSmallBatches:
-    """A pre-drawn batch too small for batch means is refused before any density work."""
+    """A sample count too small for batch means is refused before any density work."""
 
     @pytest.fixture
     def no_density(self, monkeypatch):
@@ -544,9 +544,8 @@ class TestSmallBatches:
     @pytest.mark.parametrize("count", [10, 999])
     def test_mc_moments_refuses(self, count, no_density):
         M, dist = np.array([[1.0 + 0j]]), InputDistribution.qpsk(1)
-        batch = sample(M, dist, seed=1, count=count)
         with pytest.raises(CostGuardError, match="at least 1000 samples"):
-            estimator.mc_moments(M, dist, EngineSpec(method="mc"), batch=batch)
+            estimator.mc_moments(M, dist, EngineSpec(method="mc", samples=count))
 
     @pytest.mark.parametrize("count", [10, 999])
     def test_diagnostics_refuse(self, count, no_density):

@@ -10,7 +10,6 @@ from codedflow import (
     CostGuardError,
     DensityUnderflow,
     EmptySupport,
-    EngineSpec,
     InputDistribution,
     log_conditional_density,
     log_output_density,
@@ -18,7 +17,6 @@ from codedflow import (
     sample,
 )
 from codedflow import flowmodel
-from codedflow.estimator import mc_moments
 from codedflow.flowmodel import mixture_log_density, mixture_posterior_mean
 from codedflow.quadrature import complex_gauss_hermite
 
@@ -212,7 +210,6 @@ class TestUnderflow:
         for call in (
             lambda: mixture_log_density(means, dist.log_probs, noise.outputs),
             lambda: mixture_posterior_mean(means, dist.log_probs, dist.support, noise.outputs),
-            lambda: mc_moments(M, dist, EngineSpec(method="mc", samples=1000), want_mmse=False, batch=noise),
         ):
             with pytest.raises(DensityUnderflow) as caught:
                 call()
@@ -390,7 +387,7 @@ class TestSampling:
         dist = InputDistribution.qpsk(2)
         M = np.array([[0.6, 0.1], [0.2, 0.9]]) + 0j
         batch = sample(M, dist, seed=5, count=3000)
-        inputs, noise = flowmodel._draws(dist, 2, 5, 3000)
+        inputs, noise, _ = flowmodel._draws(dist, 2, 5, 3000)
         assert batch.inputs is inputs
         np.testing.assert_array_equal(batch.outputs, inputs @ M.T + noise)
 
@@ -424,15 +421,17 @@ class TestKeptDraw:
     def test_kept_arrays_are_read_only_and_equal_a_fresh_draw(self, monkeypatch):
         calls = self._counting(monkeypatch)
         dist = InputDistribution.qpsk(2)
-        inputs, noise = flowmodel._draws(dist, 2, 11, 9000, 2)
+        kept = flowmodel._draws(dist, 2, 11, 9000, 2)
         again = flowmodel._draws(dist, 2, 11, 9000, 2)
-        assert len(calls) == 1 and again[0] is inputs and again[1] is noise
-        fresh = flowmodel.draw_inputs_and_noise(dist, 2, 11, 9000, workers=2)
-        for kept, new in zip((inputs, noise), fresh):
-            assert not kept.flags.writeable
-            np.testing.assert_array_equal(kept, new)
-        with pytest.raises(ValueError):
-            inputs[0] = 0.0
+        assert len(calls) == 1 and all(a is b for a, b in zip(again, kept))
+        inputs, noise = flowmodel.draw_inputs_and_noise(dist, 2, 11, 9000, workers=2)
+        # the kept noise density is the noise's own, bit for bit
+        for array, fresh in zip(kept, (inputs, noise, flowmodel._log_noise_density(noise, 2, axis=1))):
+            assert not array.flags.writeable
+            np.testing.assert_array_equal(array, fresh)
+        for array in kept:
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
     def test_any_other_key_redraws(self, monkeypatch):
         calls = self._counting(monkeypatch)

@@ -237,7 +237,7 @@ class TestSlots:
     @settings(max_examples=50, deadline=None)
     def test_deletion_matches_zeroing_to_roundoff(self, seed, data):
         # removal re-sorts the survivors, so the sums behind M may run in another
-        # order: equal bit for bit only on some graphs (see the 10 exact draws above)
+        # order: equal bit for bit only on some graphs (see the seed sweep below)
         topology, coeffs, n_in, n_out = random_dag(np.random.default_rng(seed))
         edge = data.draw(st.integers(min_value=0, max_value=topology.edge_count - 1))
         topo2, coeffs2 = remove_edge(topology, coeffs, edge)
@@ -324,16 +324,19 @@ class TestRemoveEdge:
         after = build_coefficient_matrices(topo2, coeffs2, 2, 2).M
         np.testing.assert_allclose(after, before, atol=0)
 
-    def test_deletion_equals_zeroing_for_M(self, rng):
-        for _ in range(10):
-            topology, coeffs, n_in, n_out = random_dag(rng)
-            edge = int(rng.integers(topology.edge_count))
-            topo2, coeffs2 = remove_edge(topology, coeffs, edge)
-            m_deleted = build_coefficient_matrices(topo2, coeffs2, n_in, n_out).M
-            m_zeroed = build_coefficient_matrices(
-                topology, zero_edge_coefficients(coeffs, edge), n_in, n_out
-            ).M
-            np.testing.assert_array_equal(m_deleted, m_zeroed)
+    def test_every_single_edge_deletion_matches_zeroing(self):
+        # removal re-sorts the survivors, so the sums behind M may run in another order: over these
+        # 300 graphs, 238 of the 1,732 removals differ from zeroing, by up to 6.8e-16 of max|M|
+        for seed in range(300):
+            topology, coeffs, n_in, n_out = random_dag(np.random.default_rng(seed))
+            for edge in range(topology.edge_count):
+                topo2, coeffs2 = remove_edge(topology, coeffs, edge)
+                m_deleted = build_coefficient_matrices(topo2, coeffs2, n_in, n_out).M
+                m_zeroed = build_coefficient_matrices(
+                    topology, zero_edge_coefficients(coeffs, edge), n_in, n_out
+                ).M
+                gap, scale = np.abs(m_deleted - m_zeroed).max(), np.abs(m_zeroed).max()
+                assert gap <= 1e-14 * scale, (seed, edge, gap, scale)
 
     def _assert_deletion_equals_zeroing(self, topology, coeffs, edge):
         topo2, coeffs2 = remove_edge(topology, coeffs, edge)
