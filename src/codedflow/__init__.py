@@ -63,13 +63,11 @@ from .infogradients import (
     MutualInformationValue,
     NATS_PER_BIT,
     WIRTINGER_SCALE,
+    closed_gradient,
     directional_derivative,
     gaussian_logdet_gradient,
     gaussian_mutual_information,
     grad_mi_cut,
-    grad_mi_decoding,
-    grad_mi_precoding,
-    grad_mi_topology,
     grad_oracle,
     mutual_information,
     verify_gradients,

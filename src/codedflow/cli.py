@@ -43,6 +43,10 @@ CSV schema, one row per check::
     suite,check_id,target,entry_row,entry_col,closed_form_re,closed_form_im,
     oracle_re,oracle_im,abs_err,rel_err,pass
 
+``check_id`` is unquoted, and a matrix check's id such as ``A[0,1]`` holds
+a comma, so such a row has 13 fields under the 12 names: the id is everything
+between the first field and the last ten.
+
 Values are canonical nats formatted with %.17g, so re-running a config
 reproduces the CSV byte for byte regardless of the worker count.
 """
@@ -301,14 +305,15 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                 store[tuple(indices)] = _parse_complex(value, lineno, family)
         coefficients = CodingCoefficients(**families)
 
-    # -- engine -----------------------------------------------------------
-    engine = EngineSpec(
-        method=setting("engine", "method", "quadrature", rule=_one_of("quadrature", "mc")),
-        nodes=setting("engine", "nodes", convert=int, rule=positive),
-        samples=setting("engine", "samples", "100000", int, rule=positive),
-        seed=setting("engine", "seed", "0", int),
-        workers=setting("engine", "workers", "1", int, rule=positive),
-    )
+    # -- engine: the keys set here; EngineSpec supplies the rest ----------
+    given = {
+        "method": setting("engine", "method", rule=_one_of("quadrature", "mc")),
+        "nodes": setting("engine", "nodes", convert=int, rule=positive),
+        "samples": setting("engine", "samples", convert=int, rule=positive),
+        "seed": setting("engine", "seed", convert=int),
+        "workers": setting("engine", "workers", convert=int, rule=positive),
+    }
+    engine = EngineSpec(**{key: value for key, value in given.items() if value is not None})
 
     # -- run ---------------------------------------------------------------
     tolerance = setting("run", "tolerance", "1e-3", float, rule=nonnegative)

@@ -56,10 +56,14 @@ class EngineSpec:
     def __post_init__(self):
         if self.method not in ("quadrature", "mc"):
             raise ValueError(f"unknown engine method {self.method!r}")
-        for name, least in (("nodes", 1), ("samples", 1), ("workers", 1)):
+        for name in ("nodes", "samples", "seed", "workers"):
             value = getattr(self, name)
-            if value is not None and value < least:
-                raise ValueError(f"engine {name} must be at least {least}, got {value}")
+            if value is None and name == "nodes":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"engine {name} must be an integer, got {value!r}")
+            if name != "seed" and value < 1:
+                raise ValueError(f"engine {name} must be at least 1, got {value}")
 
     def mc_samples(self) -> int:
         """The sample count for a Monte Carlo draw, refused before any draw if too few for batch means."""

@@ -72,6 +72,8 @@ class InputDistribution:
             support = np.atleast_2d(np.asarray(self.support, dtype=complex))
             if support.shape[1] != self.dimension:
                 raise ValueError("support vectors do not match the declared dimension")
+            if not np.all(np.isfinite(support)):
+                raise ValueError("support points must be finite")
             probs = (
                 np.full(len(support), 1.0 / len(support))
                 if self.probs is None
@@ -79,7 +81,7 @@ class InputDistribution:
             )
             if probs.shape != (len(support),):
                 raise ValueError("probs length must match support")
-            if np.any(probs < 0) or abs(probs.sum() - 1.0) > _PROB_TOL:
+            if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= _PROB_TOL):  # NaN fails both
                 raise ValueError("probs must be nonnegative and sum to 1 within 1e-12")
             support.setflags(write=False)
             probs.setflags(write=False)

@@ -18,11 +18,13 @@ so the gradient with respect to ``X`` is ``L^H M_eff E R^H``.  Expanded:
     mid        r = G B x + n      G   I     B      G B E B^H
                                   B   G     I      G^H G B E
 
-where ``E`` is always the error matrix of the objective's own channel.  The
-same ``L`` and ``R`` rebuild the channel from a perturbed factor for the
-finite-difference oracle, and give the Gaussian-input gradient
-``L^H (I + M_eff M_eff^H)^{-1} M_eff R^H`` of ``log det(I + M_eff M_eff^H)``
-without any error matrix.
+where ``E`` is always the error matrix of the objective's own channel.
+``closed_gradient(sys, mmse, target, objective)`` is the one public closed
+form; ``grad_mi_cut`` is the same call spelled cut first, as the acceptance
+gate writes it.  The same ``L`` and ``R`` rebuild the channel from a
+perturbed factor for the finite-difference oracle, and give the
+Gaussian-input gradient ``L^H (I + M_eff M_eff^H)^{-1} M_eff R^H`` of
+``log det(I + M_eff M_eff^H)`` without any error matrix.
 
 Information and error matrix come from one route, ``estimator._moments``,
 which picks Monte Carlo, the Gaussian closed forms or quadrature for every
@@ -153,12 +155,6 @@ def _chain(sys: SystemMatrices, objective: str, target: str):
     return X, L, R
 
 
-def _gradient(sys: SystemMatrices, E: np.ndarray, target: str, objective: str) -> np.ndarray:
-    """``L^H M_eff E R^H``; every public form calls this directly, never another form."""
-    X, L, R = _chain(sys, objective, target)
-    return L.conj().T @ (L @ X @ R) @ E @ R.conj().T
-
-
 def effective_matrix(objective: str, sys: SystemMatrices) -> np.ndarray:
     """Channel matrix seen by the input under each cut objective."""
     X, L, R = _chain(sys, objective, "B")  # every objective's channel ends in the precoder
@@ -166,28 +162,16 @@ def effective_matrix(objective: str, sys: SystemMatrices) -> np.ndarray:
 
 
 def closed_gradient(sys: SystemMatrices, mmse: MmseMatrix, target: str, objective: str = "full") -> np.ndarray:
-    """Closed form for (objective, target); ``mmse`` belongs to the objective's channel."""
-    return _gradient(sys, mmse.matrix, target, objective)
-
-
-def grad_mi_decoding(sys: SystemMatrices, mmse: MmseMatrix) -> np.ndarray:
-    """Gradient of I with respect to the decoding matrix A."""
-    return _gradient(sys, mmse.matrix, "A", "full")
-
-
-def grad_mi_topology(sys: SystemMatrices, mmse: MmseMatrix) -> np.ndarray:
-    """Gradient of I with respect to the topology matrix G."""
-    return _gradient(sys, mmse.matrix, "G", "full")
-
-
-def grad_mi_precoding(sys: SystemMatrices, mmse: MmseMatrix) -> np.ndarray:
-    """Gradient of I with respect to the precoding matrix B."""
-    return _gradient(sys, mmse.matrix, "B", "full")
+    """``L^H M_eff E R^H``, the one closed form, for (objective, target); ``mmse`` is the error
+    matrix ``E`` of the objective's channel."""
+    X, L, R = _chain(sys, objective, target)
+    return L.conj().T @ (L @ X @ R) @ mmse.matrix @ R.conj().T
 
 
 def grad_mi_cut(cut: str, which: str, sys: SystemMatrices, mmse_cut: MmseMatrix) -> np.ndarray:
-    """Gradient for a cut channel (``y = Bx + n`` or ``r = GBx + n``); ``mmse_cut`` is its error matrix."""
-    return _gradient(sys, mmse_cut.matrix, which, cut)
+    """``closed_gradient`` spelled cut first (``y = Bx + n`` or ``r = GBx + n``); ``mmse_cut`` is
+    the cut channel's error matrix."""
+    return closed_gradient(sys, mmse_cut, which, cut)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,8 @@ def complex_gauss_hermite(dim: int, nodes: int):
     Hermite weights are not positive and summing to sqrt(pi) (numpy's
     ``hermgauss`` overflows from 371 nodes) raises ``CostGuardError``.
     """
+    if nodes < 1:
+        raise ValueError(f"a quadrature rule needs at least 1 node per axis, got {nodes}")
     return _orbit_rule(dim, nodes, np.arange(nodes * nodes)[None])
 
 
@@ -102,6 +104,8 @@ def phase_orbit_rule(dim: int, nodes: int, order: int, conjugate: bool):
     conjugation the dihedral group of order 8, which keeps about an eighth of the grid.  The
     trivial group returns the full rule itself.
     """
+    if nodes < 1:
+        raise ValueError(f"a quadrature rule needs at least 1 node per axis, got {nodes}")
     if order not in (1, 2, 4):
         raise ValueError(f"phase order must be 1, 2 or 4, got {order}")
     if order == 1 and not conjugate:

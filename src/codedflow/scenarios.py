@@ -39,7 +39,6 @@ from .infogradients import (
     _targets,
     closed_gradient,
     effective_matrix,
-    grad_mi_precoding,
     mutual_information,
 )
 from .netgraph import CodingCoefficients, NetworkTopology, SystemMatrices, zero_edge_coefficients
@@ -412,7 +411,7 @@ def precoder_ascent(
         if step == 0.0:
             trajectory.append((current.copy(), info))
             continue
-        gradient = grad_mi_precoding(trial, err)
+        gradient = closed_gradient(trial, err, "B")
         if not np.all(np.isfinite(gradient)):
             break
         size = step

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from pathlib import Path
 
-from codedflow import flowmodel, scenarios
+from codedflow import EngineSpec, flowmodel, scenarios
 from codedflow.cli import _compact, main, parse_config, run
 from codedflow.infogradients import verify_gradients
 from codedflow.errors import ConfigError
@@ -133,6 +133,12 @@ class TestParsing:
     def test_stream_counts_must_be_positive(self, old, new):
         with pytest.raises(ConfigError, match=rf"{new.split()[0]} must be at least 1, not 0 \(line \d+\)"):
             parse_config(SCALAR_CHAIN.replace(old, new))
+
+    def test_empty_engine_section_is_the_default_spec(self):
+        # a contract: every engine key left out of the config takes EngineSpec's own default
+        text = SCALAR_CHAIN.replace("method = quadrature\nnodes = 32\nseed = 7\n", "")
+        assert "[engine]\n\n[run]" in text
+        assert parse_config(text).engine == EngineSpec()
 
     def test_overrides_take_precedence(self):
         config = parse_config(SCALAR_CHAIN, overrides={"seed": 99, "nodes": 16})

@@ -205,11 +205,27 @@ class TestMmseMatrix:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("nodes", 0), ("nodes", -3), ("samples", 0), ("workers", 0), ("workers", -1)],
+        [
+            ("nodes", 0), ("nodes", -3), ("samples", 0), ("workers", 0), ("workers", -1),
+            ("samples", 2000.5), ("nodes", 16.5), ("seed", 1.5), ("workers", 1.5), ("nodes", True),
+        ],
     )
     def test_engine_rejects_invalid_settings(self, field, value):
         with pytest.raises(ValueError, match=field):
             EngineSpec(**{field: value})
+
+    def test_engine_accepts_numpy_integers(self):
+        spec = EngineSpec(nodes=np.int64(16), samples=np.int32(2000), seed=np.uint8(3), workers=np.int64(1))
+        assert mutual_information(np.eye(1, dtype=complex), InputDistribution.bpsk(1), spec).count == 16
+
+    @pytest.mark.parametrize("nodes", [0, -1])
+    def test_rules_refuse_fewer_than_one_node(self, nodes):
+        # both branches: a law with phase symmetry (orbit rule) and one without (full rule)
+        for dist in (InputDistribution.qpsk(1), InputDistribution.discrete(np.array([[1.0], [0.5j]]))):
+            with pytest.raises(ValueError, match=f"at least 1 node per axis, got {nodes}"):
+                quadrature_moments(np.eye(1, dtype=complex), dist, nodes)
+        with pytest.raises(ValueError, match=f"at least 1 node per axis, got {nodes}"):
+            quadrature.complex_gauss_hermite(1, nodes)
 
 
 def _brute_force_moments(M, dist, nodes):

@@ -276,6 +276,17 @@ class TestInputDistribution:
         with pytest.raises(ValueError):
             InputDistribution.discrete(np.array([[1.0], [-1.0]]), probs=[1.2, -0.2])
 
+    @pytest.mark.parametrize("probs", [[np.nan, np.nan], [0.5, np.nan]])
+    def test_nan_probabilities_rejected(self, probs):
+        # every comparison with NaN is false, so the check must fail unless the probabilities hold
+        with pytest.raises(ValueError, match="probs must be nonnegative"):
+            InputDistribution.discrete(np.array([[1.0], [-1.0]]), probs=probs)
+
+    @pytest.mark.parametrize("point", [np.inf, np.nan, complex(0.0, -np.inf)])
+    def test_non_finite_support_rejected(self, point):
+        with pytest.raises(ValueError, match="support points must be finite"):
+            InputDistribution.discrete(np.array([[1.0], [point]]))
+
     def test_entropy(self):
         assert InputDistribution.bpsk(1).entropy_nats() == pytest.approx(np.log(2))
         assert InputDistribution.gaussian(1).entropy_nats() == np.inf

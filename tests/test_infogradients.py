@@ -41,9 +41,6 @@ from codedflow import (
     gaussian_logdet_gradient,
     gaussian_mutual_information,
     grad_mi_cut,
-    grad_mi_decoding,
-    grad_mi_precoding,
-    grad_mi_topology,
     grad_oracle,
     mmse_matrix,
     mutual_information,
@@ -136,8 +133,8 @@ class TestClosedForms:
     def test_zero_error_matrix_zeroes_all_gradients(self, rng):
         sys = _random_system(rng)
         E = _zero_mmse(2)
-        for fn in (grad_mi_decoding, grad_mi_topology, grad_mi_precoding):
-            np.testing.assert_array_equal(fn(sys, E), np.zeros((2, 2)))
+        for target in ("A", "G", "B"):
+            np.testing.assert_array_equal(closed_gradient(sys, E, target), np.zeros((2, 2)))
 
     def test_scalar_pattern(self):
         a, g, b = 0.8 + 0.3j, -0.5 + 0.9j, 1.1 - 0.2j
@@ -146,22 +143,22 @@ class TestClosedForms:
             np.array([[a]]), np.array([[g]]), np.array([[b]]), form="compact"
         )
         E = MmseMatrix.checked(np.array([[e + 0j]]), "exact", 0, np.eye(1))
-        assert grad_mi_decoding(sys, E)[0, 0] == pytest.approx(a * abs(g) ** 2 * abs(b) ** 2 * e)
-        assert grad_mi_topology(sys, E)[0, 0] == pytest.approx(abs(a) ** 2 * g * abs(b) ** 2 * e)
-        assert grad_mi_precoding(sys, E)[0, 0] == pytest.approx(abs(a) ** 2 * abs(g) ** 2 * b * e)
+        assert closed_gradient(sys, E, "A")[0, 0] == pytest.approx(a * abs(g) ** 2 * abs(b) ** 2 * e)
+        assert closed_gradient(sys, E, "G")[0, 0] == pytest.approx(abs(a) ** 2 * g * abs(b) ** 2 * e)
+        assert closed_gradient(sys, E, "B")[0, 0] == pytest.approx(abs(a) ** 2 * abs(g) ** 2 * b * e)
 
     def test_identity_readout_and_precoder_reduce_topology_gradient(self, rng):
         G = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         sys = SystemMatrices.from_factors(np.eye(2), G, np.eye(2), form="compact")
         E = mmse_matrix(sys.M, InputDistribution.gaussian(2), EngineSpec())
-        np.testing.assert_allclose(grad_mi_topology(sys, E), G @ E.matrix, atol=1e-12)
+        np.testing.assert_allclose(closed_gradient(sys, E, "G"), G @ E.matrix, atol=1e-12)
 
     def test_identity_chain_matches_source_cut_form(self, rng):
         B = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         sys = SystemMatrices.from_factors(np.eye(2), np.eye(2), B, form="compact")
         E = mmse_matrix(sys.M, InputDistribution.gaussian(2), EngineSpec())
         np.testing.assert_array_equal(
-            grad_mi_precoding(sys, E), grad_mi_cut("source", "B", sys, E)
+            closed_gradient(sys, E, "B"), grad_mi_cut("source", "B", sys, E)
         )
 
 
@@ -221,7 +218,7 @@ class TestCalibration:
             assert fd == pytest.approx(e_val, rel=1e-3)
             # chain rule through the entry gradient: dI/dsnr = c Re(grad) / (2 sqrt(snr))
             sys = SystemMatrices.from_factors(np.eye(1), np.eye(1), np.array([[m + 0j]]), form="compact")
-            chain = WIRTINGER_SCALE * grad_mi_precoding(sys, E)[0, 0].real / (2 * m)
+            chain = WIRTINGER_SCALE * closed_gradient(sys, E, "B")[0, 0].real / (2 * m)
             assert chain == pytest.approx(e_val, rel=1e-9)
 
     def test_gaussian_logdet_anchor(self, rng):
@@ -265,7 +262,7 @@ class TestOracle:
         spec = EngineSpec(method="quadrature", nodes=16)
         oracle = grad_oracle(sys, dist, "A", spec)
         E = mmse_matrix(sys.M, dist, spec)
-        closed = grad_mi_decoding(sys, E)
+        closed = closed_gradient(sys, E, "A")
         np.testing.assert_array_equal(closed[:, 1], 0.0)
         np.testing.assert_allclose(oracle[:, 1], 0.0, atol=1e-8)
 
@@ -282,7 +279,7 @@ class TestOracle:
         spec = EngineSpec(method="mc", samples=200000, seed=21)
         oracle = grad_oracle(sys, dist, "B", spec, step=1e-2)
         E = mmse_matrix(sys.M, dist, QUAD64)
-        closed = grad_mi_precoding(sys, E)
+        closed = closed_gradient(sys, E, "B")
         np.testing.assert_allclose(oracle, closed, rtol=3e-2, atol=1e-4)
 
     def test_noise_floor_reported(self):

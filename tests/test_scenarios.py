@@ -20,6 +20,7 @@ from codedflow import (
     InputDistribution,
     SystemMatrices,
     build_coefficient_matrices,
+    closed_gradient,
     compact_form,
     cut_analysis,
     diamond_coefficients,
@@ -27,7 +28,6 @@ from codedflow import (
     diamond_topology,
     grad11_matches_matrix_form,
     grad11_matrix_form,
-    grad_mi_topology,
     mmse_matrix,
     precoder_ascent,
     seeded_diamond_symbols,
@@ -246,7 +246,7 @@ class TestMatrixComparison:
         symbols = seeded_diamond_symbols(42)
         sys_c = diamond_compact_system(symbols)
         E = mmse_matrix(sys_c.M, InputDistribution.qpsk(2), EngineSpec(method="quadrature", nodes=12))
-        entry = grad_mi_topology(sys_c, E)[0, 0]
+        entry = closed_gradient(sys_c, E, "G")[0, 0]
         poly = topology_grad11("full-corrected", symbols, E.matrix)
         assert entry == pytest.approx(poly, rel=1e-12)
 
@@ -372,7 +372,7 @@ class TestPrecoderAscent:
             np.eye(2), np.eye(2), rng.normal(size=(2, 2)) + 0j, form="compact"
         )
         bad = np.full((2, 2), np.nan, dtype=complex)
-        monkeypatch.setattr(scenarios, "grad_mi_precoding", lambda *_: bad)
+        monkeypatch.setattr(scenarios, "closed_gradient", lambda *_: bad)
         traj = precoder_ascent(sys, InputDistribution.gaussian(2), 0.5, 10, 1.0)
         assert len(traj) == 1
 
