@@ -270,6 +270,10 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     if len(set(names)) != len(names):
         raise ConfigError("duplicate edge names")
     topology = NetworkTopology.from_edges(vertices, pairs, sources, sinks, edge_names=names)
+    ends = (("sources", "leaving", topology.source_outgoing()), ("sinks", "entering", topology.sink_incoming()))
+    for key, way, edges in ends:
+        if not edges:
+            raise ConfigError(f"{key} must have an edge {way} them", line=entries[("topology", key)][0][0])
 
     # -- input ----------------------------------------------------------
     kind = setting("input", "kind", required=True, rule=_one_of(*_INPUT_KINDS))

@@ -176,7 +176,7 @@ def quadrature_moments(M, dist: InputDistribution, nodes: int, *, want_mmse=True
     ``W = exp(C - b)`` (a, b the maxima); the posterior means are ``(W * support) @ P / total`` and the
     MI sums ``p_k w_q ((T2 - a) - log total - (b - m2))`` per entry, ``b_k - m2_k`` being the
     cancellation-free ``max_j (log p_j - |mean_j - mean_k|^2)``, so a point input gives exactly 0.
-    Sums at or below ``_EXACT_FLOOR`` may have underflowed; ``flowmodel._mixture_lse`` redoes them.
+    Sums at or below ``_EXACT_FLOOR`` may have underflowed; the pointwise kernel redoes them.
     """
     M = np.asarray(M, dtype=complex)
     if dist.kind != "discrete":
@@ -211,12 +211,14 @@ def quadrature_moments(M, dist: InputDistribution, nodes: int, *, want_mmse=True
             ki, qi = np.nonzero(total <= _EXACT_FLOOR)
             np.maximum(total, _EXACT_FLOOR, out=total)
             z = means[ki] + block[qi]
-            log_pz, w, sums = flowmodel._mixture_lse(means, dist.log_probs, z)
+            log_pz, redone = np.empty(len(z)), np.empty((2, dim, len(z)))
+            for span, w, sums, chunk_log_pz in flowmodel._mixture_chunks(means, dist.log_probs, z):
+                log_pz[span], redone[..., span] = chunk_log_pz, parts @ w / sums
             recomputed += len(ki)
         if want_mmse:
             xhat = (Wt_parts @ P).reshape(2, dim, K, -1) / total
             if underflow:
-                xhat[:, :, ki, qi] = parts @ w / sums
+                xhat[:, :, ki, qi] = redone
             resid = np.subtract(parts[..., None], xhat, out=xhat).reshape(2 * dim, -1)
             g = (resid * np.outer(probs, wq).ravel()) @ resid.T  # Gram of the (re, im) rows
             err_total += g[:dim, :dim] + g[dim:, dim:] + 1j * (g[dim:, :dim] - g[:dim, dim:])
@@ -305,6 +307,8 @@ def _moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mi=True, want
     when ``spec`` asks for it, else the closed forms for a Gaussian input (``exact``, count 0),
     else quadrature at the spec's node count for the channel's outputs.
     """
+    if M.shape[1] != dist.dimension:
+        raise ValueError(f"the channel's input dimension {M.shape[1]} is not the input law's {dist.dimension}")
     if spec.method == "mc":
         mi, mi_se, err, err_se, count = mc_moments(M, dist, spec, want_mmse=want_mmse, want_mi=want_mi)
         return mi, mi_se, err, err_se, "monte-carlo", count

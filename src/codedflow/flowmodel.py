@@ -7,12 +7,12 @@ complex constellation with point probabilities or a unit-covariance complex
 Gaussian; Gaussian inputs use exact closed forms for the output density and
 score instead of mixture sums.
 
-``mixture_log_density`` and ``mixture_posterior_mean`` share one fused chunk kernel whose weights
-``p_j exp(-|z - mean_j|^2)`` are one real product of row-major operands, the (K, 2n+2) coefficients
-times a C-contiguous (2n+2, rows) block of the points, exponentiated in place without a max shift.
-``_mixture_lse``, the exact max-shifted kernel, serves ``output_score`` and redoes every sum at or
-below ``_EXACT_FLOOR`` there and in ``estimator.quadrature_moments``.  An output log-density below
--700 raises ``DensityUnderflow`` rather than silently flushing to zero.  ``workers`` is the whole
+Every pointwise mixture sum (``mixture_log_density``, ``mixture_posterior_mean``, ``output_score``
+and the underflow fallback of ``estimator.quadrature_moments``) is one fused chunk kernel,
+``_mixture_chunks``, whose weights ``p_j exp(-|z - mean_j|^2)`` are one real product of row-major
+operands, exponentiated in place without a max shift; a chunk redoes its sums at or below
+``_EXACT_FLOOR`` in place, shifted by their largest exponent.  An output log-density below -700
+raises ``DensityUnderflow`` rather than silently flushing to zero.  ``workers`` is the whole
 thread budget of a call: the library's pools hold BLAS at one thread (``_pool_map``).
 
 A Monte Carlo run draws once: ``sample`` and ``estimator._information`` draw through ``_draws``, which
@@ -50,22 +50,25 @@ _DRAW_CAP_BYTES = 1 << 30  # input and noise draws, 16 B an entry: 16,777,216 fi
 _QPSK_SYMBOLS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InputDistribution:
     """Input law of the flow vector: finite support or unit Gaussian.  ``phase_order`` is 4 when
     ``x -> i x`` leaves the law unchanged, else 2 when ``x -> -x`` does, else 1;
-    ``conjugate_closed`` says whether ``x -> conj(x)`` leaves it unchanged."""
+    ``conjugate_closed`` says whether ``x -> conj(x)`` leaves it unchanged.  Laws compare and hash
+    by identity, as ``_draws`` keys its kept draw."""
 
     kind: str
     dimension: int
     support: np.ndarray | None = None
     probs: np.ndarray | None = None
-    phase_order: int = field(default=4, init=False, repr=False, compare=False)
-    conjugate_closed: bool = field(default=True, init=False, repr=False, compare=False)
+    phase_order: int = field(default=4, init=False, repr=False)
+    conjugate_closed: bool = field(default=True, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("discrete", "gaussian"):
             raise ValueError(f"unknown input kind {self.kind!r}")
+        if isinstance(self.dimension, bool) or not isinstance(self.dimension, (int, np.integer)) or self.dimension < 1:
+            raise ValueError(f"input dimension must be an integer of at least 1, got {self.dimension!r}")
         if self.kind == "discrete":
             if self.support is None or len(self.support) == 0:
                 raise EmptySupport("discrete input needs at least one support point")
@@ -243,7 +246,7 @@ def output_score(M, dist: InputDistribution, z) -> np.ndarray:
         log_output_density(M, dist, z)  # dimension + underflow guard
         return -np.linalg.solve(_output_moments(M), z)
     means = dist.support @ M.T
-    log_pz, w, total = _mixture_lse(means, dist.log_probs, z[None, :])
+    _, w, total, log_pz = next(_mixture_chunks(means, dist.log_probs, z[None, :]))
     _above_floor(log_pz)
     return (w[:, 0] @ means) / total[0] - z
 
@@ -261,32 +264,15 @@ def _above_floor(log_pz: np.ndarray) -> np.ndarray:
     return log_pz
 
 
-def _mixture_lse(means, log_probs, points):
-    """``(log p(z), w, total)`` at each point; ``w / total`` is the posterior over components.
-
-    Exponents ``c_k + 2 Re(conj(mean_k) z)`` are one real (K, N) product of the (re, im)-interleaved
-    views; ``w`` is them max-shifted and exponentiated, ``total`` its sums over axis 0."""
-    means = np.ascontiguousarray(means, dtype=complex)
-    points = np.ascontiguousarray(points, dtype=complex)
-    flat = points.view(float)
-    w = (2.0 * means.view(float)) @ flat.T
-    w += (log_probs - np.sum(np.abs(means) ** 2, axis=1))[:, None]
-    mx = w.max(axis=0)
-    w -= mx
-    np.exp(w, out=w)
-    total = w.sum(axis=0)
-    log_pz = mx + np.log(total) - np.einsum("ij,ij->i", flat, flat) - means.shape[1] * np.log(np.pi)
-    return log_pz, w, total
-
-
 def _mixture_chunks(means, log_probs, points):
     """``(span, w, total, log p(z))`` per chunk of points; ``w / total`` is the posterior over components.
 
     ``w[j, n] = p_j exp(-|z_n - mean_j|^2)`` is one real product ``[2 mean, log p - |mean|^2, -1] .
-    [z, 1, |z|^2]^T`` exponentiated in place, in one buffer reused for every chunk.  Its exponent is
-    at most ``log p_j <= 0``, so it needs no shift; totals at or below ``_EXACT_FLOOR`` may have
-    underflowed, and ``_mixture_lse`` redoes them.  Both factors are row-major: the points fill a
-    C-contiguous (2n+2, rows) block, reused like ``w``'s buffer."""
+    [z, 1, |z|^2]^T`` exponentiated in place, in one buffer reused for every chunk; the points fill a
+    C-contiguous (2n+2, rows) block, reused likewise.  The exponent is at most ``log p_j <= 0``, so it
+    needs no shift, but totals at or below ``_EXACT_FLOOR`` may have underflowed: their columns are
+    redone in place shifted by their maximum, so that a log p(z) far below -700 reads its true value
+    in the ``DensityUnderflow`` message."""
     means = np.ascontiguousarray(means, dtype=complex)
     points = np.ascontiguousarray(points, dtype=complex)
     (K, n), N = means.shape, len(points)
@@ -304,7 +290,11 @@ def _mixture_chunks(means, log_probs, points):
         log_pz = np.log(np.maximum(total, _EXACT_FLOOR)) - n * np.log(np.pi)
         if total.min() <= _EXACT_FLOOR:  # one test a chunk, the scan only if it fires
             redo = np.flatnonzero(total <= _EXACT_FLOOR)
-            log_pz[redo], w[:, redo], total[redo] = _mixture_lse(means, log_probs, block[redo])
+            e = coef @ z[:, redo]
+            mx = e.max(axis=0)
+            w[:, redo] = e = np.exp(e - mx)
+            total[redo] = ones @ e
+            log_pz[redo] = mx + np.log(total[redo]) - n * np.log(np.pi)
         yield slice(start, start + len(block)), w, total, log_pz
 
 

@@ -369,6 +369,19 @@ class TestMain:
         key = new.split()[0]
         assert re.search(rf"{key} must .* \(line {line}\)", capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["verify", "cuts", "gradients", "optimize-precoder"])
+    @pytest.mark.parametrize("old, new", [("sources = a", "sources = c"), ("sinks = b", "sinks = c")])
+    def test_exit_two_on_terminal_without_edge(self, tmp_path, capsys, command, old, new):
+        # c has no edge: nothing leaves the source, or nothing enters the sink
+        text = SCALAR_CHAIN.replace("vertices = a b", "vertices = a b c").replace(old, new)
+        line = text.splitlines().index(new) + 1
+        cfg = tmp_path / "chain.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert re.search(rf"{new.split()[0]} must have an edge (leaving|entering) them \(line {line}\)", capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "entry, command, message",
         [

@@ -15,6 +15,7 @@ from codedflow import (
     log_output_density,
     output_score,
     sample,
+    score_identity_residual,
 )
 from codedflow import flowmodel
 from codedflow.flowmodel import mixture_log_density, mixture_posterior_mean
@@ -74,6 +75,26 @@ class TestOutputDensity:
     def test_empty_support_rejected(self):
         with pytest.raises(EmptySupport):
             InputDistribution(kind="discrete", dimension=1, support=np.zeros((0, 1)))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: InputDistribution.gaussian(1.5),
+            lambda: InputDistribution.gaussian(-1),
+            lambda: InputDistribution.gaussian(0),
+            lambda: InputDistribution.gaussian(True),
+            lambda: InputDistribution.discrete([[]]),
+        ],
+    )
+    def test_dimension_below_one_or_not_an_integer_is_refused(self, make):
+        with pytest.raises(ValueError, match="input dimension must be an integer of at least 1"):
+            make()
+
+    def test_laws_compare_and_hash_by_identity(self):
+        law = InputDistribution.qpsk(2)
+        assert law == law and hash(law) == hash(law)
+        assert law != InputDistribution.qpsk(2)
+        assert len({law, InputDistribution.qpsk(2), InputDistribution.gaussian(np.int64(2))}) == 3
 
     def test_underflow_raises(self):
         dist = InputDistribution.bpsk(1)
@@ -163,10 +184,10 @@ class TestMixtureKernel:
 class TestExactFallback:
     """Points about 26 from every mean of a one-output mixture: each unshifted total p_j exp(-|z -
     mean_j|^2) is at or below the chunk kernel's 1e-290 floor, yet log p(z) stays near -685, above
-    the -700 floor.  The exact kernel redoes exactly those points, and nothing raises."""
+    the -700 floor.  The kernel redoes exactly those columns, and nothing raises."""
 
     @pytest.mark.parametrize("ordinary", [0, 5])
-    def test_far_points_are_redone_exactly(self, ordinary, monkeypatch):
+    def test_far_points_are_redone_exactly(self, ordinary):
         rng = np.random.default_rng(ordinary)
         means = np.array([[0.1], [-0.05 + 0.08j], [-0.07j]])  # |mean| <= 0.1
         log_probs = np.log([0.5, 0.3, 0.2])
@@ -174,17 +195,15 @@ class TestExactFallback:
         far = 26.2 * np.exp(2j * np.pi * rng.random((7, 1)))  # |z - mean|^2 in [681, 692]
         near = means[rng.integers(0, 3, ordinary)] + 0.3 * (rng.normal(size=(ordinary, 1)) + 1j * rng.normal(size=(ordinary, 1)))
         points = rng.permutation(np.concatenate([far, near]))  # one chunk mixing both
-        redone, exact = [], flowmodel._mixture_lse
-
-        def spy(means, log_probs, points):
-            redone.append(len(points))
-            return exact(means, log_probs, points)
-
-        monkeypatch.setattr(flowmodel, "_mixture_lse", spy)
         _assert_mixture_matches_reference(means, log_probs, support, points)
-        assert redone == [7, 7]  # the far points once for each of the two kernels
         log_pz = mixture_log_density(means, log_probs, points)
         assert np.all(log_pz[np.abs(points[:, 0]) > 26] > -700.0)
+        # the score reads a one-point chunk, so each far point is redone on its own
+        dist = InputDistribution.discrete(means, np.exp(log_probs))
+        posterior = softmax(log_probs - np.abs(points - means.T) ** 2, axis=1)
+        for z, expected in zip(points, posterior @ means - points):
+            np.testing.assert_allclose(output_score(np.eye(1), dist, z), expected, rtol=0, atol=1e-12)
+            assert score_identity_residual(np.eye(1), dist, z) < 1e-12
 
 
 class TestUnderflow:

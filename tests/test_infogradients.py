@@ -389,6 +389,21 @@ class TestEngineRoute:
         ]
         assert probes[0] == probes[1]
 
+    @pytest.mark.parametrize("method", ["quadrature", "mc"])
+    @pytest.mark.parametrize(
+        "dist, M",
+        [(InputDistribution.gaussian(2), np.eye(1, dtype=complex)), (InputDistribution.qpsk(2), np.ones((2, 3), dtype=complex))],
+    )
+    def test_channel_of_another_input_dimension_is_refused(self, dist, M, method):
+        spec = self.SPECS[method]
+        sys = SystemMatrices.from_factors(np.eye(len(M)), np.eye(len(M)), M, form="compact")
+        calls = [lambda: mutual_information(M, dist, spec), lambda: mmse_matrix(M, dist, spec)]
+        if method == "quadrature":  # a Monte Carlo oracle slope bypasses the route: numpy's matmul refuses it
+            calls += [lambda: grad_oracle(sys, dist, "B", spec), lambda: directional_derivative(sys, dist, "B", M, spec)]
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"input dimension {M.shape[1]} is not the input law's 2"):
+                call()
+
 
 def test_gaussian_information_formula(rng):
     M = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
