@@ -1,8 +1,8 @@
 """Conditional-mean estimation and the MMSE error matrix.
 
-The posterior mean ``xhat(z) = E[x|z]`` is computed by exact posterior
-summation for discrete inputs and by the linear closed form
-``M^H (I + M M^H)^{-1} z`` for Gaussian inputs.
+The posterior mean ``xhat(z) = E[x|z]`` is an exact posterior sum for discrete inputs and
+``M^H P z`` for Gaussian inputs, ``P = (I + M M^H)^{-1}`` read from ``flowmodel._gaussian_output``;
+every entry checks the channel and its outputs against the law by ``flowmodel._channel``.
 
 One private route, ``_moments``, chooses how the information and the error matrix
 ``E[(x - xhat)(x - xhat)^H]`` of a channel are evaluated, for every caller in the library:
@@ -124,24 +124,16 @@ def _as_matrix(system) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_estimator_matrix(M: np.ndarray) -> np.ndarray:
-    """M^H (I + M M^H)^{-1}, the linear MMSE filter for unit-covariance inputs."""
-    return M.conj().T @ np.linalg.inv(flowmodel._output_moments(M))
-
-
 def conditional_mean(M, dist: InputDistribution, z) -> np.ndarray:
     """Posterior mean of the input given one observed output vector."""
-    M = np.asarray(M, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    return conditional_mean_batch(M, dist, z[None, :])[0]
+    return conditional_mean_batch(M, dist, [z])[0]
 
 
 def conditional_mean_batch(M, dist: InputDistribution, points) -> np.ndarray:
     """Posterior means for a batch of output vectors, shape (N, n_in)."""
-    M = np.asarray(M, dtype=complex)
-    points = np.asarray(points, dtype=complex)
-    if dist.kind == "gaussian":
-        return points @ _gaussian_estimator_matrix(M).T
+    M, points = flowmodel._channel(M, dist, points)
+    if dist.kind == "gaussian":  # the linear MMSE filter M^H (I + M M^H)^{-1}
+        return points @ (M.conj().T @ flowmodel._gaussian_output(M)[0]).T
     means = dist.support @ M.T
     return flowmodel.mixture_posterior_mean(means, dist.log_probs, dist.support, points)
 
@@ -178,7 +170,7 @@ def quadrature_moments(M, dist: InputDistribution, nodes: int, *, want_mmse=True
     cancellation-free ``max_j (log p_j - |mean_j - mean_k|^2)``, so a point input gives exactly 0.
     Sums at or below ``_EXACT_FLOOR`` may have underflowed; the pointwise kernel redoes them.
     """
-    M = np.asarray(M, dtype=complex)
+    M = flowmodel._channel(M, dist)
     if dist.kind != "discrete":
         raise ValueError("quadrature_moments expects a discrete input")
     n_out = M.shape[0]
@@ -262,6 +254,7 @@ def _information(M, dist: InputDistribution, spec: EngineSpec) -> np.ndarray:
     log p(z)`` at ``z = x M^T + noise`` on the spec's kept draw, in place; else the ``_moments`` value."""
     if spec.method != "mc":
         return np.array([_moments(M, dist, spec, want_mmse=False)[0]])
+    M = flowmodel._channel(M, dist)
     x, noise, log_cond = flowmodel._draws(dist, M.shape[0], spec.seed, spec.mc_samples(), spec.workers)
     z = x @ M.T
     z += noise
@@ -275,7 +268,7 @@ def mc_moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mmse=True, 
     Returns ``(mi, mi_se, error_matrix, error_se, count)``: the means of ``_information``'s samples
     and of the error's outer products, each with its batch-means standard error.
     """
-    M = np.asarray(M, dtype=complex)
+    M = flowmodel._channel(M, dist)
     x, noise, _ = flowmodel._draws(dist, M.shape[0], spec.seed, spec.mc_samples(), spec.workers)
     mi = mi_se = err = err_se = None
     if want_mi:
@@ -296,8 +289,7 @@ def mc_moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mmse=True, 
 
 def gaussian_mutual_information(M) -> float:
     """log det(I + M M^H) in nats, for a unit-covariance Gaussian input."""
-    _, logdet = np.linalg.slogdet(flowmodel._output_moments(M))
-    return float(logdet)
+    return float(flowmodel._gaussian_output(np.asarray(M, dtype=complex))[1])
 
 
 def _moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mi=True, want_mmse=True):
@@ -307,8 +299,7 @@ def _moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mi=True, want
     when ``spec`` asks for it, else the closed forms for a Gaussian input (``exact``, count 0),
     else quadrature at the spec's node count for the channel's outputs.
     """
-    if M.shape[1] != dist.dimension:
-        raise ValueError(f"the channel's input dimension {M.shape[1]} is not the input law's {dist.dimension}")
+    M = flowmodel._channel(M, dist)
     if spec.method == "mc":
         mi, mi_se, err, err_se, count = mc_moments(M, dist, spec, want_mmse=want_mmse, want_mi=want_mi)
         return mi, mi_se, err, err_se, "monte-carlo", count
@@ -369,7 +360,6 @@ def estimation_diagnostics(M, dist: InputDistribution, batch: SampleBatch):
     posterior-mean bias ``E[xhat] - E[x]``, each paired with per-entry
     standard errors.  A batch below ``_MC_MIN_SAMPLES`` raises ``CostGuardError``.
     """
-    M = np.asarray(M, dtype=complex)
     _enough_samples(batch.count)
     x, z = batch.inputs, batch.outputs
     xhat = conditional_mean_batch(M, dist, z)

@@ -4,8 +4,8 @@ Noise is circularly-symmetric complex Gaussian with unit variance per
 component, so the conditional density is
 ``p(z|x) = pi**(-n) * exp(-||z - M x||**2)``.  Inputs are either a finite
 complex constellation with point probabilities or a unit-covariance complex
-Gaussian; Gaussian inputs use exact closed forms for the output density and
-score instead of mixture sums.
+Gaussian, whose closed forms read one factorisation of ``S = I + M M^H`` (``_gaussian_output``).
+``_channel`` is the one shape check: a channel's width is the law's dimension, outputs (N, rows).
 
 Every pointwise mixture sum (``mixture_log_density``, ``mixture_posterior_mean``, ``output_score``
 and the underflow fallback of ``estimator.quadrature_moments``) is one fused chunk kernel,
@@ -67,8 +67,7 @@ class InputDistribution:
     def __post_init__(self):
         if self.kind not in ("discrete", "gaussian"):
             raise ValueError(f"unknown input kind {self.kind!r}")
-        if isinstance(self.dimension, bool) or not isinstance(self.dimension, (int, np.integer)) or self.dimension < 1:
-            raise ValueError(f"input dimension must be an integer of at least 1, got {self.dimension!r}")
+        _input_dimension(self.dimension)
         if self.kind == "discrete":
             if self.support is None or len(self.support) == 0:
                 raise EmptySupport("discrete input needs at least one support point")
@@ -163,8 +162,15 @@ def _symmetries(support: np.ndarray, probs: np.ndarray) -> tuple[int, bool]:
     return 1, closed
 
 
+def _input_dimension(dimension) -> int:
+    """``dimension``, refused unless it is an integer (not a bool) of at least 1."""
+    if isinstance(dimension, bool) or not isinstance(dimension, (int, np.integer)) or dimension < 1:
+        raise ValueError(f"input dimension must be an integer of at least 1, got {dimension!r}")
+    return dimension
+
+
 def _product_constellation(symbols: np.ndarray, dimension: int) -> np.ndarray:
-    grids = np.meshgrid(*([np.arange(len(symbols))] * dimension), indexing="ij")
+    grids = np.meshgrid(*([np.arange(len(symbols))] * _input_dimension(dimension)), indexing="ij")
     index = np.stack(grids, axis=-1).reshape(-1, dimension)
     return symbols[index]
 
@@ -206,31 +212,40 @@ def log_conditional_density(M, x, z) -> float:
     return float(_log_noise_density(z - M @ x, M.shape[0]))
 
 
-def _output_moments(M) -> np.ndarray:
-    """Output covariance I + M M^H for a unit-covariance Gaussian input."""
+def _channel(M, dist: InputDistribution, points=None):
+    """``M`` as a complex array, or ``(M, points)`` when ``points`` are given, refused unless ``M`` has
+    the law's ``dimension`` columns and the points are an (N, rows of M) stack: the one shape check."""
     M = np.asarray(M, dtype=complex)
-    return np.eye(M.shape[0], dtype=complex) + M @ M.conj().T
+    if M.shape[1] != dist.dimension:
+        raise ValueError(f"the channel's input dimension {M.shape[1]} is not the input law's {dist.dimension}")
+    if points is None:
+        return M
+    points = np.asarray(points, dtype=complex)
+    if points.ndim != 2 or points.shape[1] != M.shape[0]:
+        raise ValueError(f"outputs of shape {points.shape} are not an (N, {M.shape[0]}) stack")
+    return M, points
+
+
+def _gaussian_output(M):
+    """``(P, log det S)``, ``P = S^{-1}``, for a unit Gaussian input's output covariance ``S = I + M M^H``."""
+    S = np.eye(M.shape[0], dtype=complex) + M @ M.conj().T
+    return np.linalg.inv(S), np.linalg.slogdet(S)[1]
 
 
 def _log_output_density(M, dist: InputDistribution, points) -> np.ndarray:
     """log p(z) at each row of ``points``: the Gaussian closed form, unchecked
     against the floor, or one ``mixture_log_density`` call."""
     if dist.kind == "gaussian":
-        cov = _output_moments(M)
-        _, logdet = np.linalg.slogdet(cov)
-        quad = np.real(np.einsum("ni,ni->n", points.conj(), points @ np.linalg.inv(cov).T))
+        P, logdet = _gaussian_output(M)
+        quad = np.real(np.einsum("ni,ni->n", points.conj(), points @ P.T))
         return -M.shape[0] * np.log(np.pi) - logdet - quad
     return mixture_log_density(dist.support @ M.T, dist.log_probs, points)
 
 
 def log_output_density(M, dist: InputDistribution, z) -> float:
     """log p(z) for the mixture (discrete input) or Gaussian closed form."""
-    M = np.asarray(M, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    n_out = M.shape[0]
-    if z.shape != (n_out,):
-        raise ValueError(f"z has shape {z.shape}, expected ({n_out},)")
-    return float(_above_floor(_log_output_density(M, dist, z[None, :]))[0])
+    M, points = _channel(M, dist, [z])
+    return float(_above_floor(_log_output_density(M, dist, points))[0])
 
 
 def output_score(M, dist: InputDistribution, z) -> np.ndarray:
@@ -240,15 +255,14 @@ def output_score(M, dist: InputDistribution, z) -> np.ndarray:
     mixture component contributes ``(Mx - z)`` weighted by its posterior
     probability.  Gaussian inputs use ``-(I + M M^H)^{-1} z`` directly.
     """
-    M = np.asarray(M, dtype=complex)
-    z = np.asarray(z, dtype=complex)
+    M, points = _channel(M, dist, [z])
     if dist.kind == "gaussian":
-        log_output_density(M, dist, z)  # dimension + underflow guard
-        return -np.linalg.solve(_output_moments(M), z)
+        _above_floor(_log_output_density(M, dist, points))
+        return -(_gaussian_output(M)[0] @ points[0])
     means = dist.support @ M.T
-    _, w, total, log_pz = next(_mixture_chunks(means, dist.log_probs, z[None, :]))
+    _, w, total, log_pz = next(_mixture_chunks(means, dist.log_probs, points))
     _above_floor(log_pz)
-    return (w[:, 0] @ means) / total[0] - z
+    return (w[:, 0] @ means) / total[0] - points[0]
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +472,6 @@ def sample(M, dist: InputDistribution, seed: int, count: int, *, workers: int = 
     bitwise-identical batches regardless of the worker count.  The inputs
     are the kept draw of ``_draws``, shared with Monte Carlo runs on its key.
     """
-    M = np.asarray(M, dtype=complex)
-    if dist.dimension != M.shape[1]:
-        raise ValueError("input dimension does not match the system matrix")
+    M = _channel(M, dist)
     xs, ns, _ = _draws(dist, M.shape[0], seed, count, workers)
     return SampleBatch(seed=seed, count=count, inputs=xs, outputs=xs @ M.T + ns)

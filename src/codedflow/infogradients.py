@@ -265,6 +265,10 @@ def directional_derivative(
     deterministic route: under a Monte Carlo spec it stays a quadrature check."""
     base, L, R = _chain(sys, objective, target)
     direction = np.asarray(direction, dtype=complex)
+    if direction.shape != base.shape or not np.all(np.isfinite(direction)):
+        raise ValueError(f"direction must be a finite {base.shape} matrix, got shape {direction.shape}")
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be finite and > 0, got {step!r}")
     return _slope(L, base, R, direction, dist, replace(spec, method="quadrature"), step)[0]
 
 
@@ -277,7 +281,7 @@ def gaussian_logdet_gradient(sys: SystemMatrices, target: str, objective: str = 
     """
     X, L, R = _chain(sys, objective, target)
     M_eff = L @ X @ R
-    W = np.linalg.solve(flowmodel._output_moments(M_eff), M_eff)
+    W = np.linalg.solve(np.eye(len(M_eff), dtype=complex) + M_eff @ M_eff.conj().T, M_eff)
     return L.conj().T @ W @ R.conj().T
 
 

@@ -388,6 +388,8 @@ def precoder_ascent(
         raise ValueError(f"step must be finite and >= 0, got {step!r}")
     if not 0 < norm_budget < np.inf:
         raise ValueError(f"norm budget must be finite and > 0, got {norm_budget!r}")
+    if isinstance(iterations, bool) or not isinstance(iterations, (int, np.integer)) or iterations < 0:
+        raise ValueError(f"iterations must be an integer of at least 0, got {iterations!r}")
 
     def evaluate(B):
         trial = SystemMatrices.from_factors(sys.A, sys.G, B, form=sys.form)

@@ -579,3 +579,46 @@ class TestDiagnostics:
         diag = estimation_diagnostics(sys.M, dist, batch)
         assert np.all(np.abs(diag["orthogonality"]) <= 5.0 * diag["orthogonality_se"] + 1e-12)
         assert np.all(np.abs(diag["tower_gap"]) <= 5.0 * diag["tower_se"] + 1e-12)
+
+
+class TestChannelShape:
+    """Every entry refuses a channel whose width is not the law's dimension, and outputs that are not
+    an (N, rows of M) stack, with one wording each and for both laws: the Gaussian closed forms too."""
+
+    WIDE = np.ones((2, 3), dtype=complex)  # three input columns for a two-dimensional law
+    SQUARE = np.array([[0.9, 0.2j], [-0.3, 0.7]], dtype=complex)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "qpsk"])
+    @pytest.mark.parametrize(
+        "case, pattern",
+        [("channel", r"the channel's input dimension 3 is not the input law's 2"), ("output", r"are not an \(N, 2\) stack")],
+    )
+    def test_every_entry_refuses(self, kind, case, pattern):
+        dist = getattr(InputDistribution, kind)(2)
+        M, z = (self.WIDE, np.ones(2, dtype=complex)) if case == "channel" else (self.SQUARE, np.ones(3, dtype=complex))
+        batch = flowmodel.SampleBatch(seed=0, count=1000, inputs=np.zeros((1000, 2), complex), outputs=np.zeros((1000, len(z)), complex))
+        calls = [
+            lambda: flowmodel.log_output_density(M, dist, z),
+            lambda: flowmodel.output_score(M, dist, z),
+            lambda: conditional_mean(M, dist, z),
+            lambda: conditional_mean_batch(M, dist, z[None, :]),
+            lambda: score_identity_residual(M, dist, z),
+            lambda: estimation_diagnostics(M, dist, batch),
+        ]
+        if case == "channel":  # entries that take no outputs
+            calls += [
+                lambda: sample(M, dist, seed=0, count=10),
+                lambda: estimator.mc_moments(M, dist, EngineSpec(method="mc", samples=1000)),
+            ]
+            if kind == "qpsk":
+                calls.append(lambda: quadrature_moments(M, dist, 8))
+        for call in calls:
+            with pytest.raises(ValueError, match=pattern):
+                call()
+
+    @pytest.mark.parametrize("z", [np.ones((1, 2), dtype=complex), np.complex128(1.0)])
+    def test_one_output_must_be_a_vector(self, z):
+        dist = InputDistribution.gaussian(2)
+        for call in (flowmodel.log_output_density, flowmodel.output_score, conditional_mean):
+            with pytest.raises(ValueError, match=r"are not an \(N, 2\) stack"):
+                call(self.SQUARE, dist, z)

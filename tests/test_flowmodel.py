@@ -84,6 +84,9 @@ class TestOutputDensity:
             lambda: InputDistribution.gaussian(0),
             lambda: InputDistribution.gaussian(True),
             lambda: InputDistribution.discrete([[]]),
+            lambda: InputDistribution.bpsk(0),
+            lambda: InputDistribution.qpsk(0),
+            lambda: InputDistribution.bpsk(1.5),
         ],
     )
     def test_dimension_below_one_or_not_an_integer_is_refused(self, make):

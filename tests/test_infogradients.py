@@ -50,6 +50,7 @@ from codedflow import flowmodel
 from codedflow.estimator import mc_moments, quadrature_moments
 from codedflow.errors import InvariantViolation
 from codedflow.infogradients import (
+    STEP_RANGE,
     MutualInformationValue,
     _OBJECTIVES,
     _chain,
@@ -244,6 +245,30 @@ class TestCalibration:
             )
             assert fd == pytest.approx(predicted, rel=1e-3)
 
+    @pytest.mark.parametrize(
+        "direction, step, pattern",
+        [
+            (np.ones(2), 1e-4, r"direction must be a finite \(2, 2\) matrix"),  # would broadcast
+            (np.ones((1, 1)), 1e-4, r"direction must be a finite \(2, 2\) matrix"),
+            (np.array([[np.nan, 0.0], [0.0, 0.0]]), 1e-4, r"direction must be a finite \(2, 2\) matrix"),
+            (np.eye(2), 0.0, "step must be finite and > 0"),
+            (np.eye(2), -1e-4, "step must be finite and > 0"),
+            (np.eye(2), np.nan, "step must be finite and > 0"),
+            (np.eye(2), np.inf, "step must be finite and > 0"),
+        ],
+    )
+    def test_directional_derivative_refuses_bad_direction_or_step(self, rng, direction, step, pattern):
+        sys = _random_system(rng)
+        with pytest.raises(ValueError, match=pattern):
+            directional_derivative(sys, InputDistribution.gaussian(2), "G", direction, step=step)
+
+    def test_directional_derivative_takes_steps_outside_the_oracle_range(self, rng):
+        sys = _random_system(rng)
+        dist, direction = InputDistribution.gaussian(2), np.eye(2, dtype=complex)
+        analytic = WIRTINGER_SCALE * np.real(np.trace(gaussian_logdet_gradient(sys, "G")))
+        for step in (STEP_RANGE[0] / 2, 2 * STEP_RANGE[1]):
+            assert directional_derivative(sys, dist, "G", direction, step=step) == pytest.approx(analytic, rel=1e-3)
+
     def test_gaussian_oracle_matches_analytic_logdet(self, rng):
         sys = _random_system(rng)
         dist = InputDistribution.gaussian(2)
@@ -397,9 +422,12 @@ class TestEngineRoute:
     def test_channel_of_another_input_dimension_is_refused(self, dist, M, method):
         spec = self.SPECS[method]
         sys = SystemMatrices.from_factors(np.eye(len(M)), np.eye(len(M)), M, form="compact")
-        calls = [lambda: mutual_information(M, dist, spec), lambda: mmse_matrix(M, dist, spec)]
-        if method == "quadrature":  # a Monte Carlo oracle slope bypasses the route: numpy's matmul refuses it
-            calls += [lambda: grad_oracle(sys, dist, "B", spec), lambda: directional_derivative(sys, dist, "B", M, spec)]
+        calls = [
+            lambda: mutual_information(M, dist, spec),
+            lambda: mmse_matrix(M, dist, spec),
+            lambda: grad_oracle(sys, dist, "B", spec),
+            lambda: directional_derivative(sys, dist, "B", M, spec),
+        ]
         for call in calls:
             with pytest.raises(ValueError, match=rf"input dimension {M.shape[1]} is not the input law's 2"):
                 call()

@@ -383,6 +383,12 @@ class TestPrecoderAscent:
         with pytest.raises(ValueError):
             precoder_ascent(sys, InputDistribution.gaussian(1), 0.1, 5, 0.0)
 
+    @pytest.mark.parametrize("iterations", [-3, 2.5, True, None])
+    def test_iterations_must_be_an_integer_of_at_least_zero(self, iterations):
+        sys = SystemMatrices.from_factors(np.eye(1), np.eye(1), np.eye(1), form="compact")
+        with pytest.raises(ValueError, match="iterations must be an integer of at least 0"):
+            precoder_ascent(sys, InputDistribution.gaussian(1), 0.1, iterations, 1.0)
+
     @pytest.mark.parametrize(
         "step, budget",
         [(np.inf, 1.0), (np.nan, 1.0), (0.5, np.inf), (0.5, np.nan)],
