@@ -12,11 +12,20 @@ forms ``log det(I + M M^H)`` and ``(I + M^H M)^{-1}``, else tensorized Gauss-Her
 max-shifted exponentials, recomputed exactly where they underflow, and whose information is
 ``sum p_k w_q ((T2 - a) - log total - (b - m2))`` per entry, over one orbit of the input's phase
 symmetry (with conjugation for a real channel and a conjugation-closed law).
+
+A quadrature pass always sums the information; a conjugation-closed law runs it on the member of
+``{M, conj M}`` whose first nonzero imaginary entry is positive.  ``shared_passes`` (each CLI command,
+``verify_gradients``, ``precoder_ascent``, ``cut_analysis``) computes each pass once and serves it to
+every later call: the conjugate side of a slope, a repeated probe, the information of a channel
+after its error matrix.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import logging
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,14 +153,55 @@ def conditional_mean_batch(M, dist: InputDistribution, points) -> np.ndarray:
 
 
 def _kernel_rule(M: np.ndarray, dist: InputDistribution, nodes: int):
-    """The orbit rule ``quadrature_moments`` sums over, and whether it includes conjugation: it
+    """The orbit rule ``_quadrature_pass`` sums over, and whether it includes conjugation: it
     does for a real channel and a conjugation-closed law."""
     conjugate = dist.conjugate_closed and not M.imag.any()
     return phase_orbit_rule(M.shape[0], nodes, dist.phase_order, conjugate), conjugate
 
 
+_shared = contextvars.ContextVar("codedflow_shared_passes", default=None)
+_SHARED_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def shared_passes():
+    """Re-entrant scope in which ``quadrature_moments`` keeps each pass for its key and serves it to every
+    later call, in this context and the library's pools, bit for bit; outside a scope nothing is kept."""
+    token = _shared.set({} if _shared.get() is None else _shared.get())
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
 def quadrature_moments(M, dist: InputDistribution, nodes: int, *, want_mmse=True, want_mi=True):
     """Exact-expectation pass over the output density of a discrete input, ``nodes`` per axis.
+
+    Returns ``(mi_nats, error_matrix, node_count)``; either output may be ``None`` if not requested.
+    A conjugation-closed law is evaluated on the canonical member of ``{M, conj M}``, the error
+    matrix conjugated back: under ``conj M``, ``(conj x, conj z)`` has the law of ``(x, z)`` under M.
+    Inside ``shared_passes`` a pass already computed for the same key is served, not recomputed.
+    """
+    M = flowmodel._channel(M, dist)
+    if dist.kind != "discrete":
+        raise ValueError("quadrature_moments expects a discrete input")
+    flip = dist.conjugate_closed and M.imag[M.imag != 0][:1].sum() < 0  # first nonzero, row-major
+    if dist.conjugate_closed:
+        M = (M.conj() if flip else M) + 0.0  # + 0.0 keys -0.0 as 0.0
+    kept, key = _shared.get(), (dist, nodes, M.shape, M.tobytes())
+    mi, err = (None, None) if kept is None else kept.get(key, (None, None))
+    if mi is None or (want_mmse and err is None):
+        mi, err = _quadrature_pass(M, dist, nodes, want_mmse)
+        with _SHARED_LOCK:
+            if kept is not None and (err is not None or key not in kept):  # never drop a kept error matrix
+                kept[key] = mi, err
+    err = (err.conj() if flip else err.copy()) if want_mmse else None
+    return (mi if want_mi else None), err, nodes
+
+
+def _quadrature_pass(M: np.ndarray, dist: InputDistribution, nodes: int, want_mmse: bool):
+    """``(mi, error matrix or None)`` of a discrete input through the complex channel M, the error
+    matrix formed only if ``want_mmse``; the information is the same bits either way.
 
     The pass sums over ``phase_orbit_rule`` for the group generated by the law's phase rotation
     and, for a real channel and a conjugation-closed law, ``n -> conj(n)``; for QPSK through a real
@@ -161,8 +211,7 @@ def quadrature_moments(M, dist: InputDistribution, nodes: int, *, want_mmse=True
     information and conjugates the error matrix, so the error matrix is returned as its real part,
     with an imaginary part of exactly 0.
 
-    Returns ``(mi_nats, error_matrix, node_count)``; either output may be
-    ``None`` if not requested.  Component j's exponent ``C[j,k] + T2[j,q]`` at ``mean_k + noise_q``
+    Component j's exponent ``C[j,k] + T2[j,q]`` at ``mean_k + noise_q``
     (``C[j,k] = c_j + 2 S[j,k]``, S the mean Gram matrix, T2 twice the noise/mean cross terms)
     separates: the mixture sums are ``exp(a_q + b_k) total``, ``total = W @ P``, ``P = exp(T2 - a)``,
     ``W = exp(C - b)`` (a, b the maxima); the posterior means are ``(W * support) @ P / total`` and the
@@ -170,9 +219,6 @@ def quadrature_moments(M, dist: InputDistribution, nodes: int, *, want_mmse=True
     cancellation-free ``max_j (log p_j - |mean_j - mean_k|^2)``, so a point input gives exactly 0.
     Sums at or below ``_EXACT_FLOOR`` may have underflowed; the pointwise kernel redoes them.
     """
-    M = flowmodel._channel(M, dist)
-    if dist.kind != "discrete":
-        raise ValueError("quadrature_moments expects a discrete input")
     n_out = M.shape[0]
     (noise, weights), conjugate = _kernel_rule(M, dist, nodes)
 
@@ -197,7 +243,7 @@ def quadrature_moments(M, dist: InputDistribution, nodes: int, *, want_mmse=True
         P = (2.0 * means.view(float)) @ block.view(float).T  # T2[j, q] = 2 Re(conj(mean_j) noise_q)
         a = P.max(axis=0)
         P -= a
-        lin = probs @ P if want_mi else None
+        lin = probs @ P
         total = Wt @ np.exp(P, out=P)  # (k, q)
         if underflow := total.min() <= _EXACT_FLOOR:  # one test a chunk, the scan only if it fires
             ki, qi = np.nonzero(total <= _EXACT_FLOOR)
@@ -214,17 +260,16 @@ def quadrature_moments(M, dist: InputDistribution, nodes: int, *, want_mmse=True
             resid = np.subtract(parts[..., None], xhat, out=xhat).reshape(2 * dim, -1)
             g = (resid * np.outer(probs, wq).ravel()) @ resid.T  # Gram of the (re, im) rows
             err_total += g[:dim, :dim] + g[dim:, dim:] + 1j * (g[dim:, :dim] - g[:dim, dim:])
-        if want_mi:
-            logt = np.log(total, out=total)
-            if underflow:
-                logt[ki, qi] = log_pz + np.sum(np.abs(z) ** 2, axis=1) + n_out * np.log(np.pi) - a[qi] - b[ki]
-            logt += b_m2[:, None]
-            mi_total += float((lin - probs @ logt) @ wq)
+        np.log(total, out=total)  # in place: a second name would hold it through the next chunk's E
+        if underflow:
+            total[ki, qi] = log_pz + np.sum(np.abs(z) ** 2, axis=1) + n_out * np.log(np.pi) - a[qi] - b[ki]
+        total += b_m2[:, None]
+        mi_total += float((lin - probs @ total) @ wq)
     if recomputed:
         logging.getLogger(__name__).debug("quadrature recomputed %d underflowed sums exactly", recomputed)
     if conjugate and want_mmse:
         err_total.imag = 0.0
-    return (mi_total if want_mi else None), err_total, nodes
+    return mi_total, err_total
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +334,7 @@ def mc_moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mmse=True, 
 
 def gaussian_mutual_information(M) -> float:
     """log det(I + M M^H) in nats, for a unit-covariance Gaussian input."""
-    return float(flowmodel._gaussian_output(np.asarray(M, dtype=complex))[1])
+    return float(flowmodel._gaussian_output(np.asarray(M, dtype=complex), inverse=False)[1])
 
 
 def _moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mi=True, want_mmse=True):

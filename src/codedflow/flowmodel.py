@@ -27,6 +27,7 @@ applied to ``log p(z)``.  Under this convention the posterior-mean identity
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -216,6 +217,8 @@ def _channel(M, dist: InputDistribution, points=None):
     """``M`` as a complex array, or ``(M, points)`` when ``points`` are given, refused unless ``M`` has
     the law's ``dimension`` columns and the points are an (N, rows of M) stack: the one shape check."""
     M = np.asarray(M, dtype=complex)
+    if M.ndim != 2:
+        raise ValueError(f"a channel of shape {M.shape} is not a matrix")
     if M.shape[1] != dist.dimension:
         raise ValueError(f"the channel's input dimension {M.shape[1]} is not the input law's {dist.dimension}")
     if points is None:
@@ -226,17 +229,17 @@ def _channel(M, dist: InputDistribution, points=None):
     return M, points
 
 
-def _gaussian_output(M):
-    """``(P, log det S)``, ``P = S^{-1}``, for a unit Gaussian input's output covariance ``S = I + M M^H``."""
+def _gaussian_output(M, inverse=True):
+    """``(P, log det S)``, ``P = S^{-1}`` or ``None``, for a unit Gaussian input's ``S = I + M M^H``."""
     S = np.eye(M.shape[0], dtype=complex) + M @ M.conj().T
-    return np.linalg.inv(S), np.linalg.slogdet(S)[1]
+    return (np.linalg.inv(S) if inverse else None), np.linalg.slogdet(S)[1]
 
 
-def _log_output_density(M, dist: InputDistribution, points) -> np.ndarray:
-    """log p(z) at each row of ``points``: the Gaussian closed form, unchecked
-    against the floor, or one ``mixture_log_density`` call."""
+def _log_output_density(M, dist: InputDistribution, points, gaussian=None) -> np.ndarray:
+    """log p(z) at each row of ``points``: the Gaussian closed form, from ``_gaussian_output(M)`` if
+    not ``gaussian``, unchecked against the floor, or one ``mixture_log_density`` call."""
     if dist.kind == "gaussian":
-        P, logdet = _gaussian_output(M)
+        P, logdet = gaussian or _gaussian_output(M)
         quad = np.real(np.einsum("ni,ni->n", points.conj(), points @ P.T))
         return -M.shape[0] * np.log(np.pi) - logdet - quad
     return mixture_log_density(dist.support @ M.T, dist.log_probs, points)
@@ -257,8 +260,8 @@ def output_score(M, dist: InputDistribution, z) -> np.ndarray:
     """
     M, points = _channel(M, dist, [z])
     if dist.kind == "gaussian":
-        _above_floor(_log_output_density(M, dist, points))
-        return -(_gaussian_output(M)[0] @ points[0])
+        _above_floor(_log_output_density(M, dist, points, gaussian := _gaussian_output(M)))
+        return -(gaussian[0] @ points[0])
     means = dist.support @ M.T
     _, w, total, log_pz = next(_mixture_chunks(means, dist.log_probs, points))
     _above_floor(log_pz)
@@ -382,11 +385,12 @@ _ONE_BLAS_THREAD = _OneBlasThread()
 
 def _pool_map(fn, items, workers: int) -> list:
     """``[fn(item) for item in items]``; with more than one worker, on a pool of ``workers`` threads
-    with BLAS held at one thread, so that ``workers`` is the whole thread budget."""
+    with BLAS held at one thread (``workers`` is the whole thread budget), each in a copy of the context."""
     if workers <= 1:
         return [fn(item) for item in items]
     with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        tasks = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
+        return [task.result() for task in tasks]
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:

@@ -38,7 +38,9 @@ it forms ``L (X +- step D) R`` and averages the paired differences of
 spec's kept draw under Monte Carlo (common random numbers), else the single
 ``_moments`` value.
 ``grad_oracle`` maps it over the unit directions ``E_ij`` and ``i E_ij``;
-``directional_derivative`` is one quadrature call of it.
+``directional_derivative`` is one quadrature call of it.  In ``verify_gradients``
+(``estimator.shared_passes``) the coarse probe reuses its oracle slope's passes, and
+for a real channel an imaginary-direction slope's two sides are one pass, so it is 0.
 
 Gradient convention
 -------------------
@@ -71,6 +73,7 @@ from .estimator import (
     _moments,
     gaussian_mutual_information,  # re-exported: the closed form lives with the route
     mmse_matrix,
+    shared_passes,
 )
 from .flowmodel import InputDistribution
 from .netgraph import SystemMatrices
@@ -331,6 +334,7 @@ class GradientReport:
         return all(self.discrepancy(t)["max_rel"] <= rel_tol for t in self.targets())
 
 
+@shared_passes()
 def verify_gradients(
     sys: SystemMatrices,
     dist: InputDistribution,

@@ -32,7 +32,7 @@ from operator import mul
 import numpy as np
 
 from .errors import CodedFlowError
-from .estimator import EngineSpec, MmseMatrix, mmse_matrix
+from .estimator import EngineSpec, MmseMatrix, mmse_matrix, shared_passes
 from .flowmodel import InputDistribution, _philox
 from .infogradients import (
     MutualInformationValue,
@@ -349,12 +349,14 @@ class CutReport:
     gradients: dict
 
 
+@shared_passes()
 def cut_analysis(cut: str, sys: SystemMatrices, dist: InputDistribution, spec: EngineSpec = EngineSpec()) -> CutReport:
     """Mutual information, error matrix, and closed-form gradients for one cut
-    (``source``, ``mid`` or ``full``); any other name raises ``ValueError``."""
+    (``source``, ``mid`` or ``full``); any other name raises ``ValueError``.  The information is
+    served by the error matrix's quadrature pass."""
     channel = effective_matrix(cut, sys)
-    mi = mutual_information(channel, dist, spec)
     err = mmse_matrix(channel, dist, spec)
+    mi = mutual_information(channel, dist, spec)
     gradients = {target: closed_gradient(sys, err, target, cut) for target in _targets(cut)}
     return CutReport(cut=cut, mi=mi, mmse=err, gradients=gradients)
 
@@ -366,6 +368,7 @@ def cut_analysis(cut: str, sys: SystemMatrices, dist: InputDistribution, spec: E
 _HALVINGS = 40  # step halvings tried before an ascent that cannot improve stops
 
 
+@shared_passes()
 def precoder_ascent(
     sys: SystemMatrices,
     dist: InputDistribution,

@@ -1,10 +1,11 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from pathlib import Path
 
-from codedflow import EngineSpec, flowmodel, scenarios
+from codedflow import EngineSpec, estimator, flowmodel, scenarios
 from codedflow.cli import _compact, main, parse_config, run
 from codedflow.infogradients import verify_gradients
 from codedflow.errors import ConfigError
@@ -216,6 +217,24 @@ class TestCommands:
         argv = ["verify", "--config", str(FIGURE1), "--method", "mc", "--samples", "20000"]
         assert main(argv + ["--workers", "2", "--tolerance", "5e-2", "--out", str(tmp_path)]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "command, workers, passes, calls", [("verify", 1, 43, 62), ("verify", 2, 43, 62), ("optimize-precoder", 1, 21, 42)]
+    )
+    def test_figure1_computes_each_quadrature_pass_once(self, tmp_path, command, workers, passes, calls):
+        # verify: the minus side of each of the 12 imaginary-direction slopes is the conjugate of its
+        # plus side, the 6 coarse refinement passes repeat oracle slopes, and the report's information
+        # is the error matrix's pass; optimize-precoder: each candidate's information is its MMSE pass
+        with (
+            mock.patch.object(estimator, "quadrature_moments", wraps=estimator.quadrature_moments) as called,
+            mock.patch.object(estimator, "_quadrature_pass", wraps=estimator._quadrature_pass) as computed,
+        ):
+            argv = [command, "--config", str(FIGURE1), "--nodes", "16", "--workers", str(workers)]
+            assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert (computed.call_count, called.call_count) == (passes, calls)
+        if command == "verify":  # a real channel's imaginary-direction slopes are exactly 0
+            rows = (tmp_path / "verify.csv").read_text().splitlines()[1:]
+            assert len(rows) == 12 and all(row.split(",")[-4] == "0" for row in rows)
 
     def test_reports_show_the_step_halving_change(self, tmp_path):
         config = parse_config(SCALAR_CHAIN)

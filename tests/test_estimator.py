@@ -7,6 +7,8 @@ reproduce them.
 """
 
 import logging
+import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -493,6 +495,21 @@ class TestScoreIdentity:
             z = rng.normal(size=2) + 1j * rng.normal(size=2)
             assert score_identity_residual(M, dist, z) < 1e-12
 
+    def test_gaussian_score_and_information_factor_s_once(self, rng):
+        M = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        z = rng.normal(size=3) + 1j * rng.normal(size=3)
+        S = np.eye(3) + M @ M.conj().T
+        with (
+            mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inv,
+            mock.patch.object(np.linalg, "slogdet", wraps=np.linalg.slogdet) as slogdet,
+        ):
+            score = flowmodel.output_score(M, InputDistribution.gaussian(2), z)
+            assert (inv.call_count, slogdet.call_count) == (1, 1)
+            info = estimator.gaussian_mutual_information(M)
+            assert (inv.call_count, slogdet.call_count) == (1, 2)  # the information inverts nothing
+        np.testing.assert_allclose(score, -np.linalg.solve(S, z), rtol=1e-12, atol=0)
+        assert info == pytest.approx(np.linalg.slogdet(S)[1], rel=1e-12)
+
     def test_discrete_identity_by_exact_summation(self, rng):
         M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         dist = InputDistribution.qpsk(2)
@@ -616,9 +633,168 @@ class TestChannelShape:
             with pytest.raises(ValueError, match=pattern):
                 call()
 
+    @pytest.mark.parametrize("kind", ["gaussian", "qpsk"])
+    @pytest.mark.parametrize("M", [np.ones(2), np.ones((2, 2, 2))], ids=["vector", "3-d"])
+    def test_channel_must_be_a_matrix(self, kind, M):
+        dist = getattr(InputDistribution, kind)(2)
+        calls = [lambda: mutual_information(M, dist), lambda: sample(M, dist, seed=0, count=10)]
+        if kind == "qpsk":
+            calls.append(lambda: quadrature_moments(M, dist, 8))
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(f"a channel of shape {M.shape} is not a matrix")):
+                call()
+
     @pytest.mark.parametrize("z", [np.ones((1, 2), dtype=complex), np.complex128(1.0)])
     def test_one_output_must_be_a_vector(self, z):
         dist = InputDistribution.gaussian(2)
         for call in (flowmodel.log_output_density, flowmodel.output_score, conditional_mean):
             with pytest.raises(ValueError, match=r"are not an \(N, 2\) stack"):
                 call(self.SQUARE, dist, z)
+
+
+def _random_channel(n_out, n_in, gain, seed):
+    rng = np.random.default_rng(seed)
+    return gain * (rng.normal(size=(n_out, n_in)) + 1j * rng.normal(size=(n_out, n_in)))
+
+
+class TestConjugateCanonical:
+    """For a law closed under conjugation, the information of ``conj M`` is that of M and its error
+    matrix is ``conj E(M)``: ``(conj x, conj z)`` under ``conj M`` has the law of ``(x, z)`` under M.
+    ``quadrature_moments`` therefore evaluates one member of ``{M, conj M}`` for both."""
+
+    @given(
+        n_out=st.integers(min_value=1, max_value=2),
+        kind=st.sampled_from(["bpsk", "qpsk"]),
+        n_in=st.integers(min_value=1, max_value=2),
+        gain=st.floats(min_value=0.1, max_value=4.0),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_conjugate_channel_conjugates_the_error_matrix(self, n_out, kind, n_in, gain, seed):
+        M = _random_channel(n_out, n_in, gain, seed)
+        dist = getattr(InputDistribution, kind)(n_in)
+        nodes = 12 if n_out == 1 else 6
+        mi, err = estimator._quadrature_pass(M, dist, nodes, True)
+        mi_conj, err_conj = estimator._quadrature_pass(M.conj(), dist, nodes, True)  # no canonical form
+        assert abs(mi_conj - mi) <= 1e-13 * max(1.0, abs(mi))
+        assert np.max(np.abs(err_conj - err.conj())) <= 1e-13 * max(1.0, np.max(np.abs(err)))
+        mi, err, _ = quadrature_moments(M, dist, nodes)
+        mi_conj, err_conj, _ = quadrature_moments(M.conj(), dist, nodes)
+        assert mi_conj == mi
+        np.testing.assert_array_equal(err_conj, err.conj())
+
+    def test_law_not_closed_under_conjugation_is_evaluated_as_given(self):
+        dist = InputDistribution.discrete([[1], [1j]])
+        assert not dist.conjugate_closed
+        M = np.array([[0.8 - 0.6j]])
+        with mock.patch.object(estimator, "_quadrature_pass", wraps=estimator._quadrature_pass) as kernel:
+            quadrature_moments(M, dist, 12)
+            quadrature_moments(M.conj(), dist, 12)
+        assert [call.args[0].tolist() for call in kernel.call_args_list] == [[[0.8 - 0.6j]], [[0.8 + 0.6j]]]
+
+    def test_canonical_member_has_a_positive_first_imaginary_entry(self):
+        dist = InputDistribution.qpsk(2)
+        M = np.array([[0.5, 0.3 - 0.2j], [0.7, 0.1 - 0.4j]])  # first nonzero imaginary part < 0
+        with mock.patch.object(estimator, "_quadrature_pass", wraps=estimator._quadrature_pass) as kernel:
+            quadrature_moments(M, dist, 6)
+            with estimator.shared_passes():  # a real channel and its conjugate, whose zeros are -0.0
+                quadrature_moments(M.real, dist, 6)
+                quadrature_moments(np.conj(M.real + 0j), dist, 6)
+        canonical, real = kernel.call_args_list[0].args[0], kernel.call_args_list[1].args[0]
+        np.testing.assert_array_equal(canonical, M.conj())
+        assert not np.signbit(canonical.imag).any() and not np.signbit(real.imag).any()
+        assert kernel.call_count == 2
+
+
+class TestSharedPasses:
+    """Inside ``shared_passes`` each (law, nodes, canonical channel) is computed once, and a served
+    pass is the computed one bit for bit; outside, every call computes."""
+
+    DIST = InputDistribution.qpsk(1)
+    M = np.array([[0.9 + 0.4j], [-0.3 + 0.2j]])
+
+    def _counted(self):
+        return mock.patch.object(estimator, "_quadrature_pass", wraps=estimator._quadrature_pass)
+
+    def test_outside_a_scope_every_call_computes(self):
+        with self._counted() as kernel:
+            first = quadrature_moments(self.M, self.DIST, 6)
+            second = quadrature_moments(self.M, self.DIST, 6)
+        assert kernel.call_count == 2
+        assert first[0] == second[0] and np.array_equal(first[1], second[1])
+
+    def test_one_pass_serves_both_outputs_and_the_conjugate_channel(self):
+        mi, err, _ = quadrature_moments(self.M, self.DIST, 6)
+        with self._counted() as kernel, estimator.shared_passes():
+            assert quadrature_moments(self.M, self.DIST, 6, want_mi=False)[0] is None
+            assert quadrature_moments(self.M, self.DIST, 6, want_mmse=False) == (mi, None, 6)
+            served = quadrature_moments(self.M.conj(), self.DIST, 6)
+            again = quadrature_moments(self.M, self.DIST, 6)
+            again[1][0, 0] = 7.0  # each call returns its own array
+            last = quadrature_moments(self.M, self.DIST, 6)
+        assert kernel.call_count == 1
+        assert served[0] == last[0] == mi
+        np.testing.assert_array_equal(served[1], err.conj())
+        np.testing.assert_array_equal(last[1], err)
+
+    def test_an_information_pass_does_not_serve_an_error_matrix(self):
+        with self._counted() as kernel, estimator.shared_passes():
+            quadrature_moments(self.M, self.DIST, 6, want_mmse=False)
+            quadrature_moments(self.M, self.DIST, 6, want_mi=False)
+            quadrature_moments(self.M, self.DIST, 6)
+            quadrature_moments(self.M, self.DIST, 7)  # another key: the node count
+            quadrature_moments(self.M, InputDistribution.qpsk(1), 6)  # another law, compared by identity
+        assert [call.args[2:] for call in kernel.call_args_list] == [(6, False), (6, True), (7, True), (6, True)]
+
+    def test_an_information_pass_kept_late_keeps_the_error_matrix(self):
+        # the interleaving of two threads, made deterministic: while an information-only pass runs,
+        # an error-matrix pass of the same channel is computed and kept
+        kernel = estimator._quadrature_pass
+
+        def interleaved(M, dist, nodes, want_mmse):
+            if not want_mmse:
+                quadrature_moments(M, dist, nodes)
+            return kernel(M, dist, nodes, want_mmse)
+
+        with estimator.shared_passes():
+            with mock.patch.object(estimator, "_quadrature_pass", interleaved):
+                quadrature_moments(self.M, self.DIST, 6, want_mmse=False)
+            with self._counted() as counted:
+                quadrature_moments(self.M, self.DIST, 6)
+        assert counted.call_count == 0
+
+    def test_scopes_nest_and_end_with_the_outermost(self):
+        with self._counted() as kernel:
+            with estimator.shared_passes():
+                with estimator.shared_passes():
+                    quadrature_moments(self.M, self.DIST, 6)
+                quadrature_moments(self.M, self.DIST, 6)
+            quadrature_moments(self.M, self.DIST, 6)
+        assert kernel.call_count == 2
+
+    def test_pooled_calls_share_the_scope_and_lose_no_error_matrix(self):
+        # more pool threads than cores and a short switch interval, so that information-only and
+        # error-matrix passes of one channel race to be kept
+        channels = [_random_channel(1, 1, 1.0 + 0.1 * k, k) for k in range(6)]
+        expected = [quadrature_moments(M, self.DIST, 6) for M in channels]
+        jobs = [(k, want_mmse) for _ in range(4) for k in range(len(channels)) for want_mmse in (False, True)]
+
+        def job(item):
+            k, want_mmse = item
+            return quadrature_moments(channels[k], self.DIST, 6, want_mmse=want_mmse)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with estimator.shared_passes():
+                results = flowmodel._pool_map(job, jobs, 8)
+                with self._counted() as kernel:
+                    kept = [quadrature_moments(M, self.DIST, 6) for M in channels]
+        finally:
+            sys.setswitchinterval(interval)
+        assert kernel.call_count == 0
+        for (k, want_mmse), (mi, err, _) in zip(jobs, results):
+            assert mi == expected[k][0]
+            assert np.array_equal(err, expected[k][1]) if want_mmse else err is None
+        for (mi, err, _), (mi_ref, err_ref, _) in zip(kept, expected):
+            assert mi == mi_ref and np.array_equal(err, err_ref)

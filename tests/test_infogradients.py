@@ -47,7 +47,7 @@ from codedflow import (
     verify_gradients,
 )
 from codedflow import flowmodel
-from codedflow.estimator import mc_moments, quadrature_moments
+from codedflow.estimator import mc_moments, quadrature_moments, shared_passes
 from codedflow.errors import InvariantViolation
 from codedflow.infogradients import (
     STEP_RANGE,
@@ -365,6 +365,25 @@ class TestVerifyGradients:
         report = verify_gradients(sys, dist, QUAD64)
         assert set(report.refinement) == {"A", "G", "B"}
         assert report.passed(1e-3)
+
+
+    def test_shared_passes_are_transparent(self, rng):
+        # a complex system, so that canonical forms conjugate; the oracles computed outside any scope
+        sys = _random_system(rng)
+        dist, spec = InputDistribution.qpsk(2), EngineSpec(nodes=6)
+        plain = verify_gradients(sys, dist, spec)
+        with shared_passes():
+            mutual_information(effective_matrix("full", sys), dist, spec)
+            scoped = verify_gradients(sys, dist, spec)
+        pooled = verify_gradients(sys, dist, replace(spec, workers=2))
+        for report in (scoped, pooled):
+            np.testing.assert_array_equal(report.mmse.matrix, plain.mmse.matrix)
+            assert report.refinement == plain.refinement
+            for target in "AGB":
+                np.testing.assert_array_equal(report.closed[target], plain.closed[target])
+                np.testing.assert_array_equal(report.oracles[target], plain.oracles[target])
+        for target in "AGB":
+            np.testing.assert_array_equal(plain.oracles[target], grad_oracle(sys, dist, target, spec))
 
 
 class TestEngineRoute:

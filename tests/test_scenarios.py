@@ -9,11 +9,13 @@ The expansion tables are cross-checked two independent ways:
 """
 
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import codedflow.scenarios as scenarios
+from codedflow import estimator
 from codedflow.cli import _compact, parse_config
 from codedflow import (
     EngineSpec,
@@ -273,7 +275,9 @@ class TestCutAnalysis:
         sys = SystemMatrices.from_factors(np.eye(2), np.eye(2), B, form="compact")
         dist = InputDistribution.qpsk(2)
         spec = EngineSpec(method="quadrature", nodes=12)
-        reports = {cut: cut_analysis(cut, sys, dist, spec) for cut in ("source", "mid", "full")}
+        with mock.patch.object(estimator, "_quadrature_pass", wraps=estimator._quadrature_pass) as computed:
+            reports = {cut: cut_analysis(cut, sys, dist, spec) for cut in ("source", "mid", "full")}
+        assert computed.call_count == 3  # one pass a cut: its information is its error matrix's pass
         for cut in ("mid", "full"):
             assert reports[cut].mi.nats == pytest.approx(reports["source"].mi.nats, abs=1e-12)
             np.testing.assert_allclose(
@@ -361,11 +365,17 @@ class TestPrecoderAscent:
         sys = SystemMatrices.from_factors(
             np.eye(1), np.eye(1), np.array([[0.2 + 0j]]), form="compact"
         )
-        traj = precoder_ascent(
-            sys, InputDistribution.bpsk(1), 0.5, 3, 1.0, EngineSpec(method="quadrature", nodes=48)
-        )
+        with (
+            mock.patch.object(estimator, "quadrature_moments", wraps=estimator.quadrature_moments) as called,
+            mock.patch.object(estimator, "_quadrature_pass", wraps=estimator._quadrature_pass) as computed,
+        ):
+            traj = precoder_ascent(
+                sys, InputDistribution.bpsk(1), 0.5, 3, 1.0, EngineSpec(method="quadrature", nodes=48)
+            )
         values = [info for _, info in traj]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+        # two channels, the start and the [[1]] every step projects onto: each is computed once
+        assert (computed.call_count, called.call_count) == (2, 8)
 
     def test_non_finite_gradient_aborts_with_partial_trajectory(self, rng, monkeypatch):
         sys = SystemMatrices.from_factors(
