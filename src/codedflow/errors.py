@@ -1,4 +1,6 @@
-"""Exception types raised across the library."""
+"""Exception types raised across the library, and the one check of the counts it takes."""
+
+import numbers
 
 
 class CodedFlowError(Exception):
@@ -55,3 +57,12 @@ class ConfigError(CodedFlowError):
         super().__init__(message + loc)
         self.line = line
         self.column = column
+
+
+def _count(what: str, value, minimum: int | None = None) -> int:
+    """``value`` as an ``int``; a bool, a non-integer or a value below ``minimum`` raises ``ValueError``."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integral or (minimum is not None and value < minimum):
+        floor = "" if minimum is None else f" of at least {minimum}"
+        raise ValueError(f"{what} must be an integer{floor}, got {value!r}")
+    return int(value)

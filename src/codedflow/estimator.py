@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flowmodel
-from .errors import CostGuardError, InvariantViolation, SingularSystemMatrix
+from .errors import CostGuardError, InvariantViolation, SingularSystemMatrix, _count
 from .flowmodel import _EXACT_FLOOR, InputDistribution, SampleBatch
 from .netgraph import SystemMatrices
 from .quadrature import default_nodes, phase_orbit_rule
@@ -66,13 +66,8 @@ class EngineSpec:
         if self.method not in ("quadrature", "mc"):
             raise ValueError(f"unknown engine method {self.method!r}")
         for name in ("nodes", "samples", "seed", "workers"):
-            value = getattr(self, name)
-            if value is None and name == "nodes":
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"engine {name} must be an integer, got {value!r}")
-            if name != "seed" and value < 1:
-                raise ValueError(f"engine {name} must be at least 1, got {value}")
+            if name != "nodes" or self.nodes is not None:
+                _count(f"engine {name}", getattr(self, name), None if name == "seed" else 1)
 
     def mc_samples(self) -> int:
         """The sample count for a Monte Carlo draw, refused before any draw if too few for batch means."""
@@ -182,6 +177,7 @@ def quadrature_moments(M, dist: InputDistribution, nodes: int, *, want_mmse=True
     matrix conjugated back: under ``conj M``, ``(conj x, conj z)`` has the law of ``(x, z)`` under M.
     Inside ``shared_passes`` a pass already computed for the same key is served, not recomputed.
     """
+    nodes = _count("nodes", nodes, 1)
     M = flowmodel._channel(M, dist)
     if dist.kind != "discrete":
         raise ValueError("quadrature_moments expects a discrete input")
@@ -283,9 +279,9 @@ def _means_se(means: np.ndarray):
     return np.sqrt(var / len(means))
 
 
-def _batch_se(values: np.ndarray, batches: int):
-    """Batch-means standard error along axis 0; works for complex arrays."""
-    return _means_se(np.stack([np.mean(b, axis=0) for b in np.array_split(values, batches)]))
+def _batch_se(values: np.ndarray):
+    """Batch-means standard error over ``_SE_BATCHES`` batches along axis 0; works for complex arrays."""
+    return _means_se(np.stack([np.mean(b, axis=0) for b in np.array_split(values, _SE_BATCHES)]))
 
 
 def _cross_moment(a: np.ndarray, b: np.ndarray):
@@ -318,7 +314,7 @@ def mc_moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mmse=True, 
     mi = mi_se = err = err_se = None
     if want_mi:
         info_samples = _information(M, dist, spec)
-        mi, mi_se = float(np.mean(info_samples)), float(_batch_se(info_samples, _SE_BATCHES))
+        mi, mi_se = float(np.mean(info_samples)), float(_batch_se(info_samples))
     if want_mmse:
         z = x @ M.T
         z += noise
@@ -413,5 +409,5 @@ def estimation_diagnostics(M, dist: InputDistribution, batch: SampleBatch):
         "orthogonality": orthogonality,
         "orthogonality_se": orthogonality_se,
         "tower_gap": np.mean(xhat, axis=0) - dist.mean(),
-        "tower_se": _batch_se(xhat, _SE_BATCHES),
+        "tower_se": _batch_se(xhat),
     }

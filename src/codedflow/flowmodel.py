@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CostGuardError, DensityUnderflow, EmptySupport
+from .errors import CostGuardError, DensityUnderflow, EmptySupport, _count
 
 LOG_UNDERFLOW = -700.0
 _PROB_TOL = 1e-12
@@ -68,7 +68,7 @@ class InputDistribution:
     def __post_init__(self):
         if self.kind not in ("discrete", "gaussian"):
             raise ValueError(f"unknown input kind {self.kind!r}")
-        _input_dimension(self.dimension)
+        _count("input dimension", self.dimension, 1)
         if self.kind == "discrete":
             if self.support is None or len(self.support) == 0:
                 raise EmptySupport("discrete input needs at least one support point")
@@ -163,15 +163,8 @@ def _symmetries(support: np.ndarray, probs: np.ndarray) -> tuple[int, bool]:
     return 1, closed
 
 
-def _input_dimension(dimension) -> int:
-    """``dimension``, refused unless it is an integer (not a bool) of at least 1."""
-    if isinstance(dimension, bool) or not isinstance(dimension, (int, np.integer)) or dimension < 1:
-        raise ValueError(f"input dimension must be an integer of at least 1, got {dimension!r}")
-    return dimension
-
-
 def _product_constellation(symbols: np.ndarray, dimension: int) -> np.ndarray:
-    grids = np.meshgrid(*([np.arange(len(symbols))] * _input_dimension(dimension)), indexing="ij")
+    grids = np.meshgrid(*([np.arange(len(symbols))] * _count("input dimension", dimension, 1)), indexing="ij")
     index = np.stack(grids, axis=-1).reshape(-1, dimension)
     return symbols[index]
 
@@ -396,7 +389,7 @@ def _pool_map(fn, items, workers: int) -> list:
 def _philox(seed: int, stream: int) -> np.random.Generator:
     """The Philox generator keyed by (seed, stream).  The seed is taken modulo 2**64, so any
     integer seed, a negative one too, keys a stream; a seed in [0, 2**64) is used as is."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)])
+    key = np.array([np.uint64(_count("seed", seed) & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)])
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -425,8 +418,7 @@ def draw_inputs_and_noise(dist: InputDistribution, n_out: int, seed: int, count:
     BLAS held at one thread (``_pool_map``).  Draws over
     ``_DRAW_CAP_BYTES`` raise ``CostGuardError`` before any allocation.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _count("count", count, 1)
     need = count * (dist.dimension + n_out) * 16
     if need > _DRAW_CAP_BYTES:
         raise CostGuardError(
@@ -457,6 +449,7 @@ def _draws(dist: InputDistribution, n_out: int, seed: int, count: int, workers: 
     """``draw_inputs_and_noise`` and the noise's log density, kept for one key: the last (law, ``n_out``,
     seed, count, workers) drawn returns the same read-only arrays, and any other key drops them before
     drawing afresh.  The law is held and compared by identity; a draw that raises leaves nothing kept."""
+    seed, count = _count("seed", seed), _count("count", count, 1)  # before the key: True never meets 1
     with _LAST_DRAW_LOCK:
         last = _last_draw[0]
         if last is None or last[0] is not dist or last[1:5] != (n_out, seed, count, workers):

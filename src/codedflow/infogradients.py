@@ -66,7 +66,6 @@ from .errors import InvariantViolation, StepTooSmallError
 from .estimator import (
     EngineSpec,
     MmseMatrix,
-    _SE_BATCHES,
     _as_matrix,
     _batch_se,
     _information,
@@ -191,7 +190,7 @@ def _slope(L, base, R, direction, dist, spec, step):
     """
     diff = _information(L @ (base + step * direction) @ R, dist, spec)
     diff -= _information(L @ (base - step * direction) @ R, dist, spec)
-    se = float(_batch_se(diff, _SE_BATCHES)) if spec.method == "mc" else 0.0
+    se = float(_batch_se(diff)) if spec.method == "mc" else 0.0
     return float(np.mean(diff)) / (2.0 * step), se / (2.0 * step)
 
 

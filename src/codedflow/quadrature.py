@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CostGuardError
+from .errors import CostGuardError, _count
 
 # Per-real-axis node counts, keyed by complex dimension.  Gauss-Hermite converges only
 # algebraically on the mixture integrands, so the error depends on the channel.  Measured
@@ -37,8 +37,7 @@ MAX_RULE_POINTS = 1 << 22  # above the 12**6 points of the default 3-D rule, at 
 
 def _guarded(dim: int) -> int:
     """``dim``, refused outside 1..MAX_COMPLEX_DIM complex dimensions."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    dim = _count("dim", dim, 1)
     if dim > MAX_COMPLEX_DIM:
         raise CostGuardError(
             f"quadrature is guarded above {MAX_COMPLEX_DIM} complex dimensions (got {dim})"
@@ -67,7 +66,7 @@ def _axis_rule(dim: int, nodes: int):
     return (re + 1j * im).ravel(), np.outer(w, w).ravel() / np.pi
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)  # typed: 4.0 or True never meets the rule cached for 4 or 1
 def complex_gauss_hermite(dim: int, nodes: int):
     """Quadrature rule for E[f(n)] with n ~ CN(0, I_dim).
 
@@ -77,8 +76,7 @@ def complex_gauss_hermite(dim: int, nodes: int):
     Hermite weights are not positive and summing to sqrt(pi) (numpy's
     ``hermgauss`` overflows from 371 nodes) raises ``CostGuardError``.
     """
-    if nodes < 1:
-        raise ValueError(f"a quadrature rule needs at least 1 node per axis, got {nodes}")
+    nodes = _count("nodes", nodes, 1)
     return _orbit_rule(dim, nodes, np.arange(nodes * nodes)[None])
 
 
@@ -97,15 +95,14 @@ def _axis_group(nodes: int, order: int, conjugate: bool) -> np.ndarray:
     return np.array(group)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def phase_orbit_rule(dim: int, nodes: int, order: int, conjugate: bool):
     """``complex_gauss_hermite(dim, nodes)`` over the orbits of the group generated by ``n -> i n``
     (order 4) or ``-n`` (order 2), and by ``n -> conj(n)`` when ``conjugate``: for order 4 with
     conjugation the dihedral group of order 8, which keeps about an eighth of the grid.  The
     trivial group returns the full rule itself.
     """
-    if nodes < 1:
-        raise ValueError(f"a quadrature rule needs at least 1 node per axis, got {nodes}")
+    nodes = _count("nodes", nodes, 1)
     if order not in (1, 2, 4):
         raise ValueError(f"phase order must be 1, 2 or 4, got {order}")
     if order == 1 and not conjugate:

@@ -31,7 +31,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import CodedFlowError
+from .errors import CodedFlowError, _count
 from .estimator import EngineSpec, MmseMatrix, mmse_matrix, shared_passes
 from .flowmodel import InputDistribution, _philox
 from .infogradients import (
@@ -309,10 +309,9 @@ def grad11_matches_matrix_form(draws: int = 100, seed: int = 7_2025) -> Expansio
 
     Each draw assigns independent real uniforms on ``_GRAD11_RANGE`` to the
     twelve coefficients and a real 2x2 matrix to E (the identity is algebraic,
-    so E need not be a valid error matrix here).  ``draws`` must be at least 1.
+    so E need not be a valid error matrix here).  ``draws`` must be an integer of at least 1.
     """
-    if draws < 1:
-        raise ValueError(f"draws must be at least 1, got {draws!r}")
+    draws = _count("draws", draws, 1)
     rng = _philox(seed, 0x9511)
     values = []
     for _ in range(draws):
@@ -391,8 +390,7 @@ def precoder_ascent(
         raise ValueError(f"step must be finite and >= 0, got {step!r}")
     if not 0 < norm_budget < np.inf:
         raise ValueError(f"norm budget must be finite and > 0, got {norm_budget!r}")
-    if isinstance(iterations, bool) or not isinstance(iterations, (int, np.integer)) or iterations < 0:
-        raise ValueError(f"iterations must be an integer of at least 0, got {iterations!r}")
+    iterations = _count("iterations", iterations, 0)
 
     def evaluate(B):
         trial = SystemMatrices.from_factors(sys.A, sys.G, B, form=sys.form)

@@ -224,9 +224,9 @@ class TestMmseMatrix:
     def test_rules_refuse_fewer_than_one_node(self, nodes):
         # both branches: a law with phase symmetry (orbit rule) and one without (full rule)
         for dist in (InputDistribution.qpsk(1), InputDistribution.discrete(np.array([[1.0], [0.5j]]))):
-            with pytest.raises(ValueError, match=f"at least 1 node per axis, got {nodes}"):
+            with pytest.raises(ValueError, match=f"nodes must be an integer of at least 1, got {nodes}"):
                 quadrature_moments(np.eye(1, dtype=complex), dist, nodes)
-        with pytest.raises(ValueError, match=f"at least 1 node per axis, got {nodes}"):
+        with pytest.raises(ValueError, match=f"nodes must be an integer of at least 1, got {nodes}"):
             quadrature.complex_gauss_hermite(1, nodes)
 
 

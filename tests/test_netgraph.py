@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +22,13 @@ from codedflow import (
     seeded_diamond_symbols,
     zero_edge_coefficients,
 )
+from codedflow.cli import parse_config
 from codedflow.errors import SingularIFError
 from codedflow.netgraph import _EDGE_POSITIONS
 
 from conftest import random_dag
 
+FIGURE1 = Path(__file__).resolve().parent.parent / "configs" / "figure1.cfg"
 _DAG_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -424,6 +427,45 @@ class TestSystemMatrices:
         F = np.array([[0.0, 0.5], [0.0, 0.0]])  # G != (I-F)^{-1}
         with pytest.raises(SingularIFError):
             SystemMatrices.from_factors(np.eye(2), G, np.eye(2), F=F)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_inverse_is_refused(self, bad):
+        F = np.array([[0.0, 0.5], [0.25, 0.0]])
+        G = np.linalg.inv(np.eye(2) - F)
+        G[0, 0] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(SingularIFError):
+            SystemMatrices.from_factors(np.eye(2), G, np.eye(2), F=F)
+
+    @staticmethod
+    def _figure1(scale, e3_e5):
+        """figure1's system with every coupling scaled by ``scale``, then e3 -> e5 set to ``e3_e5``."""
+        config = parse_config(FIGURE1.read_text())
+        names, coeffs = config.topology.edge_names, config.coefficients
+        beta = {key: scale * value for key, value in coeffs.beta.items()}
+        if e3_e5 is not None:
+            beta[names.index("e3"), names.index("e5")] = e3_e5
+        coeffs = CodingCoefficients(coeffs.alpha, beta, coeffs.gamma)
+        return build_coefficient_matrices(config.topology, coeffs, config.n_in, config.n_out)
+
+    LARGE_COUPLINGS = [(300.0, None), (1000.0, None), (1.0, 1e6)]
+    LARGE_IDS = ["beta-x300", "beta-x1000", "beta-e3-e5-1e6"]
+
+    @pytest.mark.parametrize("scale, e3_e5", LARGE_COUPLINGS, ids=LARGE_IDS)
+    def test_an_exact_inverse_with_large_couplings_builds(self, scale, e3_e5):
+        # the Neumann sum misses I by more than 1e-12 absolute here, but not relative to ||G|| ||I - F||
+        sys = self._figure1(scale, e3_e5)
+        inverse = np.linalg.inv(np.eye(sys.F.shape[0]) - sys.F)
+        assert np.abs(sys.G - inverse).max() <= 1e-12 * np.abs(inverse).max()
+
+    # not at e3 -> e5 = 1e6: there ||G|| ||I - F|| is 1.2e12, and a 1e-6 change of most entries is within it
+    @pytest.mark.parametrize("scale", [1.0, 300.0, 1000.0])
+    def test_an_inverse_perturbed_by_1e_6_is_refused(self, scale):
+        sys = self._figure1(scale, None)
+        for entry in itertools.product(range(sys.G.shape[0]), repeat=2):
+            G = sys.G.copy()
+            G[entry] += 1e-6 * np.abs(G).max()
+            with pytest.raises(SingularIFError, match=r"to 1e-12 relative"):
+                SystemMatrices.from_factors(sys.A, G, sys.B, F=sys.F)
 
     def test_topology_validates_membership(self):
         with pytest.raises(ValueError, match="unknown vertex"):

@@ -216,7 +216,7 @@ class TestMatrixComparison:
 
     @pytest.mark.parametrize("draws", [0, -3])
     def test_draws_below_one_rejected(self, draws):
-        with pytest.raises(ValueError, match="draws must be at least 1"):
+        with pytest.raises(ValueError, match=f"draws must be an integer of at least 1, got {draws}"):
             grad11_matches_matrix_form(draws=draws)
 
     def test_per_draw_verdict_backs_erratum_confirmed(self):
