@@ -41,7 +41,7 @@ _HERMITIAN_TOL = 1e-10
 _PSD_FLOOR = -1e-10
 _DOMINANCE_FLOOR = -1e-8
 _MC_MIN_SAMPLES = 1000
-_QUAD_CHUNK_BYTES = 1 << 19  # per chunk of quadrature rows, 16*K*(dim+1) B a row; sets the summation order
+_QUAD_CHUNK_BYTES = 1 << 19  # rows at 16*K*(dim+1) B each fix the summation order; figure1 peaks at ~1,450 B a row
 _SYSTEM_CONDITION_LIMIT = 1e10
 
 
@@ -210,12 +210,12 @@ def _quadrature_pass(M: np.ndarray, dist: InputDistribution, nodes: int, want_mm
     Component j's exponent ``C[j,k] + T2[j,q]`` at ``mean_k + noise_q``
     (``C[j,k] = c_j + 2 S[j,k]``, S the mean Gram matrix, T2 twice the noise/mean cross terms)
     separates: the mixture sums are ``exp(a_q + b_k) total``, ``total = W @ P``, ``P = exp(T2 - a)``,
-    ``W = exp(C - b)`` (a, b the maxima); the posterior means are ``(W * support) @ P / total`` and the
-    MI sums ``p_k w_q ((T2 - a) - log total - (b - m2))`` per entry, ``b_k - m2_k`` being the
+    ``W = exp(C - b)`` (a, b the maxima); the errors ``xhat - s_k`` are ``(W[k, j] (s_j - s_k)) @ P / total``,
+    one product whose ``j = k`` term is exactly 0, so ``xhat`` is never formed and never cancels ``s_k``;
+    the MI sums ``p_k w_q ((T2 - a) - log total - (b - m2))`` per entry, ``b_k - m2_k`` being the
     cancellation-free ``max_j (log p_j - |mean_j - mean_k|^2)``, so a point input gives exactly 0.
     Sums at or below ``_EXACT_FLOOR`` may have underflowed; the pointwise kernel redoes them.
     """
-    n_out = M.shape[0]
     (noise, weights), conjugate = _kernel_rule(M, dist, nodes)
 
     support, probs = dist.support, dist.probs
@@ -225,18 +225,19 @@ def _quadrature_pass(M: np.ndarray, dist: InputDistribution, nodes: int, want_mm
     C = (dist.log_probs - m2)[:, None] + 2.0 * np.real(means.conj() @ means.T)  # C[j, k]
     b = C.max(axis=0)
     Wt = np.exp(C - b).T  # W[k, j]: arrays are support-major, so maxima reduce across rows
-    parts = np.stack([support.T.real, support.T.imag])  # (re/im, d, k)
-    Wt_parts = (parts[:, :, None, :] * Wt).reshape(-1, K)  # W[j, k] * support[j, d]
+    parts = np.concatenate([support.T.real, support.T.imag])  # (re/im and d, k)
+    Wt_diff = ((parts[:, None, :] - parts[..., None]) * Wt).reshape(-1, K)  # W[k, j] (s_j - s_k) per row of parts
+    twice_means = 2.0 * means.view(float)
     b_m2 = np.max(dist.log_probs[:, None] - np.sum(np.abs(means[:, None] - means) ** 2, axis=2), axis=0)
     rows = max(1, _QUAD_CHUNK_BYTES // (16 * K * (dim + 1)))
+    buffers = np.empty((2, 2 * dim * K * min(rows, len(noise)))) if want_mmse else None  # reused: fresh ones fault
 
-    mi_total, recomputed = 0.0, 0
-    err_total = np.zeros((dim, dim), dtype=complex) if want_mmse else None
+    mi_total, recomputed, gram = 0.0, 0, np.zeros((2 * dim, 2 * dim))  # gram of the errors' (re, im) rows
 
     for start in range(0, noise.shape[0], rows):
         block = noise[start : start + rows]
         wq = weights[start : start + rows]
-        P = (2.0 * means.view(float)) @ block.view(float).T  # T2[j, q] = 2 Re(conj(mean_j) noise_q)
+        P = twice_means @ block.view(float).T  # T2[j, q] = 2 Re(conj(mean_j) noise_q)
         a = P.max(axis=0)
         P -= a
         lin = probs @ P
@@ -245,24 +246,26 @@ def _quadrature_pass(M: np.ndarray, dist: InputDistribution, nodes: int, want_mm
             ki, qi = np.nonzero(total <= _EXACT_FLOOR)
             np.maximum(total, _EXACT_FLOOR, out=total)
             z = means[ki] + block[qi]
-            log_pz, redone = np.empty(len(z)), np.empty((2, dim, len(z)))
+            log_pz, redone = np.empty(len(z)), np.empty((2 * dim, len(z)))
             for span, w, sums, chunk_log_pz in flowmodel._mixture_chunks(means, dist.log_probs, z):
                 log_pz[span], redone[..., span] = chunk_log_pz, parts @ w / sums
             recomputed += len(ki)
         if want_mmse:
-            xhat = (Wt_parts @ P).reshape(2, dim, K, -1) / total
+            diff, weighted = buffers[:, : 2 * dim * K * len(wq)].reshape(2, 2 * dim, K, -1)
+            np.matmul(Wt_diff, P, out=diff.reshape(2 * dim * K, -1))  # (xhat - s_k) total: its j = k term is 0
+            diff *= np.reciprocal(total, out=weighted[0])  # weighted is free until its product below
             if underflow:
-                xhat[:, :, ki, qi] = redone
-            resid = np.subtract(parts[..., None], xhat, out=xhat).reshape(2 * dim, -1)
-            g = (resid * np.outer(probs, wq).ravel()) @ resid.T  # Gram of the (re, im) rows
-            err_total += g[:dim, :dim] + g[dim:, dim:] + 1j * (g[dim:, :dim] - g[:dim, dim:])
+                diff[:, ki, qi] = redone - parts[:, ki]
+            np.multiply(diff, np.einsum("k,q->kq", probs, wq), out=weighted)  # p_k w_q, with no ufunc buffers
+            gram += weighted.reshape(2 * dim, -1) @ diff.reshape(2 * dim, -1).T
         np.log(total, out=total)  # in place: a second name would hold it through the next chunk's E
         if underflow:
-            total[ki, qi] = log_pz + np.sum(np.abs(z) ** 2, axis=1) + n_out * np.log(np.pi) - a[qi] - b[ki]
+            total[ki, qi] = log_pz + np.sum(np.abs(z) ** 2, axis=1) + M.shape[0] * np.log(np.pi) - a[qi] - b[ki]
         total += b_m2[:, None]
         mi_total += float((lin - probs @ total) @ wq)
     if recomputed:
         logging.getLogger(__name__).debug("quadrature recomputed %d underflowed sums exactly", recomputed)
+    err_total = gram[:dim, :dim] + gram[dim:, dim:] + 1j * (gram[dim:, :dim] - gram[:dim, dim:]) if want_mmse else None
     if conjugate and want_mmse:
         err_total.imag = 0.0
     return mi_total, err_total

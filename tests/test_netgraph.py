@@ -24,7 +24,7 @@ from codedflow import (
 )
 from codedflow.cli import parse_config
 from codedflow.errors import SingularIFError
-from codedflow.netgraph import _EDGE_POSITIONS
+from codedflow.netgraph import _EDGE_POSITIONS, _PATH_SUM_ULPS
 
 from conftest import random_dag
 
@@ -428,13 +428,27 @@ class TestSystemMatrices:
         with pytest.raises(SingularIFError):
             SystemMatrices.from_factors(np.eye(2), G, np.eye(2), F=F)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_a_non_finite_inverse_is_refused(self, bad):
-        F = np.array([[0.0, 0.5], [0.25, 0.0]])
-        G = np.linalg.inv(np.eye(2) - F)
+    @pytest.mark.parametrize(
+        "bad, F",
+        [(bad, F) for F in ([[0.0, 0.5], [0.25, 0.0]], [[0.0, 0.0], [0.5, 0.0]], [[0.0]]) for bad in (np.nan, np.inf)],
+        ids=["nan", "inf", "acyclic-nan", "acyclic-inf", "one-edge-nan", "one-edge-inf"],
+    )
+    def test_a_non_finite_inverse_is_refused(self, bad, F):
+        # one edge and G = inf: the residual and the entry-by-entry bound are both inf
+        F = np.array(F)
+        G = np.linalg.inv(np.eye(len(F)) - F)
         G[0, 0] = bad
         with np.errstate(invalid="ignore"), pytest.raises(SingularIFError):
-            SystemMatrices.from_factors(np.eye(2), G, np.eye(2), F=F)
+            SystemMatrices.from_factors(np.eye(len(F)), G, np.eye(len(F)), F=F)
+
+    def test_a_solver_inverse_of_a_cycle_is_checked_normwise(self):
+        # 1 -> 3 -> 1 is a cycle; the solver leaves rounding where a path sum is exactly 0, which an
+        # entry-by-entry bound would refuse, so a cycle's G is held to 1e-12 of ||G|| ||I - F||
+        F = np.array([[0, 0.9, 0, 0.2], [0, 0, 0, -0.6], [0.8, 0.7, 0, 0.9], [0, -0.8, 0, 0]])
+        G = np.linalg.solve(np.eye(4) - F, np.eye(4))
+        residual = np.abs(G @ (np.eye(4) - F) - np.eye(4))
+        assert np.any(residual > _PATH_SUM_ULPS * np.finfo(float).eps * (np.abs(G) @ np.abs(np.eye(4) - F)))
+        SystemMatrices.from_factors(np.eye(4), G, np.eye(4), F=F)
 
     @staticmethod
     def _figure1(scale, e3_e5):
@@ -452,19 +466,23 @@ class TestSystemMatrices:
 
     @pytest.mark.parametrize("scale, e3_e5", LARGE_COUPLINGS, ids=LARGE_IDS)
     def test_an_exact_inverse_with_large_couplings_builds(self, scale, e3_e5):
-        # the Neumann sum misses I by more than 1e-12 absolute here, but not relative to ||G|| ||I - F||
+        # the Neumann sum misses I by more than 1e-12 absolute here, but not by 64 eps of |G| |I - F|
         sys = self._figure1(scale, e3_e5)
         inverse = np.linalg.inv(np.eye(sys.F.shape[0]) - sys.F)
         assert np.abs(sys.G - inverse).max() <= 1e-12 * np.abs(inverse).max()
 
-    # not at e3 -> e5 = 1e6: there ||G|| ||I - F|| is 1.2e12, and a 1e-6 change of most entries is within it
-    @pytest.mark.parametrize("scale", [1.0, 300.0, 1000.0])
-    def test_an_inverse_perturbed_by_1e_6_is_refused(self, scale):
-        sys = self._figure1(scale, None)
+    # at e3 -> e5 = 1e6, ||G|| ||I - F|| is 1.2e12: a normwise 1e-12 bound lets 16 of these 25 changes pass
+    @pytest.mark.parametrize(
+        "scale, e3_e5",
+        [(1.0, None), (300.0, None), (1000.0, None), (1.0, 1e6)],
+        ids=["1.0", "300.0", "1000.0", "e3-e5-1e6"],
+    )
+    def test_an_inverse_perturbed_by_1e_6_is_refused(self, scale, e3_e5):
+        sys = self._figure1(scale, e3_e5)
         for entry in itertools.product(range(sys.G.shape[0]), repeat=2):
             G = sys.G.copy()
             G[entry] += 1e-6 * np.abs(G).max()
-            with pytest.raises(SingularIFError, match=r"to 1e-12 relative"):
+            with pytest.raises(SingularIFError, match=r"G is not the inverse of \(I - F\)"):
                 SystemMatrices.from_factors(sys.A, G, sys.B, F=sys.F)
 
     def test_topology_validates_membership(self):
