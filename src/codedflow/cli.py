@@ -63,7 +63,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CodedFlowError, ConfigError
-from .estimator import EngineSpec, mmse_matrix, shared_passes
+from .estimator import EngineSpec, mmse_matrix
 from .flowmodel import InputDistribution, _philox
 from .infogradients import (
     NATS_PER_BIT,
@@ -583,8 +583,7 @@ def run(config: RunConfig, command: str, out_dir) -> Report:
         raise ValueError(f"unknown command {command!r}")
     report = Report(command=command, digest=config.digest, units=config.units)
     try:
-        with shared_passes():
-            _COMMANDS[command](config, report)
+        _COMMANDS[command](config, report)
     except CodedFlowError as exc:
         report.error = str(exc)
     out = Path(out_dir)

@@ -14,18 +14,14 @@ max-shifted exponentials, recomputed exactly where they underflow, and whose inf
 symmetry (with conjugation for a real channel and a conjugation-closed law).
 
 A quadrature pass always sums the information; a conjugation-closed law runs it on the member of
-``{M, conj M}`` whose first nonzero imaginary entry is positive.  ``shared_passes`` (each CLI command,
-``verify_gradients``, ``precoder_ascent``, ``cut_analysis``) computes each pass once and serves it to
-every later call: the conjugate side of a slope, a repeated probe, the information of a channel
-after its error matrix.
+``{M, conj M}`` whose first nonzero imaginary entry is positive.  The law keeps its last
+``_KEPT_PASSES`` passes in its store (``flowmodel``) and serves each to every later call: the
+conjugate side of a slope, a repeated probe, the information of a channel after its error matrix.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import logging
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +39,7 @@ _DOMINANCE_FLOOR = -1e-8
 _MC_MIN_SAMPLES = 1000
 _QUAD_CHUNK_BYTES = 1 << 19  # rows at 16*K*(dim+1) B each fix the summation order; figure1 peaks at ~1,450 B a row
 _SYSTEM_CONDITION_LIMIT = 1e10
+_KEPT_PASSES = 256  # quadrature passes a law keeps, oldest dropped first; a figure1 command computes at most 45
 
 
 def _enough_samples(count: int) -> int:
@@ -154,28 +151,13 @@ def _kernel_rule(M: np.ndarray, dist: InputDistribution, nodes: int):
     return phase_orbit_rule(M.shape[0], nodes, dist.phase_order, conjugate), conjugate
 
 
-_shared = contextvars.ContextVar("codedflow_shared_passes", default=None)
-_SHARED_LOCK = threading.Lock()
-
-
-@contextlib.contextmanager
-def shared_passes():
-    """Re-entrant scope in which ``quadrature_moments`` keeps each pass for its key and serves it to every
-    later call, in this context and the library's pools, bit for bit; outside a scope nothing is kept."""
-    token = _shared.set({} if _shared.get() is None else _shared.get())
-    try:
-        yield
-    finally:
-        _shared.reset(token)
-
-
 def quadrature_moments(M, dist: InputDistribution, nodes: int, *, want_mmse=True, want_mi=True):
     """Exact-expectation pass over the output density of a discrete input, ``nodes`` per axis.
 
     Returns ``(mi_nats, error_matrix, node_count)``; either output may be ``None`` if not requested.
     A conjugation-closed law is evaluated on the canonical member of ``{M, conj M}``, the error
     matrix conjugated back: under ``conj M``, ``(conj x, conj z)`` has the law of ``(x, z)`` under M.
-    Inside ``shared_passes`` a pass already computed for the same key is served, not recomputed.
+    A pass the law keeps for the same (nodes, canonical channel) is served, not recomputed.
     """
     nodes = _count("nodes", nodes, 1)
     M = flowmodel._channel(M, dist)
@@ -184,13 +166,15 @@ def quadrature_moments(M, dist: InputDistribution, nodes: int, *, want_mmse=True
     flip = dist.conjugate_closed and M.imag[M.imag != 0][:1].sum() < 0  # first nonzero, row-major
     if dist.conjugate_closed:
         M = (M.conj() if flip else M) + 0.0  # + 0.0 keys -0.0 as 0.0
-    kept, key = _shared.get(), (dist, nodes, M.shape, M.tobytes())
-    mi, err = (None, None) if kept is None else kept.get(key, (None, None))
+    kept, key = dist._kept.setdefault("passes", {}), (nodes, M.shape, M.tobytes())
+    mi, err = kept.get(key, (None, None))
     if mi is None or (want_mmse and err is None):
         mi, err = _quadrature_pass(M, dist, nodes, want_mmse)
-        with _SHARED_LOCK:
-            if kept is not None and (err is not None or key not in kept):  # never drop a kept error matrix
+        with flowmodel._KEPT_LOCK:
+            if err is not None or key not in kept:  # never drop a kept error matrix
                 kept[key] = mi, err
+                if len(kept) > _KEPT_PASSES:
+                    del kept[next(iter(kept))]
     err = (err.conj() if flip else err.copy()) if want_mmse else None
     return (mi if want_mi else None), err, nodes
 
@@ -295,7 +279,7 @@ def _cross_moment(a: np.ndarray, b: np.ndarray):
 
 def _information(M, dist: InputDistribution, spec: EngineSpec) -> np.ndarray:
     """Information samples of M, whose mean is its information: under Monte Carlo ``log p(z|x) -
-    log p(z)`` at ``z = x M^T + noise`` on the spec's kept draw, in place; else the ``_moments`` value."""
+    log p(z)`` at ``z = x M^T + noise`` on the law's kept draw, in place; else the ``_moments`` value."""
     if spec.method != "mc":
         return np.array([_moments(M, dist, spec, want_mmse=False)[0]])
     M = flowmodel._channel(M, dist)
@@ -307,7 +291,7 @@ def _information(M, dist: InputDistribution, spec: EngineSpec) -> np.ndarray:
 
 
 def mc_moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mmse=True, want_mi=True):
-    """Monte-Carlo estimates of mutual information and the error matrix on the spec's kept draw.
+    """Monte-Carlo estimates of mutual information and the error matrix on the law's kept draw.
 
     Returns ``(mi, mi_se, error_matrix, error_se, count)``: the means of ``_information``'s samples
     and of the error's outer products, each with its batch-means standard error.

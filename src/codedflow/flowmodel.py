@@ -15,9 +15,10 @@ operands, exponentiated in place without a max shift; a chunk redoes its sums at
 raises ``DensityUnderflow`` rather than silently flushing to zero.  ``workers`` is the whole
 thread budget of a call: the library's pools hold BLAS at one thread (``_pool_map``).
 
-A Monte Carlo run draws once: ``sample`` and ``estimator._information`` draw through ``_draws``, which
-keeps the last draw and its noise's log density, read-only, for its key (law, ``n_out``, seed, count,
-workers) and redraws on any other.
+A law keeps the work done for it in its ``_kept`` store, guarded by ``_KEPT_LOCK`` and freed with
+the law: ``estimator.quadrature_moments`` keeps its passes there, and ``_draws`` its last draw and
+the noise's log density, read-only, for its key (``n_out``, seed, count, workers).  So a Monte Carlo
+run draws once: ``sample`` and ``estimator._information`` both draw through ``_draws``.
 
 Score convention: the gradient with respect to the output is taken in
 conjugate coordinates, entry k being ``(d/dRe z_k + i d/dIm z_k) / 2``
@@ -27,7 +28,6 @@ applied to ``log p(z)``.  Under this convention the posterior-mean identity
 
 from __future__ import annotations
 
-import contextvars
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -48,6 +48,7 @@ _LSE_CHUNK_BYTES = 1 << 19
 _EXACT_FLOOR = 1e-290  # unshifted mixture sums at or below this may have underflowed: redone exactly
 _DRAW_CAP_BYTES = 1 << 30  # input and noise draws, 16 B an entry: 16,777,216 figure1 samples (64 B each)
 
+_KEPT_LOCK = threading.Lock()  # guards every law's ``_kept``: its "draw" here, its quadrature "passes" in estimator
 _QPSK_SYMBOLS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
 
@@ -56,7 +57,7 @@ class InputDistribution:
     """Input law of the flow vector: finite support or unit Gaussian.  ``phase_order`` is 4 when
     ``x -> i x`` leaves the law unchanged, else 2 when ``x -> -x`` does, else 1;
     ``conjugate_closed`` says whether ``x -> conj(x)`` leaves it unchanged.  Laws compare and hash
-    by identity, as ``_draws`` keys its kept draw."""
+    by identity: each keeps its own work in ``_kept``."""
 
     kind: str
     dimension: int
@@ -64,6 +65,7 @@ class InputDistribution:
     probs: np.ndarray | None = None
     phase_order: int = field(default=4, init=False, repr=False)
     conjugate_closed: bool = field(default=True, init=False, repr=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("discrete", "gaussian"):
@@ -378,11 +380,11 @@ _ONE_BLAS_THREAD = _OneBlasThread()
 
 def _pool_map(fn, items, workers: int) -> list:
     """``[fn(item) for item in items]``; with more than one worker, on a pool of ``workers`` threads
-    with BLAS held at one thread (``workers`` is the whole thread budget), each in a copy of the context."""
+    with BLAS held at one thread (``workers`` is the whole thread budget)."""
     if workers <= 1:
         return [fn(item) for item in items]
     with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=workers) as pool:
-        tasks = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
+        tasks = [pool.submit(fn, item) for item in items]
         return [task.result() for task in tasks]
 
 
@@ -441,25 +443,22 @@ def draw_inputs_and_noise(dist: InputDistribution, n_out: int, seed: int, count:
     return xs, ns
 
 
-_LAST_DRAW_LOCK = threading.Lock()
-_last_draw = [None]  # (dist, n_out, seed, count, workers, inputs, noise, log p(noise)), or None
-
-
 def _draws(dist: InputDistribution, n_out: int, seed: int, count: int, workers: int = 1):
-    """``draw_inputs_and_noise`` and the noise's log density, kept for one key: the last (law, ``n_out``,
-    seed, count, workers) drawn returns the same read-only arrays, and any other key drops them before
-    drawing afresh.  The law is held and compared by identity; a draw that raises leaves nothing kept."""
+    """``draw_inputs_and_noise`` and the noise's log density, kept in the law's store for one key: the
+    last (``n_out``, seed, count, workers) drawn returns the same read-only arrays, and any other key
+    drops them before drawing afresh, under the lock.  A draw that raises leaves nothing kept."""
     seed, count = _count("seed", seed), _count("count", count, 1)  # before the key: True never meets 1
-    with _LAST_DRAW_LOCK:
-        last = _last_draw[0]
-        if last is None or last[0] is not dist or last[1:5] != (n_out, seed, count, workers):
-            _last_draw[0] = None
+    key = n_out, seed, count, workers
+    with _KEPT_LOCK:
+        last = dist._kept.get("draw")
+        if last is None or last[0] != key:
+            dist._kept.pop("draw", None)
             xs, ns = draw_inputs_and_noise(dist, n_out, seed, count, workers=workers)
             kept = xs, ns, _log_noise_density(ns, n_out, axis=1)
             for array in kept:
                 array.setflags(write=False)
-            last = _last_draw[0] = (dist, n_out, seed, count, workers, *kept)
-        return last[5:]
+            last = dist._kept["draw"] = key, kept
+        return last[1]
 
 
 def sample(M, dist: InputDistribution, seed: int, count: int, *, workers: int = 1) -> SampleBatch:
@@ -467,7 +466,7 @@ def sample(M, dist: InputDistribution, seed: int, count: int, *, workers: int = 
 
     Reproducibility contract: identical (seed, count, model) give
     bitwise-identical batches regardless of the worker count.  The inputs
-    are the kept draw of ``_draws``, shared with Monte Carlo runs on its key.
+    are the law's kept draw (``_draws``), shared with Monte Carlo runs on its key.
     """
     M = _channel(M, dist)
     xs, ns, _ = _draws(dist, M.shape[0], seed, count, workers)

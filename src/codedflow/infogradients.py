@@ -35,12 +35,13 @@ Oracles
 ``_slope`` is the one finite difference, with one code path for every engine:
 it forms ``L (X +- step D) R`` and averages the paired differences of
 ``estimator._information``, the per-sample ``log p(z|x) - log p(z)`` on the
-spec's kept draw under Monte Carlo (common random numbers), else the single
+law's kept draw under Monte Carlo (common random numbers), else the single
 ``_moments`` value.
 ``grad_oracle`` maps it over the unit directions ``E_ij`` and ``i E_ij``;
-``directional_derivative`` is one quadrature call of it.  In ``verify_gradients``
-(``estimator.shared_passes``) the coarse probe reuses its oracle slope's passes, and
-for a real channel an imaginary-direction slope's two sides are one pass, so it is 0.
+``directional_derivative`` is one quadrature call of it.  The law keeps its
+quadrature passes, so in ``verify_gradients`` the coarse probe reuses its oracle
+slope's passes, and for a real channel an imaginary-direction slope's two sides
+are one pass, so it is 0.
 
 Gradient convention
 -------------------
@@ -72,7 +73,6 @@ from .estimator import (
     _moments,
     gaussian_mutual_information,  # re-exported: the closed form lives with the route
     mmse_matrix,
-    shared_passes,
 )
 from .flowmodel import InputDistribution
 from .netgraph import SystemMatrices
@@ -186,7 +186,7 @@ def _slope(L, base, R, direction, dist, spec, step):
     through the channels ``L @ (base +- step * direction) @ R``.
 
     It is the mean of the paired differences of ``estimator._information``, with their batch-means
-    standard error under Monte Carlo (on common random numbers, the spec's kept draw), else 0.
+    standard error under Monte Carlo (on common random numbers, the law's kept draw), else 0.
     """
     diff = _information(L @ (base + step * direction) @ R, dist, spec)
     diff -= _information(L @ (base - step * direction) @ R, dist, spec)
@@ -220,11 +220,13 @@ def grad_oracle(
     """
     if not STEP_RANGE[0] <= step <= STEP_RANGE[1]:
         raise ValueError(f"step must lie in [{STEP_RANGE[0]:g}, {STEP_RANGE[1]:g}]")
+    if not noise_ratio_limit > 0.0:  # NaN too, which would switch the noise guard off
+        raise ValueError(f"noise_ratio_limit must be positive, got {noise_ratio_limit!r}")
     base, L, R = _chain(sys, objective, target)
     if not np.all(np.isfinite(base)):
         raise ValueError("target matrix has non-finite entries")
 
-    if spec.method == "mc":  # draw before the pool, so its threads share the kept draw
+    if spec.method == "mc":  # draw before the pool, so its threads share the law's kept draw
         flowmodel._draws(dist, L.shape[0], spec.seed, spec.mc_samples(), spec.workers)
 
     rows, cols = base.shape
@@ -333,7 +335,6 @@ class GradientReport:
         return all(self.discrepancy(t)["max_rel"] <= rel_tol for t in self.targets())
 
 
-@shared_passes()
 def verify_gradients(
     sys: SystemMatrices,
     dist: InputDistribution,

@@ -32,7 +32,7 @@ from operator import mul
 import numpy as np
 
 from .errors import CodedFlowError, _count
-from .estimator import EngineSpec, MmseMatrix, mmse_matrix, shared_passes
+from .estimator import EngineSpec, MmseMatrix, mmse_matrix
 from .flowmodel import InputDistribution, _philox
 from .infogradients import (
     MutualInformationValue,
@@ -348,7 +348,6 @@ class CutReport:
     gradients: dict
 
 
-@shared_passes()
 def cut_analysis(cut: str, sys: SystemMatrices, dist: InputDistribution, spec: EngineSpec = EngineSpec()) -> CutReport:
     """Mutual information, error matrix, and closed-form gradients for one cut
     (``source``, ``mid`` or ``full``); any other name raises ``ValueError``.  The information is
@@ -367,7 +366,6 @@ def cut_analysis(cut: str, sys: SystemMatrices, dist: InputDistribution, spec: E
 _HALVINGS = 40  # step halvings tried before an ascent that cannot improve stops
 
 
-@shared_passes()
 def precoder_ascent(
     sys: SystemMatrices,
     dist: InputDistribution,

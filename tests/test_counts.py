@@ -24,8 +24,8 @@ from codedflow import (
     sample,
     seeded_diamond_symbols,
 )
-from codedflow import flowmodel, quadrature
-from codedflow.estimator import quadrature_moments, shared_passes
+from codedflow import quadrature
+from codedflow.estimator import quadrature_moments
 from codedflow.flowmodel import draw_inputs_and_noise
 
 QPSK1 = InputDistribution.qpsk(1)
@@ -36,7 +36,7 @@ UNIT = SystemMatrices.from_factors(np.eye(1), np.eye(1), np.eye(1), form="compac
 def _forget_caches():
     quadrature.complex_gauss_hermite.cache_clear()
     quadrature.phase_orbit_rule.cache_clear()
-    flowmodel._last_draw[0] = None
+    QPSK1._kept.clear()  # its quadrature passes and its kept draw
 
 
 # name: (call with the count, what the message names, its floor, whether a cache sits in front)
@@ -117,10 +117,9 @@ def test_a_warm_cache_refuses_what_a_cold_one_does(name, value):
     # the cache first holds the result for the value's int: 4.0 or True must not be served it
     call, what, floor, _ = ENTRY_POINTS[name]
     _forget_caches()
-    with shared_passes():
-        call(int(value))
-        with pytest.raises(ValueError, match=_message(what, floor, value)):
-            call(value)
+    call(int(value))
+    with pytest.raises(ValueError, match=_message(what, floor, value)):
+        call(value)
 
 
 @pytest.mark.parametrize("name", list(ENTRY_POINTS))

@@ -271,8 +271,9 @@ def _assert_matches_brute_force(M, dist, nodes, rel=1e-12):
     # the information is a difference of O(1) sums, so a near-zero one is floored at their rounding
     assert abs(mi - mi_ref) <= rel * max(abs(mi_ref), 1e-3)
     assert np.max(np.abs(err - err_ref)) <= rel * max(1.0, np.max(np.abs(err_ref)))
-    # a pass for one output gives the combined pass's value bit for bit
-    assert quadrature_moments(M, dist, nodes, want_mmse=False) == (mi, None, nodes)
+    # a computed pass for one output gives the combined pass's value bit for bit (the law serves repeats)
+    combined = estimator._quadrature_pass(M, dist, nodes, True)
+    assert estimator._quadrature_pass(M, dist, nodes, False) == (combined[0], None)
     mi_skipped, err_only, _ = quadrature_moments(M, dist, nodes, want_mi=False)
     assert mi_skipped is None
     assert np.array_equal(err_only, err)
@@ -337,7 +338,8 @@ class TestQuadratureKernel:
         assert peak <= 1 << 20
 
     def test_exact_recomputation_is_logged_once_with_its_count(self, caplog):
-        M, dist, nodes = UNDERFLOW_CASES[0]
+        M, _, nodes = UNDERFLOW_CASES[0]
+        dist = InputDistribution.bpsk(1)  # a fresh law: UNDERFLOW_CASES' laws keep earlier tests' passes
         with caplog.at_level(logging.DEBUG, logger="codedflow"):
             quadrature_moments(M, dist, nodes)
         (record,) = caplog.records
@@ -392,7 +394,8 @@ class TestPhaseOrbitRule:
         assert rule.call_args.args == (n_out, nodes, dist.phase_order, True)
         full = quadrature.complex_gauss_hermite
         with mock.patch.object(estimator, "phase_orbit_rule", lambda dim, nodes, *_: full(dim, nodes)):
-            mi_full, err_full, _ = quadrature_moments(M, dist, nodes)
+            fresh = getattr(InputDistribution, kind)(n_in)  # computes on the full rule: dist would serve its pass
+            mi_full, err_full, _ = quadrature_moments(M, fresh, nodes)
         # both rules round their O(1) per-entry terms alike: at most 1.6e-15 nats over 600 draws,
         # which is 6e-13 of an MI of 2.5e-5 nats, and E of 1e-33 is rounding noise in both
         assert abs(mi - mi_full) <= 1e-14 * max(1.0, abs(mi_full))
@@ -507,8 +510,8 @@ class TestExactInformation:
     )
     def test_saturated_channel_carries_the_input_entropy(self, M, dist, nodes):
         # the channel's means lie 40 or more apart under unit noise, so the
-        # MI is the input entropy to double precision
-        mi, _, _ = quadrature_moments(M, dist, nodes, want_mmse=False)
+        # MI is the input entropy to double precision; a fresh law computes it, the shared one may serve it
+        mi, _, _ = quadrature_moments(M, InputDistribution.discrete(dist.support, dist.probs), nodes, want_mmse=False)
         assert abs(mi - dist.entropy_nats()) <= 1e-14
 
 
@@ -729,101 +732,114 @@ class TestConjugateCanonical:
         M = np.array([[0.5, 0.3 - 0.2j], [0.7, 0.1 - 0.4j]])  # first nonzero imaginary part < 0
         with mock.patch.object(estimator, "_quadrature_pass", wraps=estimator._quadrature_pass) as kernel:
             quadrature_moments(M, dist, 6)
-            with estimator.shared_passes():  # a real channel and its conjugate, whose zeros are -0.0
-                quadrature_moments(M.real, dist, 6)
-                quadrature_moments(np.conj(M.real + 0j), dist, 6)
+            quadrature_moments(M.real, dist, 6)  # a real channel and its conjugate, whose zeros are -0.0
+            quadrature_moments(np.conj(M.real + 0j), dist, 6)
         canonical, real = kernel.call_args_list[0].args[0], kernel.call_args_list[1].args[0]
         np.testing.assert_array_equal(canonical, M.conj())
         assert not np.signbit(canonical.imag).any() and not np.signbit(real.imag).any()
         assert kernel.call_count == 2
 
 
-class TestSharedPasses:
-    """Inside ``shared_passes`` each (law, nodes, canonical channel) is computed once, and a served
-    pass is the computed one bit for bit; outside, every call computes."""
+class TestKeptPasses:
+    """A law keeps each (nodes, canonical channel) pass it computes, at most ``_KEPT_PASSES`` of them,
+    and serves it to every later call bit for bit; two laws never share a pass."""
 
-    DIST = InputDistribution.qpsk(1)
-    M = np.array([[0.9 + 0.4j], [-0.3 + 0.2j]])
+    M = np.array([[0.9 + 0.4j], [-0.3 + 0.2j]])  # canonical: its first nonzero imaginary entry is positive
 
     def _counted(self):
         return mock.patch.object(estimator, "_quadrature_pass", wraps=estimator._quadrature_pass)
 
-    def test_outside_a_scope_every_call_computes(self):
+    def test_a_repeated_call_is_served(self):
+        dist = InputDistribution.qpsk(1)
         with self._counted() as kernel:
-            first = quadrature_moments(self.M, self.DIST, 6)
-            second = quadrature_moments(self.M, self.DIST, 6)
-        assert kernel.call_count == 2
+            first = quadrature_moments(self.M, dist, 6)
+            second = quadrature_moments(self.M, dist, 6)
+        assert kernel.call_count == 1
         assert first[0] == second[0] and np.array_equal(first[1], second[1])
 
     def test_one_pass_serves_both_outputs_and_the_conjugate_channel(self):
-        mi, err, _ = quadrature_moments(self.M, self.DIST, 6)
-        with self._counted() as kernel, estimator.shared_passes():
-            assert quadrature_moments(self.M, self.DIST, 6, want_mi=False)[0] is None
-            assert quadrature_moments(self.M, self.DIST, 6, want_mmse=False) == (mi, None, 6)
-            served = quadrature_moments(self.M.conj(), self.DIST, 6)
-            again = quadrature_moments(self.M, self.DIST, 6)
+        dist = InputDistribution.qpsk(1)
+        mi, err = estimator._quadrature_pass(self.M, dist, 6, True)
+        quadrature_moments(self.M, dist, 6)
+        with self._counted() as kernel:
+            assert quadrature_moments(self.M, dist, 6, want_mi=False)[0] is None
+            assert quadrature_moments(self.M, dist, 6, want_mmse=False) == (mi, None, 6)
+            served = quadrature_moments(self.M.conj(), dist, 6)
+            again = quadrature_moments(self.M, dist, 6)
             again[1][0, 0] = 7.0  # each call returns its own array
-            last = quadrature_moments(self.M, self.DIST, 6)
-        assert kernel.call_count == 1
+            last = quadrature_moments(self.M, dist, 6)
+        assert kernel.call_count == 0
         assert served[0] == last[0] == mi
         np.testing.assert_array_equal(served[1], err.conj())
         np.testing.assert_array_equal(last[1], err)
 
     def test_an_information_pass_does_not_serve_an_error_matrix(self):
-        with self._counted() as kernel, estimator.shared_passes():
-            quadrature_moments(self.M, self.DIST, 6, want_mmse=False)
-            quadrature_moments(self.M, self.DIST, 6, want_mi=False)
-            quadrature_moments(self.M, self.DIST, 6)
-            quadrature_moments(self.M, self.DIST, 7)  # another key: the node count
-            quadrature_moments(self.M, InputDistribution.qpsk(1), 6)  # another law, compared by identity
-        assert [call.args[2:] for call in kernel.call_args_list] == [(6, False), (6, True), (7, True), (6, True)]
+        dist = InputDistribution.qpsk(1)
+        with self._counted() as kernel:
+            quadrature_moments(self.M, dist, 6, want_mmse=False)
+            quadrature_moments(self.M, dist, 6, want_mi=False)
+            quadrature_moments(self.M, dist, 6)
+            quadrature_moments(self.M, dist, 7)  # another key: the node count
+        assert [call.args[2:] for call in kernel.call_args_list] == [(6, False), (6, True), (7, True)]
 
     def test_an_information_pass_kept_late_keeps_the_error_matrix(self):
         # the interleaving of two threads, made deterministic: while an information-only pass runs,
         # an error-matrix pass of the same channel is computed and kept
-        kernel = estimator._quadrature_pass
+        dist, kernel = InputDistribution.qpsk(1), estimator._quadrature_pass
 
         def interleaved(M, dist, nodes, want_mmse):
             if not want_mmse:
                 quadrature_moments(M, dist, nodes)
             return kernel(M, dist, nodes, want_mmse)
 
-        with estimator.shared_passes():
-            with mock.patch.object(estimator, "_quadrature_pass", interleaved):
-                quadrature_moments(self.M, self.DIST, 6, want_mmse=False)
-            with self._counted() as counted:
-                quadrature_moments(self.M, self.DIST, 6)
+        with mock.patch.object(estimator, "_quadrature_pass", interleaved):
+            quadrature_moments(self.M, dist, 6, want_mmse=False)
+        with self._counted() as counted:
+            quadrature_moments(self.M, dist, 6)
         assert counted.call_count == 0
 
-    def test_scopes_nest_and_end_with_the_outermost(self):
+    def test_two_laws_never_share(self):
+        # equal laws, two objects: each computes its own pass, and keeps its own
+        laws = [InputDistribution.qpsk(1), InputDistribution.qpsk(1)]
         with self._counted() as kernel:
-            with estimator.shared_passes():
-                with estimator.shared_passes():
-                    quadrature_moments(self.M, self.DIST, 6)
-                quadrature_moments(self.M, self.DIST, 6)
-            quadrature_moments(self.M, self.DIST, 6)
+            for dist in laws + laws:
+                quadrature_moments(self.M, dist, 6)
         assert kernel.call_count == 2
+        assert [len(dist._kept["passes"]) for dist in laws] == [1, 1]
 
-    def test_pooled_calls_share_the_scope_and_lose_no_error_matrix(self):
+    def test_the_store_is_bounded_and_drops_the_oldest_pass_first(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_KEPT_PASSES", 3)
+        dist = InputDistribution.qpsk(1)
+        sample(np.eye(1), dist, seed=1, count=8)  # the kept draw is not a pass: the bound leaves it
+        channels = [np.array([[0.5 + 0.1j * k]]) for k in range(1, 6)]
+        for M in channels:
+            quadrature_moments(M, dist, 6)
+        assert len(dist._kept["passes"]) == 3 and "draw" in dist._kept
+        with self._counted() as kernel:
+            for M in channels[2:] + channels[:1]:  # the three newest are served; the oldest was dropped
+                quadrature_moments(M, dist, 6)
+        assert kernel.call_count == 1
+
+    def test_pooled_calls_share_the_law_and_lose_no_error_matrix(self):
         # more pool threads than cores and a short switch interval, so that information-only and
         # error-matrix passes of one channel race to be kept
+        dist = InputDistribution.qpsk(1)
         channels = [_random_channel(1, 1, 1.0 + 0.1 * k, k) for k in range(6)]
-        expected = [quadrature_moments(M, self.DIST, 6) for M in channels]
+        expected = [quadrature_moments(M, InputDistribution.qpsk(1), 6) for M in channels]  # another law's passes
         jobs = [(k, want_mmse) for _ in range(4) for k in range(len(channels)) for want_mmse in (False, True)]
 
         def job(item):
             k, want_mmse = item
-            return quadrature_moments(channels[k], self.DIST, 6, want_mmse=want_mmse)
+            return quadrature_moments(channels[k], dist, 6, want_mmse=want_mmse)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with estimator.shared_passes():
-                results = flowmodel._pool_map(job, jobs, 8)
-                with self._counted() as kernel:
-                    kept = [quadrature_moments(M, self.DIST, 6) for M in channels]
+            results = flowmodel._pool_map(job, jobs, 8)
         finally:
             sys.setswitchinterval(interval)
+        with self._counted() as kernel:
+            kept = [quadrature_moments(M, dist, 6) for M in channels]
         assert kernel.call_count == 0
         for (k, want_mmse), (mi, err, _) in zip(jobs, results):
             assert mi == expected[k][0]

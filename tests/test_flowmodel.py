@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -415,8 +417,7 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(np.eye(1), InputDistribution.bpsk(1), seed=0, count=0)
 
-    def test_sample_uses_the_kept_draw(self, monkeypatch):
-        monkeypatch.setattr(flowmodel, "_last_draw", [None])
+    def test_sample_uses_the_kept_draw(self):
         dist = InputDistribution.qpsk(2)
         M = np.array([[0.6, 0.1], [0.2, 0.9]]) + 0j
         batch = sample(M, dist, seed=5, count=3000)
@@ -436,12 +437,11 @@ class TestSampling:
 
 
 class TestKeptDraw:
-    """``_draws`` keeps the last draw for its (law, n_out, seed, count, workers) key."""
+    """``_draws`` keeps each law's last draw for its (n_out, seed, count, workers) key."""
 
     @staticmethod
     def _counting(monkeypatch):
-        """Start from an empty memo and count the draws made."""
-        monkeypatch.setattr(flowmodel, "_last_draw", [None])
+        """Count the draws made."""
         calls, real = [], flowmodel.draw_inputs_and_noise
 
         def counted(*args, **kwargs):
@@ -474,13 +474,28 @@ class TestKeptDraw:
             (dist, 1, 4, 2000, 1),  # seed
             (dist, 1, 3, 2001, 1),  # count
             (dist, 2, 3, 2000, 1),  # n_out
-            (InputDistribution.bpsk(1), 1, 3, 2000, 1),  # an equal law, another object
             (dist, 1, 3, 2000, 2),  # workers
         ]
         for key in changed:  # each pair draws twice: the base key was dropped by the last change
             flowmodel._draws(*base)
             flowmodel._draws(*key)
         assert len(calls) == 2 * len(changed)
+
+    def test_each_law_keeps_its_own_draw(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        first, second = InputDistribution.bpsk(1), InputDistribution.bpsk(1)  # equal laws, two objects
+        kept = flowmodel._draws(first, 1, 3, 2000)
+        other = flowmodel._draws(second, 1, 3, 2000)
+        assert all(a is b for a, b in zip(flowmodel._draws(first, 1, 3, 2000), kept))
+        assert all(a is not b for a, b in zip(other, kept))
+        assert len(calls) == 2
+
+    def test_dropping_a_law_frees_its_draw(self):
+        dist = InputDistribution.qpsk(2)
+        law, noise = weakref.ref(dist), weakref.ref(flowmodel._draws(dist, 2, 3, 2000)[1])
+        del dist
+        gc.collect()
+        assert law() is None and noise() is None
 
     def test_refused_draw_keeps_nothing(self, monkeypatch):
         calls = self._counting(monkeypatch)
@@ -489,6 +504,6 @@ class TestKeptDraw:
         monkeypatch.setattr(flowmodel, "_DRAW_CAP_BYTES", 2000 * 32)
         with pytest.raises(CostGuardError):
             flowmodel._draws(dist, 1, 3, 2001)
-        assert flowmodel._last_draw == [None]
+        assert "draw" not in dist._kept
         flowmodel._draws(dist, 1, 3, 2000)
         assert len(calls) == 3

@@ -46,8 +46,9 @@ from codedflow import (
     mutual_information,
     verify_gradients,
 )
-from codedflow import flowmodel
-from codedflow.estimator import mc_moments, quadrature_moments, shared_passes
+from codedflow import estimator, flowmodel
+from codedflow.cli import _compact, parse_config
+from codedflow.estimator import mc_moments, quadrature_moments
 from codedflow.errors import InvariantViolation
 from codedflow.infogradients import (
     STEP_RANGE,
@@ -316,6 +317,17 @@ class TestOracle:
         with pytest.raises(StepTooSmallError):
             grad_oracle(sys, dist, "B", spec, step=1e-5, noise_ratio_limit=1e-4)
 
+    @pytest.mark.parametrize("limit", [np.nan, 0.0, -0.1])
+    def test_a_noise_ratio_limit_that_is_not_positive_is_refused(self, limit):
+        # on figure1 a limit of 1% trips the noise guard; NaN compares false and would switch it off
+        config = parse_config((Path(__file__).resolve().parent.parent / "configs" / "figure1.cfg").read_text())
+        sys, spec = _compact(config), EngineSpec(method="mc", samples=2000, seed=1)
+        with pytest.raises(StepTooSmallError):
+            grad_oracle(sys, config.dist, "B", spec, step=1e-5, noise_ratio_limit=0.01)
+        with pytest.raises(ValueError, match="noise_ratio_limit must be positive"):
+            grad_oracle(sys, config.dist, "B", spec, step=1e-5, noise_ratio_limit=limit)
+        assert grad_oracle(sys, config.dist, "B", spec, step=1e-5, noise_ratio_limit=np.inf).shape == (2, 2)
+
     def test_sample_guard_fires_before_any_draw(self, monkeypatch):
         # below the minimum, batch means of empty batches are NaN and would hide the noise floor
         def no_draw(*args, **kwargs):
@@ -367,16 +379,18 @@ class TestVerifyGradients:
         assert report.passed(1e-3)
 
 
-    def test_shared_passes_are_transparent(self, rng):
-        # a complex system, so that canonical forms conjugate; the oracles computed outside any scope
-        sys = _random_system(rng)
-        dist, spec = InputDistribution.qpsk(2), EngineSpec(nodes=6)
-        plain = verify_gradients(sys, dist, spec)
-        with shared_passes():
-            mutual_information(effective_matrix("full", sys), dist, spec)
-            scoped = verify_gradients(sys, dist, spec)
-        pooled = verify_gradients(sys, dist, replace(spec, workers=2))
-        for report in (scoped, pooled):
+    def test_kept_passes_are_transparent(self, rng, monkeypatch):
+        # a complex system, so that canonical forms conjugate; the reference law keeps no pass, so
+        # every call of its run computes
+        sys, spec = _random_system(rng), EngineSpec(nodes=6)
+        with monkeypatch.context() as patch:
+            patch.setattr(estimator, "_KEPT_PASSES", 0)
+            plain = verify_gradients(sys, InputDistribution.qpsk(2), spec)
+        dist = InputDistribution.qpsk(2)
+        mutual_information(effective_matrix("full", sys), dist, spec)
+        kept = verify_gradients(sys, dist, spec)
+        pooled = verify_gradients(sys, InputDistribution.qpsk(2), replace(spec, workers=2))
+        for report in (kept, pooled):
             np.testing.assert_array_equal(report.mmse.matrix, plain.mmse.matrix)
             assert report.refinement == plain.refinement
             for target in "AGB":
@@ -404,8 +418,8 @@ class TestEngineRoute:
         if dist.kind == "gaussian":
             err = np.linalg.inv(np.eye(2, dtype=complex) + M.conj().T @ M)
             return gaussian_mutual_information(M), None, err, None, "exact", 0
-        mi, _, _ = quadrature_moments(M, dist, 8, want_mmse=False)
-        _, err, _ = quadrature_moments(M, dist, 8, want_mi=False)
+        mi = estimator._quadrature_pass(M + 0.0, dist, 8, False)[0]  # computed: the law serves repeats
+        err = estimator._quadrature_pass(M + 0.0, dist, 8, True)[1]
         return mi, None, err, None, "quadrature", 8
 
     @pytest.mark.parametrize("method", ["quadrature", "mc"])
@@ -427,8 +441,8 @@ class TestEngineRoute:
     def test_refinement_probe_is_quadrature_under_monte_carlo(self, kind):
         sys = SystemMatrices.from_factors(np.eye(2), np.eye(2), self.M, form="compact")
         direction = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        probes = [
-            directional_derivative(sys, self.DISTS[kind], "B", direction, self.SPECS[method])
+        probes = [  # each on its own law, so both are computed
+            directional_derivative(sys, getattr(InputDistribution, kind)(2), "B", direction, self.SPECS[method])
             for method in ("mc", "quadrature")
         ]
         assert probes[0] == probes[1]
@@ -574,6 +588,7 @@ class TestSharedSlope:
     @settings(max_examples=25, deadline=None)
     def test_quadrature_oracle_is_two_directional_derivatives(self, seed, n_out, n_mid, n_in, kind):
         sys, dist = _compact_case(seed, n_out, n_mid, n_in, kind)
+        other = _DISTS[kind](n_in)  # computes its own passes, not the oracle's kept ones
         spec = EngineSpec(nodes=6)
         for objective, target in _PAIRS:
             oracle = grad_oracle(sys, dist, target, spec, step=self.STEP, objective=objective)
@@ -582,7 +597,7 @@ class TestSharedSlope:
                 unit = np.zeros(oracle.shape, dtype=complex)
                 unit[i, j] = 1.0
                 dd = [
-                    directional_derivative(sys, dist, target, u, spec, step=self.STEP, objective=objective)
+                    directional_derivative(sys, other, target, u, spec, step=self.STEP, objective=objective)
                     for u in (unit, 1j * unit)
                 ]
                 expected[i, j] = (dd[0] + 1j * dd[1]) / 2

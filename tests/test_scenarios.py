@@ -277,7 +277,7 @@ class TestCutAnalysis:
         spec = EngineSpec(method="quadrature", nodes=12)
         with mock.patch.object(estimator, "_quadrature_pass", wraps=estimator._quadrature_pass) as computed:
             reports = {cut: cut_analysis(cut, sys, dist, spec) for cut in ("source", "mid", "full")}
-        assert computed.call_count == 3  # one pass a cut: its information is its error matrix's pass
+        assert computed.call_count == 1  # the three cuts are one channel: the law keeps its one pass
         for cut in ("mid", "full"):
             assert reports[cut].mi.nats == pytest.approx(reports["source"].mi.nats, abs=1e-12)
             np.testing.assert_allclose(
