@@ -11,7 +11,11 @@ forms ``log det(I + M M^H)`` and ``(I + M^H M)^{-1}``, else tensorized Gauss-Her
 (guarded at three complex output dimensions), whose mixture sums are matrix products of
 max-shifted exponentials, recomputed exactly where they underflow, and whose information is
 ``sum p_k w_q ((T2 - a) - log total - (b - m2))`` per entry, over one orbit of the input's phase
-symmetry (with conjugation for a real channel and a conjugation-closed law).
+symmetry (with conjugation for a real channel and a conjugation-closed law).  Through a real
+channel a law on real support needs only the real axes of the noise, and a law that is exactly
+the product of its ``Re x`` and ``Im x`` laws (QPSK, square QAM) splits into those two real
+problems, whose information and error matrices add: exact up to rounding, on ``nodes ** n_out``
+points where the orbit rule kept about ``nodes ** (2 n_out) / 8``.
 
 A quadrature pass always sums the information; a conjugation-closed law runs it on the member of
 ``{M, conj M}`` whose first nonzero imaginary entry is positive.  The law keeps its last
@@ -30,7 +34,7 @@ from . import flowmodel
 from .errors import CostGuardError, InvariantViolation, SingularSystemMatrix, _count
 from .flowmodel import _EXACT_FLOOR, InputDistribution, SampleBatch
 from .netgraph import SystemMatrices
-from .quadrature import default_nodes, phase_orbit_rule
+from .quadrature import default_nodes, phase_orbit_rule, real_gauss_hermite
 
 _SE_BATCHES = 32
 _HERMITIAN_TOL = 1e-10
@@ -145,8 +149,11 @@ def conditional_mean_batch(M, dist: InputDistribution, points) -> np.ndarray:
 
 
 def _kernel_rule(M: np.ndarray, dist: InputDistribution, nodes: int):
-    """The orbit rule ``_quadrature_pass`` sums over, and whether it includes conjugation: it
-    does for a real channel and a conjugation-closed law."""
+    """The rule ``_kernel_pass`` sums over, and whether it includes conjugation: the real rule for a
+    real channel and a law on real support, else the orbit rule, with conjugation for a real channel
+    and a conjugation-closed law."""
+    if not (M.imag.any() or dist.support.imag.any()):
+        return real_gauss_hermite(M.shape[0], nodes), True
     conjugate = dist.conjugate_closed and not M.imag.any()
     return phase_orbit_rule(M.shape[0], nodes, dist.phase_order, conjugate), conjugate
 
@@ -183,13 +190,29 @@ def _quadrature_pass(M: np.ndarray, dist: InputDistribution, nodes: int, want_mm
     """``(mi, error matrix or None)`` of a discrete input through the complex channel M, the error
     matrix formed only if ``want_mmse``; the information is the same bits either way.
 
-    The pass sums over ``phase_orbit_rule`` for the group generated by the law's phase rotation
-    and, for a real channel and a conjugation-closed law, ``n -> conj(n)``; for QPSK through a real
-    channel that is the dihedral group of order 8.  It is exact: if ``x -> omega x`` maps the law
-    onto itself, ``n -> omega n`` maps the information and error-matrix integrands, summed over the
-    support, onto themselves; if ``x -> conj(x)`` does and M is real, ``n -> conj(n)`` keeps the
-    information and conjugates the error matrix, so the error matrix is returned as its real part,
-    with an imaginary part of exactly 0.
+    Through a real M, a law that is exactly the product of its ``Re x`` and ``Im x`` laws (QPSK,
+    square QAM; ``flowmodel._real_parts``) is the multiplicity-weighted sum of their
+    ``_kernel_pass``es, each on the real rule of ``nodes ** n_out`` points: exact up to rounding.
+    Every other law is one ``_kernel_pass`` of the law itself.
+    """
+    parts = None if M.imag.any() else flowmodel._real_parts(dist)
+    if parts is None:
+        return _kernel_pass(M, dist, nodes, want_mmse)
+    passes = [(k, *_kernel_pass(M, law, nodes, want_mmse)) for law, k in parts]
+    return sum(k * mi for k, mi, _ in passes), sum(k * err for k, _, err in passes) if want_mmse else None
+
+
+def _kernel_pass(M: np.ndarray, dist: InputDistribution, nodes: int, want_mmse: bool):
+    """``_quadrature_pass`` of one law, summed over ``_kernel_rule``.
+
+    For a real channel and a law on real support that is ``real_gauss_hermite``: the output's
+    imaginary part is then noise alone.  Else it is ``phase_orbit_rule`` for the group generated by
+    the law's phase rotation and, for a real channel and a conjugation-closed law such as 8-PSK,
+    ``n -> conj(n)``.  It is exact: if ``x -> omega x`` maps the law onto itself, ``n -> omega n``
+    maps the information and error-matrix integrands, summed over the support, onto themselves; if
+    ``x -> conj(x)`` does and M is real, ``n -> conj(n)`` keeps the information and conjugates the
+    error matrix, so the error matrix is returned as its real part, with an imaginary part of
+    exactly 0.
 
     Component j's exponent ``C[j,k] + T2[j,q]`` at ``mean_k + noise_q``
     (``C[j,k] = c_j + 2 S[j,k]``, S the mean Gram matrix, T2 twice the noise/mean cross terms)

@@ -16,8 +16,9 @@ raises ``DensityUnderflow`` rather than silently flushing to zero.  ``workers`` 
 thread budget of a call: the library's pools hold BLAS at one thread (``_pool_map``).
 
 A law keeps the work done for it in its ``_kept`` store, guarded by ``_KEPT_LOCK`` and freed with
-the law: ``estimator.quadrature_moments`` keeps its passes there, and ``_draws`` its last draw and
-the noise's log density, read-only, for its key (``n_out``, seed, count, workers).  So a Monte Carlo
+the law: ``estimator.quadrature_moments`` keeps its passes there, ``_real_parts`` the laws of the
+real and imaginary parts it splits into, and ``_draws`` its last draw and the noise's log density,
+read-only, for its key (``n_out``, seed, count, workers).  So a Monte Carlo
 run draws once: ``sample`` and ``estimator._information`` both draw through ``_draws``.
 
 Score convention: the gradient with respect to the output is taken in
@@ -163,6 +164,35 @@ def _symmetries(support: np.ndarray, probs: np.ndarray) -> tuple[int, bool]:
         if np.array_equal(rows(support * omega), own):
             return order, closed
     return 1, closed
+
+
+def _real_parts(dist: InputDistribution):
+    """``((law, multiplicity), ...)``: the laws of ``Re x`` and ``Im x`` on real support, or one of
+    them twice if they are equal, when the support is their Cartesian product and each probability
+    is bitwise the product of its two marginals; else, or if the support is real, ``None``.  Kept in
+    the law's store.  Through a real M, ``(Re x, Re z)`` and ``(Im x, Im z)`` are then independent
+    real problems with N(0, 1/2) noise per axis, whose information and error matrices add."""
+    with _KEPT_LOCK:
+        if "real parts" not in dist._kept:
+            dist._kept["real parts"] = _halves(dist.support, dist.probs) if dist.support.imag.any() else None
+        return dist._kept["real parts"]
+
+
+def _halves(support: np.ndarray, probs: np.ndarray):
+    def marginal(parts):  # sorted distinct rows, each row's index among them, their probabilities
+        rows = list(map(tuple, parts.tolist()))
+        values = sorted(set(rows))  # not np.unique, which imports numpy.ma (0.5 MB) on first use
+        code = {value: n for n, value in enumerate(values)}
+        index = np.array([code[row] for row in rows])
+        return np.array(values), index, np.bincount(index, probs, len(values))
+
+    (re, i, p_re), (im, j, p_im) = marginal(support.real), marginal(support.imag)
+    cells = np.bincount(i * len(im) + j, minlength=len(re) * len(im))  # support points per (Re, Im) pair
+    if not (np.all(cells == 1) and np.array_equal(probs, p_re[i] * p_im[j])):
+        return None
+    if np.array_equal(re, im) and np.array_equal(p_re, p_im):
+        return ((InputDistribution.discrete(re, p_re), 2),)
+    return (InputDistribution.discrete(re, p_re), 1), (InputDistribution.discrete(im, p_im), 1)
 
 
 def _product_constellation(symbols: np.ndarray, dimension: int) -> np.ndarray:

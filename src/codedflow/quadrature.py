@@ -12,7 +12,8 @@ numpy's Hermite nodes and weights are exactly symmetric about 0, so multiplying 
 by ``i`` (or ``-1``), or conjugating it, permutes the grid and keeps each weight.  An expectation
 that a group of these maps leaves unchanged is the sum over one representative of each orbit of
 points, each weighted by its orbit's size, which ``phase_orbit_rule`` keeps: exact up to the
-rounding of the shorter sums.
+rounding of the shorter sums.  An expectation that depends on the noise's real part alone needs
+only the real axes: ``real_gauss_hermite`` has ``nodes ** dim`` points.
 """
 
 from __future__ import annotations
@@ -49,10 +50,9 @@ def default_nodes(dim: int) -> int:
     return DEFAULT_NODES[_guarded(dim)]
 
 
-def _axis_rule(dim: int, nodes: int):
-    """The per-complex-axis rule ``(points, weights)``, ``nodes ** 2`` of each, at flat index
-    ``i * nodes + j`` for ``t_i + 1j t_j``, refused before anything is built if the tensor rule
-    over ``dim`` axes would exceed ``MAX_RULE_POINTS`` or the Hermite weights are broken."""
+def _hermite(dim: int, nodes: int):
+    """numpy's ``nodes``-point Hermite rule ``(t, w)``, refused before anything is built if the
+    complex tensor rule over ``dim`` axes would exceed ``MAX_RULE_POINTS`` or the weights are broken."""
     count = (nodes * nodes) ** _guarded(dim)
     if count > MAX_RULE_POINTS:
         raise CostGuardError(
@@ -62,6 +62,13 @@ def _axis_rule(dim: int, nodes: int):
         t, w = np.polynomial.hermite.hermgauss(nodes)
     if not (np.all(w > 0) and abs(w.sum() - np.sqrt(np.pi)) <= 1e-12):
         raise CostGuardError(f"the {nodes}-node Hermite rule has non-finite or vanishing weights")
+    return t, w
+
+
+def _axis_rule(dim: int, nodes: int):
+    """The per-complex-axis rule ``(points, weights)``, ``nodes ** 2`` of each, at flat index
+    ``i * nodes + j`` for ``t_i + 1j t_j``, refused as ``_hermite`` refuses."""
+    t, w = _hermite(dim, nodes)
     re, im = np.meshgrid(t, t, indexing="ij")
     return (re + 1j * im).ravel(), np.outer(w, w).ravel() / np.pi
 
@@ -78,6 +85,21 @@ def complex_gauss_hermite(dim: int, nodes: int):
     """
     nodes = _count("nodes", nodes, 1)
     return _orbit_rule(dim, nodes, np.arange(nodes * nodes)[None])
+
+
+@lru_cache(maxsize=8, typed=True)
+def real_gauss_hermite(dim: int, nodes: int):
+    """Quadrature rule for E[f(Re n)] with n ~ CN(0, I_dim): ``complex_gauss_hermite``'s form with
+    ``nodes ** dim`` points of imaginary part 0, each axis one real axis of the complex rule (nodes
+    ``t_i`` at weights ``w_i / sqrt(pi)``), refused for the same ``(dim, nodes)`` as the complex rule.
+    """
+    nodes = _count("nodes", nodes, 1)
+    t, w = _hermite(dim, nodes)
+    index = np.indices((nodes,) * dim).reshape(dim, -1)  # row-major, as the complex rule
+    points, weights = np.ascontiguousarray(t[index].T, dtype=complex), np.prod(w[index] / np.sqrt(np.pi), axis=0)
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    return points, weights
 
 
 def _axis_group(nodes: int, order: int, conjugate: bool) -> np.ndarray:

@@ -36,6 +36,7 @@ UNIT = SystemMatrices.from_factors(np.eye(1), np.eye(1), np.eye(1), form="compac
 def _forget_caches():
     quadrature.complex_gauss_hermite.cache_clear()
     quadrature.phase_orbit_rule.cache_clear()
+    quadrature.real_gauss_hermite.cache_clear()
     QPSK1._kept.clear()  # its quadrature passes and its kept draw
 
 
@@ -52,6 +53,8 @@ ENTRY_POINTS = {
     "complex_gauss_hermite-dim": (lambda v: quadrature.complex_gauss_hermite(v, 2), "dim", 1, True),
     "phase_orbit_rule-nodes": (lambda v: quadrature.phase_orbit_rule(1, v, 4, True), "nodes", 1, True),
     "phase_orbit_rule-dim": (lambda v: quadrature.phase_orbit_rule(v, 2, 4, True), "dim", 1, True),
+    "real_gauss_hermite-nodes": (lambda v: quadrature.real_gauss_hermite(1, v), "nodes", 1, True),
+    "real_gauss_hermite-dim": (lambda v: quadrature.real_gauss_hermite(v, 2), "dim", 1, True),
     "quadrature_moments-nodes": (lambda v: quadrature_moments(M1, QPSK1, v), "nodes", 1, True),
     "draw_inputs_and_noise-count": (lambda v: draw_inputs_and_noise(QPSK1, 1, 0, v), "count", 1, False),
     "draw_inputs_and_noise-seed": (lambda v: draw_inputs_and_noise(QPSK1, 1, v, 8), "seed", None, False),

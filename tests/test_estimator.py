@@ -10,6 +10,7 @@ import logging
 import re
 import sys
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -178,12 +179,17 @@ class TestMmseMatrix:
 
     @pytest.mark.parametrize("nodes", [371, 372])
     def test_overflowing_hermite_rule_is_refused(self, nodes):
-        # numpy's weights are all zero at 371 nodes and NaN from 372, which read as MI 0 and nan
+        # numpy's weights are all zero at 371 nodes and NaN from 372, which read as MI 0 and nan;
+        # QPSK through a real channel splits, so the real rule is the one that refuses
         M, dist, spec = np.array([[2.0 + 0j]]), InputDistribution.qpsk(1), EngineSpec(nodes=nodes)
-        with pytest.raises(CostGuardError, match=f"the {nodes}-node Hermite rule"):
+        with _rules() as (real, _), pytest.raises(CostGuardError, match=f"the {nodes}-node Hermite rule"):
             mmse_matrix(M, dist, spec)
+        assert real.call_args == mock.call(1, nodes)
         with pytest.raises(CostGuardError, match=f"the {nodes}-node Hermite rule"):
             mutual_information(M, dist, spec)
+        for rule in (quadrature.real_gauss_hermite, quadrature.complex_gauss_hermite):
+            with pytest.raises(CostGuardError, match=f"the {nodes}-node Hermite rule"):
+                rule(1, nodes)
         assert mutual_information(M, dist, EngineSpec(nodes=370)).nats > 1.0
 
     def test_quadrature_cost_guard(self):
@@ -208,6 +214,8 @@ class TestMmseMatrix:
             quadrature.complex_gauss_hermite(3, 64)
         with pytest.raises(CostGuardError, match="68719476736 points"):  # counts the full grid
             quadrature.phase_orbit_rule(3, 64, 4, True)
+        with pytest.raises(CostGuardError, match="68719476736 points"):  # refuses what the full rule refuses
+            quadrature.real_gauss_hermite(3, 64)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -230,13 +238,16 @@ class TestMmseMatrix:
         for dist in (InputDistribution.qpsk(1), InputDistribution.discrete(np.array([[1.0], [0.5j]]))):
             with pytest.raises(ValueError, match=f"nodes must be an integer of at least 1, got {nodes}"):
                 quadrature_moments(np.eye(1, dtype=complex), dist, nodes)
-        with pytest.raises(ValueError, match=f"nodes must be an integer of at least 1, got {nodes}"):
-            quadrature.complex_gauss_hermite(1, nodes)
+        for rule in (quadrature.complex_gauss_hermite, quadrature.real_gauss_hermite):
+            with pytest.raises(ValueError, match=f"nodes must be an integer of at least 1, got {nodes}"):
+                rule(1, nodes)
 
 
 def _brute_force_moments(M, dist, nodes):
     """MI and error matrix from the mixture kernels at the explicit points
-    ``mean_k + noise_q``, one support point at a time."""
+    ``mean_k + noise_q``, one support point at a time, on the full complex rule.  The residual
+    ``x - xhat`` is the posterior-weighted sum of ``x - s_j``, never a subtraction of ``xhat``, so
+    a tiny error matrix is not cancellation noise."""
     noise, weights = quadrature.complex_gauss_hermite(M.shape[0], nodes)
     means = dist.support @ M.T
     log_cond = -M.shape[0] * np.log(np.pi) - np.sum(np.abs(noise) ** 2, axis=1)
@@ -246,7 +257,9 @@ def _brute_force_moments(M, dist, nodes):
         points = mean + noise
         log_pz = flowmodel.mixture_log_density(means, dist.log_probs, points)
         mi += p * float(weights @ (log_cond - log_pz))
-        resid = x - flowmodel.mixture_posterior_mean(means, dist.log_probs, dist.support, points)
+        resid = np.empty((len(points), dist.dimension), dtype=complex)
+        for span, w, total, _ in flowmodel._mixture_chunks(means, dist.log_probs, points):
+            resid[span] = (w.T @ (x - dist.support)) / total[:, None]
         err += p * (weights[:, None] * resid).T @ resid.conj()
     return mi, err
 
@@ -269,7 +282,7 @@ def _assert_matches_brute_force(M, dist, nodes, rel=1e-12):
     mi, err, _ = quadrature_moments(M, dist, nodes)
     mi_ref, err_ref = _brute_force_moments(M, dist, nodes)
     # the information is a difference of O(1) sums, so a near-zero one is floored at their rounding
-    assert abs(mi - mi_ref) <= rel * max(abs(mi_ref), 1e-3)
+    assert abs(mi - mi_ref) <= max(rel * abs(mi_ref), 1e-15)
     assert np.max(np.abs(err - err_ref)) <= rel * max(1.0, np.max(np.abs(err_ref)))
     # a computed pass for one output gives the combined pass's value bit for bit (the law serves repeats)
     combined = estimator._quadrature_pass(M, dist, nodes, True)
@@ -287,6 +300,29 @@ UNDERFLOW_CASES = [
 UNDERFLOW_IDS = ["bpsk-gain40", "qpsk-2x1-gain20", "qpsk-2x1-gain40"]
 # a weak second input leaves O(1) error at the underflowed entries, so E is right only if they are redone
 WEAK_UNDERFLOW_CASE = (np.array([[24.0 + 32.0j, 0.3], [-32.0 + 24.0j, 0.4j]]), InputDistribution.qpsk(2), 12)
+
+
+@contextmanager
+def _rules():
+    """Spies on the two rules a pass may sum over: ``(real_gauss_hermite, phase_orbit_rule)``."""
+    with (
+        mock.patch.object(estimator, "real_gauss_hermite", wraps=quadrature.real_gauss_hermite) as real,
+        mock.patch.object(estimator, "phase_orbit_rule", wraps=quadrature.phase_orbit_rule) as orbit,
+    ):
+        yield real, orbit
+
+
+def _full_rule_pass(M, dist, nodes):
+    """The kernel's pass of the law itself on the full complex rule: not split, no orbits, no real rule."""
+    full = lambda dim, nodes, *_: quadrature.complex_gauss_hermite(dim, nodes)  # noqa: E731
+    with mock.patch.object(estimator, "real_gauss_hermite", full), mock.patch.object(estimator, "phase_orbit_rule", full):
+        return estimator._kernel_pass(M, dist, nodes, True)
+
+
+# 8-PSK on exact points: x -> i x and x -> conj(x) map it onto itself, but it is no product of its halves
+PSK8 = InputDistribution.discrete(
+    np.concatenate([[1, 1j, -1, -1j], np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) * np.sqrt(0.5)])[:, None]
+)
 
 
 class TestQuadratureKernel:
@@ -314,8 +350,13 @@ class TestQuadratureKernel:
         # carry enough quadrature weight to move MI and E past the tolerance
         assert np.any(_underflow_gap(M, dist, nodes) < -708.0)
         _assert_matches_brute_force(M, dist, nodes)
+        if not (M.imag.any() or dist.support.imag.any()):  # BPSK through a real channel: on the real rule
+            assert estimator._kernel_rule(M, dist, nodes)[0] is quadrature.real_gauss_hermite(M.shape[0], nodes)
+            _, err, _ = quadrature_moments(M, dist, nodes)
+            _, err_ref = _brute_force_moments(M, dist, nodes)
+            assert np.max(np.abs(err - err_ref)) <= 1e-12 * np.max(np.abs(err_ref))
 
-    @pytest.mark.parametrize("gain, size", [(4.0, 2.65e-8), (6.0, 2.44e-17), (8.0, 3.64e-29)])
+    @pytest.mark.parametrize("gain, size", [(4.0, 2.65e-8), (6.0, 2.44e-17), (8.0, 3.64e-29), (12.0, 4.44e-110)])
     def test_a_tiny_error_matrix_matches_brute_force_relatively(self, gain, size):
         # the residual x - xhat is formed as a sum of differences, never as a cancelling subtraction
         M, dist = np.array([[gain + 0j]]), InputDistribution.bpsk(1)
@@ -366,10 +407,11 @@ class TestPhaseOrbitRule:
         seed=st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=30, deadline=None)
+    @example(n_out=1, kind="qpsk", n_in=1, odd=False, gain=1.0, seed=12454)  # MI 6.5e-4 nats, off by 3.2e-16
     def test_matches_full_rule_brute_force(self, n_out, kind, n_in, odd, gain, seed):
         # the brute force sums log-densities over the full rule; its own rounding reaches 1e-13
         # of MI near gains 0.15 and 4 (kernel and reference alike, with or without the orbit
-        # rule), which the 1e-12 test above covers
+        # rule), which the 1e-12 test above covers, and 1e-15 nats of a near-zero MI
         rng = np.random.default_rng(seed)
         M = gain * (rng.normal(size=(n_out, n_in)) + 1j * rng.normal(size=(n_out, n_in)))
         dist = getattr(InputDistribution, kind)(n_in)
@@ -389,13 +431,11 @@ class TestPhaseOrbitRule:
         M = gain * np.random.default_rng(seed).normal(size=(n_out, n_in)) + 0j
         dist = getattr(InputDistribution, kind)(n_in)
         nodes = (12 if n_out == 1 else 6) + odd
-        with mock.patch.object(estimator, "phase_orbit_rule", wraps=quadrature.phase_orbit_rule) as rule:
+        with _rules() as (real, orbit):
             mi, err, _ = quadrature_moments(M, dist, nodes)
-        assert rule.call_args.args == (n_out, nodes, dist.phase_order, True)
-        full = quadrature.complex_gauss_hermite
-        with mock.patch.object(estimator, "phase_orbit_rule", lambda dim, nodes, *_: full(dim, nodes)):
-            fresh = getattr(InputDistribution, kind)(n_in)  # computes on the full rule: dist would serve its pass
-            mi_full, err_full, _ = quadrature_moments(M, fresh, nodes)
+        # BPSK has real support and QPSK splits into two equal real halves: both run on the real rule
+        assert real.call_args_list == [mock.call(n_out, nodes)] and not orbit.called
+        mi_full, err_full = _full_rule_pass(M, dist, nodes)
         # both rules round their O(1) per-entry terms alike: at most 1.6e-15 nats over 600 draws,
         # which is 6e-13 of an MI of 2.5e-5 nats, and E of 1e-33 is rounding noise in both
         assert abs(mi - mi_full) <= 1e-14 * max(1.0, abs(mi_full))
@@ -406,6 +446,12 @@ class TestPhaseOrbitRule:
         scale = 1e-12 * max(1.0, np.max(np.abs(err_ref)))
         assert np.max(np.abs(err_ref.imag)) <= scale
         assert np.max(np.abs(err - err_ref.real)) <= scale
+
+    def test_a_conjugation_closed_law_that_does_not_split_uses_the_dihedral_rule(self):
+        M = np.array([[0.9], [-0.7]]) + 0j
+        with _rules() as (real, orbit):
+            quadrature_moments(M, PSK8, 6)
+        assert orbit.call_args.args == (2, 6, 4, True) and not real.called
 
     @pytest.mark.parametrize(
         "M, dist",
@@ -480,6 +526,95 @@ class TestPhaseOrbitRule:
         assert quadrature.phase_orbit_rule(2, 6, 1, False) is quadrature.complex_gauss_hermite(2, 6)
         with pytest.raises(ValueError, match="phase order"):
             quadrature.phase_orbit_rule(2, 6, 3, False)
+
+
+def _product_law(re, im, p_re=None, p_im=None):
+    """The product law of ``re + 1j im`` on one stream, probabilities ``p_re[i] * p_im[j]``."""
+    p_re = np.full(len(re), 1 / len(re)) if p_re is None else np.asarray(p_re)
+    p_im = np.full(len(im), 1 / len(im)) if p_im is None else np.asarray(p_im)
+    support = np.add.outer(np.asarray(re, dtype=float), 1j * np.asarray(im, dtype=float)).reshape(-1, 1)
+    return InputDistribution.discrete(support, np.multiply.outer(p_re, p_im).ravel())
+
+
+LEVELS4 = np.array([-3.0, -1.0, 1.0, 3.0])
+SPLIT_LAWS = {  # name: (law, number of real halves a pass computes)
+    "qpsk-1": (InputDistribution.qpsk(1), 1),
+    "qpsk-2": (InputDistribution.qpsk(2), 1),
+    "bpsk-1": (InputDistribution.bpsk(1), 1),  # real support: no split, the law itself on the real rule
+    "bpsk-2": (InputDistribution.bpsk(2), 1),
+    "qam16": (_product_law(LEVELS4 / np.sqrt(10), LEVELS4 / np.sqrt(10)), 1),
+    "non-uniform": (_product_law([-1.0, 1.0], [-1.0, 1.0], [0.25, 0.75], [0.25, 0.75]), 1),
+    "rectangular": (_product_law(LEVELS4, [-1.0, 1.0]), 2),
+}
+# QPSK whose probabilities are each within an ulp of 1/4, so not bitwise the product of its halves' 1/2
+ULP_LAW = InputDistribution.discrete(
+    InputDistribution.qpsk(1).support, [np.nextafter(0.25, 1), 0.25, 0.25, np.nextafter(0.25, 0)]
+)
+
+
+class TestRealSplit:
+    """Through a real channel, a law that is exactly the product of the laws of ``Re x`` and ``Im x``
+    splits into two real problems with N(0, 1/2) noise per axis, whose information and error
+    matrices add; each half, and any law on real support, is summed on the real rule."""
+
+    @given(
+        n_out=st.integers(min_value=1, max_value=3),
+        law=st.sampled_from(sorted(SPLIT_LAWS)),
+        odd=st.booleans(),
+        gain=st.floats(min_value=0.1, max_value=4.0),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_law_on_the_full_rule(self, n_out, law, odd, gain, seed):
+        dist, halves = SPLIT_LAWS[law]
+        M = gain * np.random.default_rng(seed).normal(size=(n_out, dist.dimension)) + 0j
+        nodes = (12, 6, 3)[n_out - 1] + odd
+        with _rules() as (real, orbit):
+            mi, err = estimator._quadrature_pass(M, dist, nodes, True)
+        assert real.call_args_list == [mock.call(n_out, nodes)] * halves and not orbit.called
+        mi_full, err_full = _full_rule_pass(M, dist, nodes)
+        assert abs(mi - mi_full) <= 1e-14 * max(1.0, abs(mi_full))
+        assert np.max(np.abs(err - err_full)) <= 1e-14 * max(1.0, np.max(np.abs(err_full)))
+        assert not err.imag.any()
+
+    def test_equal_halves_are_computed_once_and_doubled(self):
+        dist, M = InputDistribution.qpsk(2), np.array([[0.9, -0.7], [0.4, 1.2]]) + 0j
+        ((half, count),) = flowmodel._real_parts(dist)
+        assert count == 2 and not half.support.imag.any()
+        c = 1 / np.sqrt(2.0)  # as the QPSK symbols' parts are rounded
+        np.testing.assert_array_equal(half.support, c * np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]]))
+        np.testing.assert_array_equal(half.probs, np.full(4, 0.25))
+        mi, err = estimator._quadrature_pass(M, dist, 6, True)
+        mi_half, err_half = estimator._kernel_pass(M, half, 6, True)
+        assert mi == 2 * mi_half
+        np.testing.assert_array_equal(err, 2 * err_half)
+
+    def test_unequal_halves_are_the_laws_of_the_real_and_imaginary_parts(self):
+        (re, k_re), (im, k_im) = flowmodel._real_parts(SPLIT_LAWS["rectangular"][0])
+        assert (k_re, k_im) == (1, 1)
+        np.testing.assert_array_equal(re.support.ravel(), LEVELS4)
+        np.testing.assert_array_equal(im.support.ravel(), [-1.0, 1.0])
+        np.testing.assert_array_equal(re.probs, np.full(4, 0.25))
+        np.testing.assert_array_equal(im.probs, [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "M, dist",
+        [
+            (np.array([[0.9], [-0.7]]) + 0j, PSK8),
+            (np.array([[1.3 + 0j]]), ULP_LAW),
+            # as many points as a 2 x 2 product, each probability the product of its marginals' 1/2, but Re x = Im x
+            (np.array([[1.3 + 0j]]), InputDistribution.discrete([[1 + 1j], [1 + 1j], [-1 - 1j], [-1 - 1j]])),
+            (np.array([[0.9 + 0.4j, -0.7]]), InputDistribution.qpsk(2)),
+        ],
+        ids=["8psk", "within-an-ulp", "repeated-support", "complex-channel"],
+    )
+    def test_a_law_that_does_not_factor_or_a_complex_channel_runs_whole(self, M, dist):
+        assert flowmodel._real_parts(dist) is None or M.imag.any()
+        with mock.patch.object(estimator, "_kernel_pass", wraps=estimator._kernel_pass) as kernel, _rules() as (real, _):
+            mi, err = estimator._quadrature_pass(M, dist, 6, True)
+        assert kernel.call_count == 1 and kernel.call_args.args[1] is dist and not real.called
+        mi_whole, err_whole = estimator._kernel_pass(M, dist, 6, True)
+        assert mi == mi_whole and err.tobytes() == err_whole.tobytes()
 
 
 class TestExactInformation:
