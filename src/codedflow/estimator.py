@@ -11,11 +11,12 @@ forms ``log det(I + M M^H)`` and ``(I + M^H M)^{-1}``, else tensorized Gauss-Her
 (guarded at three complex output dimensions), whose mixture sums are matrix products of
 max-shifted exponentials, recomputed exactly where they underflow, and whose information is
 ``sum p_k w_q ((T2 - a) - log total - (b - m2))`` per entry, over one orbit of the input's phase
-symmetry (with conjugation for a real channel and a conjugation-closed law).  Through a real
-channel a law on real support needs only the real axes of the noise, and a law that is exactly
-the product of its ``Re x`` and ``Im x`` laws (QPSK, square QAM) splits into those two real
-problems, whose information and error matrices add: exact up to rounding, on ``nodes ** n_out``
-points where the orbit rule kept about ``nodes ** (2 n_out) / 8``.
+rotation.  Through a real channel a law on real support needs only the real axes of the noise, and
+a law that is exactly the product of its ``Re x`` and ``Im x`` laws (QPSK, square QAM) splits into
+those two real problems, whose information and error matrices add: exact up to rounding, on
+``nodes ** n_out`` points where the orbit rule keeps about ``nodes ** (2 n_out) / 4``.  Any other
+law (8-PSK) runs on the orbit rule; through a real channel a conjugation-closed law's error matrix
+is real, and is returned with an imaginary part of exactly 0.
 
 A quadrature pass always sums the information; a conjugation-closed law runs it on the member of
 ``{M, conj M}`` whose first nonzero imaginary entry is positive.  The law keeps its last
@@ -149,13 +150,11 @@ def conditional_mean_batch(M, dist: InputDistribution, points) -> np.ndarray:
 
 
 def _kernel_rule(M: np.ndarray, dist: InputDistribution, nodes: int):
-    """The rule ``_kernel_pass`` sums over, and whether it includes conjugation: the real rule for a
-    real channel and a law on real support, else the orbit rule, with conjugation for a real channel
-    and a conjugation-closed law."""
+    """The rule ``_kernel_pass`` sums over: the real rule for a real channel and a law on real
+    support, else the orbit rule of the law's phase rotation."""
     if not (M.imag.any() or dist.support.imag.any()):
-        return real_gauss_hermite(M.shape[0], nodes), True
-    conjugate = dist.conjugate_closed and not M.imag.any()
-    return phase_orbit_rule(M.shape[0], nodes, dist.phase_order, conjugate), conjugate
+        return real_gauss_hermite(M.shape[0], nodes)
+    return phase_orbit_rule(M.shape[0], nodes, dist.phase_order)
 
 
 def quadrature_moments(M, dist: InputDistribution, nodes: int, *, want_mmse=True, want_mi=True):
@@ -206,13 +205,11 @@ def _kernel_pass(M: np.ndarray, dist: InputDistribution, nodes: int, want_mmse: 
     """``_quadrature_pass`` of one law, summed over ``_kernel_rule``.
 
     For a real channel and a law on real support that is ``real_gauss_hermite``: the output's
-    imaginary part is then noise alone.  Else it is ``phase_orbit_rule`` for the group generated by
-    the law's phase rotation and, for a real channel and a conjugation-closed law such as 8-PSK,
-    ``n -> conj(n)``.  It is exact: if ``x -> omega x`` maps the law onto itself, ``n -> omega n``
-    maps the information and error-matrix integrands, summed over the support, onto themselves; if
-    ``x -> conj(x)`` does and M is real, ``n -> conj(n)`` keeps the information and conjugates the
-    error matrix, so the error matrix is returned as its real part, with an imaginary part of
-    exactly 0.
+    imaginary part is then noise alone.  Else it is ``phase_orbit_rule`` for the law's phase
+    rotation.  It is exact: if ``x -> omega x`` maps the law onto itself, ``n -> omega n`` maps the
+    information and error-matrix integrands, summed over the support, onto themselves.  If M is real
+    and ``x -> conj(x)`` maps the law onto itself, ``n -> conj(n)`` conjugates the error matrix, so
+    it is real and is returned with an imaginary part of exactly 0.
 
     Component j's exponent ``C[j,k] + T2[j,q]`` at ``mean_k + noise_q``
     (``C[j,k] = c_j + 2 S[j,k]``, S the mean Gram matrix, T2 twice the noise/mean cross terms)
@@ -221,9 +218,10 @@ def _kernel_pass(M: np.ndarray, dist: InputDistribution, nodes: int, want_mmse: 
     one product whose ``j = k`` term is exactly 0, so ``xhat`` is never formed and never cancels ``s_k``;
     the MI sums ``p_k w_q ((T2 - a) - log total - (b - m2))`` per entry, ``b_k - m2_k`` being the
     cancellation-free ``max_j (log p_j - |mean_j - mean_k|^2)``, so a point input gives exactly 0.
-    Sums at or below ``_EXACT_FLOOR`` may have underflowed; the pointwise kernel redoes them.
+    Sums at or below ``_EXACT_FLOOR`` may have underflowed; the pointwise kernel redoes them, each
+    error again a weighted sum of ``s_j - s_k``.
     """
-    (noise, weights), conjugate = _kernel_rule(M, dist, nodes)
+    noise, weights = _kernel_rule(M, dist, nodes)
 
     support, probs = dist.support, dist.probs
     K, dim = support.shape
@@ -255,14 +253,15 @@ def _kernel_pass(M: np.ndarray, dist: InputDistribution, nodes: int, want_mmse: 
             z = means[ki] + block[qi]
             log_pz, redone = np.empty(len(z)), np.empty((2 * dim, len(z)))
             for span, w, sums, chunk_log_pz in flowmodel._mixture_chunks(means, dist.log_probs, z):
-                log_pz[span], redone[..., span] = chunk_log_pz, parts @ w / sums
+                gaps = parts[:, :, None] - parts[:, None, ki[span]]  # s_j - s_k per (re/im and d, j, entry)
+                log_pz[span], redone[..., span] = chunk_log_pz, np.einsum("djn,jn->dn", gaps, w) / sums
             recomputed += len(ki)
         if want_mmse:
             diff, weighted = buffers[:, : 2 * dim * K * len(wq)].reshape(2, 2 * dim, K, -1)
             np.matmul(Wt_diff, P, out=diff.reshape(2 * dim * K, -1))  # (xhat - s_k) total: its j = k term is 0
             diff *= np.reciprocal(total, out=weighted[0])  # weighted is free until its product below
             if underflow:
-                diff[:, ki, qi] = redone - parts[:, ki]
+                diff[:, ki, qi] = redone
             np.multiply(diff, np.einsum("k,q->kq", probs, wq), out=weighted)  # p_k w_q, with no ufunc buffers
             gram += weighted.reshape(2 * dim, -1) @ diff.reshape(2 * dim, -1).T
         np.log(total, out=total)  # in place: a second name would hold it through the next chunk's E
@@ -273,7 +272,7 @@ def _kernel_pass(M: np.ndarray, dist: InputDistribution, nodes: int, want_mmse: 
     if recomputed:
         logging.getLogger(__name__).debug("quadrature recomputed %d underflowed sums exactly", recomputed)
     err_total = gram[:dim, :dim] + gram[dim:, dim:] + 1j * (gram[dim:, :dim] - gram[:dim, dim:]) if want_mmse else None
-    if conjugate and want_mmse:
+    if want_mmse and dist.conjugate_closed and not M.imag.any():
         err_total.imag = 0.0
     return mi_total, err_total
 

@@ -9,11 +9,12 @@ components, so a rule with ``nodes`` points per real axis over ``dim``
 complex dimensions has ``nodes ** (2 * dim)`` points.
 
 numpy's Hermite nodes and weights are exactly symmetric about 0, so multiplying every coordinate
-by ``i`` (or ``-1``), or conjugating it, permutes the grid and keeps each weight.  An expectation
-that a group of these maps leaves unchanged is the sum over one representative of each orbit of
-points, each weighted by its orbit's size, which ``phase_orbit_rule`` keeps: exact up to the
-rounding of the shorter sums.  An expectation that depends on the noise's real part alone needs
-only the real axes: ``real_gauss_hermite`` has ``nodes ** dim`` points.
+by ``i`` (or ``-1``) permutes the grid and keeps each weight.  An expectation that this rotation
+leaves unchanged is the sum over one representative of each orbit of points, each weighted by its
+orbit's size, which ``phase_orbit_rule`` keeps: exact up to the rounding of the shorter sums.  An
+expectation that depends on the noise's real part alone needs only the real axes:
+``real_gauss_hermite`` has ``nodes ** dim`` points.  All three rules are tensor products of
+one-coordinate rules (``_tensor``).
 """
 
 from __future__ import annotations
@@ -73,6 +74,22 @@ def _axis_rule(dim: int, nodes: int):
     return (re + 1j * im).ravel(), np.outer(w, w).ravel() / np.pi
 
 
+def _tensor(factors):
+    """The row-major tensor product of one-coordinate rules ``(points, weights)``: a point for each
+    combination of their points, weighted by the product of their weights from the first on."""
+    points, weights = np.zeros((1, 0), dtype=complex), np.ones(1)
+    for p, w in factors:
+        points = np.column_stack([np.repeat(points, len(p), axis=0), np.tile(p, len(points))])
+        weights = np.outer(weights, w).ravel()
+    return _frozen(points, weights)
+
+
+def _frozen(points, weights):
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    return points, weights
+
+
 @lru_cache(maxsize=8, typed=True)  # typed: 4.0 or True never meets the rule cached for 4 or 1
 def complex_gauss_hermite(dim: int, nodes: int):
     """Quadrature rule for E[f(n)] with n ~ CN(0, I_dim).
@@ -84,7 +101,7 @@ def complex_gauss_hermite(dim: int, nodes: int):
     ``hermgauss`` overflows from 371 nodes) raises ``CostGuardError``.
     """
     nodes = _count("nodes", nodes, 1)
-    return _orbit_rule(dim, nodes, np.arange(nodes * nodes)[None])
+    return _tensor([_axis_rule(dim, nodes)] * dim)
 
 
 @lru_cache(maxsize=8, typed=True)
@@ -95,66 +112,28 @@ def real_gauss_hermite(dim: int, nodes: int):
     """
     nodes = _count("nodes", nodes, 1)
     t, w = _hermite(dim, nodes)
-    index = np.indices((nodes,) * dim).reshape(dim, -1)  # row-major, as the complex rule
-    points, weights = np.ascontiguousarray(t[index].T, dtype=complex), np.prod(w[index] / np.sqrt(np.pi), axis=0)
-    points.setflags(write=False)
-    weights.setflags(write=False)
-    return points, weights
-
-
-def _axis_group(nodes: int, order: int, conjugate: bool) -> np.ndarray:
-    """The group as permutations of one axis's flat indices, one row per element: the powers of
-    ``n -> i n`` (order 4) or ``-n`` (order 2), then each of them after ``n -> conj(n)`` if asked.
-    Node ``flip - i`` is ``-t_i``, so ``i (t_re + 1j t_im)`` sits at ``(flip - im, re)``."""
-    re, im = np.divmod(np.arange(nodes * nodes), nodes)
-    flip = nodes - 1
-    rotate = (flip - im) * nodes + re if order == 4 else (flip - re) * nodes + (flip - im)
-    group = [re * nodes + im]
-    while len(group) < order:
-        group.append(rotate[group[-1]])
-    if conjugate:
-        group += [g[re * nodes + (flip - im)] for g in group]
-    return np.array(group)
+    return _tensor([(t.astype(complex), w / np.sqrt(np.pi))] * dim)
 
 
 @lru_cache(maxsize=8, typed=True)
-def phase_orbit_rule(dim: int, nodes: int, order: int, conjugate: bool):
-    """``complex_gauss_hermite(dim, nodes)`` over the orbits of the group generated by ``n -> i n``
-    (order 4) or ``-n`` (order 2), and by ``n -> conj(n)`` when ``conjugate``: for order 4 with
-    conjugation the dihedral group of order 8, which keeps about an eighth of the grid.  The
-    trivial group returns the full rule itself.
+def phase_orbit_rule(dim: int, nodes: int, order: int):
+    """``complex_gauss_hermite(dim, nodes)`` over the orbits of ``n -> i n`` (order 4) or ``-n``
+    (order 2); order 1 returns the full rule itself.
+
+    A rotation fixes only the origin, so every other orbit has ``order`` points, exactly one of them
+    with its first nonzero coordinate in the sector ``0 <= arg < 2 pi / order``: the rule is the
+    origin (odd node counts) and those points at ``order`` times their weight, about ``1 / order``
+    of the grid, built as one tensor block per position of that coordinate.
     """
     nodes = _count("nodes", nodes, 1)
     if order not in (1, 2, 4):
         raise ValueError(f"phase order must be 1, 2 or 4, got {order}")
-    if order == 1 and not conjugate:
+    if order == 1:
         return complex_gauss_hermite(dim, nodes)
-    return _orbit_rule(dim, nodes, _axis_group(nodes, order, conjugate))
-
-
-def _orbit_rule(dim: int, nodes: int, group: np.ndarray):
-    """The tensor rule over one representative of each orbit of ``group`` (at most 8 rows, each a
-    permutation of one axis's flat indices that acts on every coordinate alike).
-
-    A point is kept, in the full rule's order, when no image of it has a smaller flat index, at
-    ``|G| / |stabiliser|`` times its weight, so origin, axis and diagonal points keep their smaller
-    orbits.  The flat index is compared coordinate by coordinate, carrying the elements that fix
-    the prefix so far, so the full grid is never formed.
-    """
-    axis_points, axis_weights = _axis_rule(dim, nodes)
-    bits = (1 << np.arange(len(group), dtype=np.uint8))[:, None]
-    own = np.arange(nodes * nodes)
-    lowering = np.bitwise_or.reduce(bits * (group < own), axis=0)  # per index, the elements that lower it
-    fixing = np.bitwise_or.reduce(bits * (group == own), axis=0)  # and those that fix it
-    coords, tied = [], np.array([(1 << len(group)) - 1], dtype=np.uint8)
-    for _ in range(dim):
-        prefix, index = np.nonzero((tied[:, None] & lowering) == 0)
-        coords, tied = [c[prefix] for c in coords] + [index], tied[prefix] & fixing[index]
-    points, weights = np.empty((len(tied), dim), dtype=complex), np.ones(len(tied))
-    for k, index in enumerate(coords):
-        points[:, k] = axis_points[index]
-        weights *= axis_weights[index]
-    weights *= len(group) // np.bitwise_count(tied)  # the identity fixes every point: never 0
-    points.setflags(write=False)
-    weights.setflags(write=False)
-    return points, weights
+    axis = _axis_rule(dim, nodes)
+    re, im = axis[0].real, axis[0].imag
+    in_sector = (re > 0) & (im >= 0) if order == 4 else (im > 0) | ((im == 0) & (re > 0))
+    sector = axis[0][in_sector], order * axis[1][in_sector]  # a power of 2: exact in any factor
+    zero = tuple(a[axis[0] == 0] for a in axis)  # the axis's origin, none for an even node count
+    blocks = [_tensor([zero] * k + [sector] + [axis] * (dim - 1 - k)) for k in range(dim)] + [_tensor([zero] * dim)]
+    return _frozen(*(np.concatenate(parts) for parts in zip(*blocks)))

@@ -51,8 +51,8 @@ ENTRY_POINTS = {
     "default_nodes-dim": (lambda v: quadrature.default_nodes(v), "dim", 1, False),
     "complex_gauss_hermite-nodes": (lambda v: quadrature.complex_gauss_hermite(1, v), "nodes", 1, True),
     "complex_gauss_hermite-dim": (lambda v: quadrature.complex_gauss_hermite(v, 2), "dim", 1, True),
-    "phase_orbit_rule-nodes": (lambda v: quadrature.phase_orbit_rule(1, v, 4, True), "nodes", 1, True),
-    "phase_orbit_rule-dim": (lambda v: quadrature.phase_orbit_rule(v, 2, 4, True), "dim", 1, True),
+    "phase_orbit_rule-nodes": (lambda v: quadrature.phase_orbit_rule(1, v, 4), "nodes", 1, True),
+    "phase_orbit_rule-dim": (lambda v: quadrature.phase_orbit_rule(v, 2, 4), "dim", 1, True),
     "real_gauss_hermite-nodes": (lambda v: quadrature.real_gauss_hermite(1, v), "nodes", 1, True),
     "real_gauss_hermite-dim": (lambda v: quadrature.real_gauss_hermite(v, 2), "dim", 1, True),
     "quadrature_moments-nodes": (lambda v: quadrature_moments(M1, QPSK1, v), "nodes", 1, True),

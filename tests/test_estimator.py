@@ -40,7 +40,7 @@ from codedflow import (
     seeded_diamond_symbols,
 )
 from codedflow import estimator, flowmodel, quadrature
-from codedflow.cli import parse_config
+from codedflow.cli import _INPUT_KINDS, parse_config
 from codedflow.errors import InvariantViolation
 from codedflow.estimator import _EXACT_FLOOR, quadrature_moments
 
@@ -213,7 +213,7 @@ class TestMmseMatrix:
         with pytest.raises(CostGuardError, match="68719476736 points"):
             quadrature.complex_gauss_hermite(3, 64)
         with pytest.raises(CostGuardError, match="68719476736 points"):  # counts the full grid
-            quadrature.phase_orbit_rule(3, 64, 4, True)
+            quadrature.phase_orbit_rule(3, 64, 4)
         with pytest.raises(CostGuardError, match="68719476736 points"):  # refuses what the full rule refuses
             quadrature.real_gauss_hermite(3, 64)
 
@@ -268,7 +268,7 @@ def _underflow_gap(M, dist, nodes):
     """max_j(2T[q,j] + C[j,k]) - a_q - b_k over all (q, k): how far the
     separable product's largest term sits below 1, in log units, at the
     points of the orbit rule the kernel sums over."""
-    (noise, _), _ = estimator._kernel_rule(M, dist, nodes)
+    noise, _ = estimator._kernel_rule(M, dist, nodes)
     means = dist.support @ M.T
     C = (dist.log_probs - np.sum(np.abs(means) ** 2, axis=1))[:, None] + 2.0 * np.real(
         means.conj() @ means.T
@@ -323,6 +323,7 @@ def _full_rule_pass(M, dist, nodes):
 PSK8 = InputDistribution.discrete(
     np.concatenate([[1, 1j, -1, -1j], np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) * np.sqrt(0.5)])[:, None]
 )
+PSK8_PAIR = InputDistribution.discrete(flowmodel._product_constellation(PSK8.support.ravel(), 2))
 
 
 class TestQuadratureKernel:
@@ -350,11 +351,11 @@ class TestQuadratureKernel:
         # carry enough quadrature weight to move MI and E past the tolerance
         assert np.any(_underflow_gap(M, dist, nodes) < -708.0)
         _assert_matches_brute_force(M, dist, nodes)
-        if not (M.imag.any() or dist.support.imag.any()):  # BPSK through a real channel: on the real rule
-            assert estimator._kernel_rule(M, dist, nodes)[0] is quadrature.real_gauss_hermite(M.shape[0], nodes)
-            _, err, _ = quadrature_moments(M, dist, nodes)
-            _, err_ref = _brute_force_moments(M, dist, nodes)
-            assert np.max(np.abs(err - err_ref)) <= 1e-12 * np.max(np.abs(err_ref))
+        # the repair sums weighted differences s_j - s_k too: where every off-diagonal weight
+        # underflows (QPSK 2x1) both read exactly 0, and elsewhere they agree relatively
+        _, err, _ = quadrature_moments(M, dist, nodes)
+        _, err_ref = _brute_force_moments(M, dist, nodes)
+        assert np.max(np.abs(err - err_ref)) <= 1e-12 * np.max(np.abs(err_ref))
 
     @pytest.mark.parametrize("gain, size", [(4.0, 2.65e-8), (6.0, 2.44e-17), (8.0, 3.64e-29), (12.0, 4.44e-110)])
     def test_a_tiny_error_matrix_matches_brute_force_relatively(self, gain, size):
@@ -420,7 +421,7 @@ class TestPhaseOrbitRule:
 
     @given(
         n_out=st.integers(min_value=1, max_value=2),
-        kind=st.sampled_from(["bpsk", "qpsk"]),
+        kind=st.sampled_from(["bpsk", "qpsk", "point"]),
         n_in=st.integers(min_value=1, max_value=2),
         odd=st.booleans(),
         gain=st.floats(min_value=0.1, max_value=4.0),
@@ -429,11 +430,12 @@ class TestPhaseOrbitRule:
     @settings(max_examples=30, deadline=None)
     def test_real_channels_match_the_kernel_on_the_full_rule(self, n_out, kind, n_in, odd, gain, seed):
         M = gain * np.random.default_rng(seed).normal(size=(n_out, n_in)) + 0j
-        dist = getattr(InputDistribution, kind)(n_in)
+        dist = _INPUT_KINDS[kind](n_in)
         nodes = (12 if n_out == 1 else 6) + odd
         with _rules() as (real, orbit):
             mi, err, _ = quadrature_moments(M, dist, nodes)
-        # BPSK has real support and QPSK splits into two equal real halves: both run on the real rule
+        # BPSK and the point have real support and QPSK splits into two equal real halves: every
+        # discrete input kind of the CLI runs on the real rule through a real channel
         assert real.call_args_list == [mock.call(n_out, nodes)] and not orbit.called
         mi_full, err_full = _full_rule_pass(M, dist, nodes)
         # both rules round their O(1) per-entry terms alike: at most 1.6e-15 nats over 600 draws,
@@ -447,53 +449,54 @@ class TestPhaseOrbitRule:
         assert np.max(np.abs(err_ref.imag)) <= scale
         assert np.max(np.abs(err - err_ref.real)) <= scale
 
-    def test_a_conjugation_closed_law_that_does_not_split_uses_the_dihedral_rule(self):
-        M = np.array([[0.9], [-0.7]]) + 0j
+    @pytest.mark.parametrize(
+        "M, dist",
+        [
+            (np.array([[0.9], [-0.7]]) + 0j, PSK8),
+            # two streams: the rotation rule's sums leave E's off-diagonal imaginary part at ~1e-17
+            (np.array([[0.9, 0.3], [-0.7, 1.1]]) + 0j, PSK8_PAIR),
+        ],
+        ids=["8psk", "8psk-2-streams"],
+    )
+    def test_a_conjugation_closed_law_that_does_not_split_runs_on_the_rotation_rule(self, M, dist):
+        # through a real channel, x -> conj(x) makes E real, which the rule need not know
         with _rules() as (real, orbit):
-            quadrature_moments(M, PSK8, 6)
-        assert orbit.call_args.args == (2, 6, 4, True) and not real.called
+            _, err, _ = quadrature_moments(M, dist, 6)
+        assert orbit.call_args.args == (2, 6, 4) and not real.called
+        assert not err.imag.any()
+        _assert_matches_brute_force(M, dist, 6, rel=1e-13)
 
     @pytest.mark.parametrize(
         "M, dist",
         [
             (np.array([[0.9 + 0.4j, -0.7]]), InputDistribution.qpsk(2)),  # a complex channel
-            (np.array([[1.3 + 0j]]), InputDistribution.discrete(np.array([[1], [1j], [-1], [-1j]]) * (1 + 0.3j))),
+            (np.array([[1.3, 0.7]]) + 0j, InputDistribution.discrete(InputDistribution.qpsk(2).support * (1 + 0.3j))),
         ],
         ids=["complex-channel", "law-not-conjugation-closed"],
     )
-    def test_no_conjugation_without_the_symmetry(self, M, dist):
+    def test_without_the_symmetry_the_error_matrix_keeps_its_imaginary_part(self, M, dist):
         assert dist.phase_order == 4
-        with mock.patch.object(estimator, "phase_orbit_rule", wraps=quadrature.phase_orbit_rule) as rule:
-            quadrature_moments(M, dist, 8)
-        assert rule.call_args.args == (M.shape[0], 8, 4, False)
+        with _rules() as (real, orbit):
+            _, err, _ = quadrature_moments(M, dist, 8)
+        assert orbit.call_args.args == (M.shape[0], 8, 4) and not real.called
+        assert err.imag.any()
 
-    # (dim, nodes, order, conjugate, count): every group at dims 1-3 and odd and even node counts
+    # (dim, nodes, order, count): every rotation at dims 1-3 and odd and even node counts
     ORBIT_CASES = [
-        (2, 16, 4, False, 16384), (1, 15, 4, False, 57), (1, 15, 2, False, 113), (2, 15, 4, False, 12657),
-        (2, 16, 2, False, 32768), (3, 5, 4, False, 3907), (1, 1, 2, False, 1),
-        (1, 16, 4, False, 64), (1, 16, 2, False, 128), (1, 15, 1, False, 225), (2, 6, 4, False, 324),
-        (2, 5, 2, False, 313), (2, 6, 1, False, 1296), (3, 4, 4, False, 1024), (3, 4, 2, False, 2048),
-        (3, 5, 2, False, 7813),
-        (1, 15, 4, True, 36), (1, 16, 4, True, 36), (1, 15, 2, True, 64), (1, 16, 2, True, 64),
-        (1, 15, 1, True, 120), (1, 16, 1, True, 128), (1, 3, 4, True, 3), (1, 1, 4, True, 1),
-        (2, 15, 4, True, 6441), (2, 16, 4, True, 8256), (2, 5, 2, True, 169), (2, 6, 2, True, 324),
-        (2, 5, 1, True, 325), (2, 6, 1, True, 648),
-        (3, 5, 4, True, 2016), (3, 4, 4, True, 528), (3, 5, 2, True, 3969), (3, 4, 2, True, 1024),
-        (3, 5, 1, True, 7875), (3, 4, 1, True, 2048),
+        (2, 16, 4, 16384), (1, 15, 4, 57), (1, 15, 2, 113), (2, 15, 4, 12657),
+        (2, 16, 2, 32768), (3, 5, 4, 3907), (1, 1, 2, 1),
+        (1, 16, 4, 64), (1, 16, 2, 128), (1, 15, 1, 225), (2, 6, 4, 324),
+        (2, 5, 2, 313), (2, 6, 1, 1296), (3, 4, 4, 1024), (3, 4, 2, 2048),
+        (3, 5, 2, 7813),
     ]
 
-    @pytest.mark.parametrize(
-        "dim, nodes, order, conjugate, count",
-        ORBIT_CASES,
-        ids=["-".join(map(str, (d, n, o) + (("conj",) if c else ()) + (k,))) for d, n, o, c, k in ORBIT_CASES],
-    )
-    def test_orbits_tile_the_full_rule(self, dim, nodes, order, conjugate, count):
-        points, weights = quadrature.phase_orbit_rule(dim, nodes, order, conjugate)
+    @pytest.mark.parametrize("dim, nodes, order, count", ORBIT_CASES, ids=["-".join(map(str, c)) for c in ORBIT_CASES])
+    def test_orbits_tile_the_full_rule(self, dim, nodes, order, count):
+        points, weights = quadrature.phase_orbit_rule(dim, nodes, order)
         assert len(points) == len(weights) == count
-        # each representative's distinct group images, each at 1/|orbit| of its weight, are the full rule
+        # each representative's distinct rotations, each at 1/|orbit| of its weight, are the full rule
         omega = 1j if order == 4 else -1
-        rotations = [points * omega**k for k in range(order)]
-        images = np.stack(rotations + [p.conj() for p in rotations] if conjugate else rotations)
+        images = np.stack([points * omega**k for k in range(order)])
         rep = np.broadcast_to(np.arange(count), images.shape[:2])
         rows = np.unique(np.column_stack([rep.ravel(), images.reshape(-1, dim).view(float)]), axis=0)
         rep, image = rows[:, 0].astype(int), rows[:, 1:].copy().view(complex)
@@ -507,25 +510,21 @@ class TestPhaseOrbitRule:
         full = quadrature.complex_gauss_hermite(dim, nodes)
         assert np.array_equal(table(image, weights[rep] / orbit[rep]), table(*full))
 
-    @pytest.mark.parametrize(
-        "order, conjugate, axis, diagonal",
-        [(2, False, [2, 2], [2, 2]), (1, True, [1, 1, 2], [2, 2]), (2, True, [2, 2], [4]), (4, False, [4], [4]), (4, True, [4], [4])],
-    )
-    def test_origin_axis_and_diagonal_points_have_smaller_orbits(self, order, conjugate, axis, diagonal):
-        # 3 nodes are -a, 0, a: the origin, 4 axis points and 4 diagonal points, whose orbits
-        # have 1, at most 4 and at most 4 points where a generic orbit of the group has |G|
-        full = dict(zip(*(a.ravel() for a in quadrature.complex_gauss_hermite(1, 3))))
-        points, weights = quadrature.phase_orbit_rule(1, 3, order, conjugate)
-        sizes = {"origin": [], "axis": [], "diagonal": []}
-        for p, w in zip(points.ravel(), weights):
-            kind = "origin" if p == 0 else "axis" if p.real * p.imag == 0 else "diagonal"
-            sizes[kind].append(w / full[p])
-        assert {kind: sorted(n) for kind, n in sizes.items()} == {"origin": [1], "axis": axis, "diagonal": diagonal}
+    @pytest.mark.parametrize("dim, nodes, order", [(1, 3, 2), (1, 3, 4), (2, 3, 4), (2, 5, 2), (3, 3, 4)])
+    def test_only_the_origin_has_a_smaller_orbit(self, dim, nodes, order):
+        # a rotation by i or -1 fixes the origin alone: every other point, on an axis, a diagonal or
+        # with leading zero coordinates, keeps order times its weight
+        full = {p.tobytes(): w for p, w in zip(*quadrature.complex_gauss_hermite(dim, nodes))}
+        points, weights = quadrature.phase_orbit_rule(dim, nodes, order)
+        sizes = weights / np.array([full[p.tobytes()] for p in points])
+        origin = ~points.any(axis=1)
+        assert np.count_nonzero(origin) == 1 and sizes[origin] == 1
+        assert np.all(sizes[~origin] == order)
 
     def test_order_one_is_the_full_rule(self):
-        assert quadrature.phase_orbit_rule(2, 6, 1, False) is quadrature.complex_gauss_hermite(2, 6)
+        assert quadrature.phase_orbit_rule(2, 6, 1) is quadrature.complex_gauss_hermite(2, 6)
         with pytest.raises(ValueError, match="phase order"):
-            quadrature.phase_orbit_rule(2, 6, 3, False)
+            quadrature.phase_orbit_rule(2, 6, 3)
 
 
 def _product_law(re, im, p_re=None, p_im=None):
