@@ -481,13 +481,15 @@ class TestPhaseOrbitRule:
         assert orbit.call_args.args == (M.shape[0], 8, 4) and not real.called
         assert err.imag.any()
 
-    # (dim, nodes, order, count): every rotation at dims 1-3 and odd and even node counts
+    # (dim, nodes, order, count): every order at dims 1-3 and odd and even node counts
     ORBIT_CASES = [
         (2, 16, 4, 16384), (1, 15, 4, 57), (1, 15, 2, 113), (2, 15, 4, 12657),
         (2, 16, 2, 32768), (3, 5, 4, 3907), (1, 1, 2, 1),
         (1, 16, 4, 64), (1, 16, 2, 128), (1, 15, 1, 225), (2, 6, 4, 324),
         (2, 5, 2, 313), (2, 6, 1, 1296), (3, 4, 4, 1024), (3, 4, 2, 2048),
         (3, 5, 2, 7813),
+        (1, 16, 1, 256), (1, 3, 4, 3), (1, 1, 4, 1), (2, 6, 2, 648), (2, 5, 1, 625),
+        (3, 5, 1, 15625), (3, 4, 1, 4096),
     ]
 
     @pytest.mark.parametrize("dim, nodes, order, count", ORBIT_CASES, ids=["-".join(map(str, c)) for c in ORBIT_CASES])
@@ -509,6 +511,19 @@ class TestPhaseOrbitRule:
 
         full = quadrature.complex_gauss_hermite(dim, nodes)
         assert np.array_equal(table(image, weights[rep] / orbit[rep]), table(*full))
+
+    @pytest.mark.parametrize("dim, nodes, order, count", ORBIT_CASES, ids=["-".join(map(str, c)) for c in ORBIT_CASES])
+    def test_representatives_lie_in_one_sector(self, dim, nodes, order, count):
+        # the origin (odd node counts) and otherwise distinct points whose first nonzero
+        # coordinate has its argument in [0, 2 pi / order), measured by angle, not by sign tests
+        points, _ = quadrature.phase_orbit_rule(dim, nodes, order)
+        assert len(np.unique(points.view(float), axis=0)) == count
+        origin = ~points.any(axis=1)
+        assert np.count_nonzero(origin) == nodes % 2
+        rest = points[~origin]
+        lead = rest[np.arange(len(rest)), np.argmax(rest != 0, axis=1)]
+        arg = np.mod(np.angle(lead), 2 * np.pi)
+        assert np.all((arg >= 0) & (arg < 2 * np.pi / order))
 
     @pytest.mark.parametrize("dim, nodes, order", [(1, 3, 2), (1, 3, 4), (2, 3, 4), (2, 5, 2), (3, 3, 4)])
     def test_only_the_origin_has_a_smaller_orbit(self, dim, nodes, order):
