@@ -16,12 +16,14 @@ a law that is exactly the product of its ``Re x`` and ``Im x`` laws (QPSK, squar
 those two real problems, whose information and error matrices add: exact up to rounding, on
 ``nodes ** n_out`` points where the orbit rule keeps about ``nodes ** (2 n_out) / 4``.  Any other
 law (8-PSK) runs on the orbit rule; through a real channel a conjugation-closed law's error matrix
-is real, and is returned with an imaginary part of exactly 0.
+is real, and is returned with an imaginary part of exactly 0.  The rotation order, the closure and
+the halves are the law's own fields, worked out once when it was built (``flowmodel._structure``).
 
 A quadrature pass always sums the information; a conjugation-closed law runs it on the member of
 ``{M, conj M}`` whose first nonzero imaginary entry is positive.  The law keeps its last
-``_KEPT_PASSES`` passes in its store (``flowmodel``) and serves each to every later call: the
-conjugate side of a slope, a repeated probe, the information of a channel after its error matrix.
+``_KEPT_PASSES`` passes in its store of work done for channels (``flowmodel``) and serves each to
+every later call: the conjugate side of a slope, a repeated probe, the information of a channel
+after its error matrix.
 """
 
 from __future__ import annotations
@@ -190,14 +192,13 @@ def _quadrature_pass(M: np.ndarray, dist: InputDistribution, nodes: int, want_mm
     matrix formed only if ``want_mmse``; the information is the same bits either way.
 
     Through a real M, a law that is exactly the product of its ``Re x`` and ``Im x`` laws (QPSK,
-    square QAM; ``flowmodel._real_parts``) is the multiplicity-weighted sum of their
-    ``_kernel_pass``es, each on the real rule of ``nodes ** n_out`` points: exact up to rounding.
-    Every other law is one ``_kernel_pass`` of the law itself.
+    square QAM), found when the law was built (``dist.halves``), is the multiplicity-weighted sum
+    of their ``_kernel_pass``es, each on the real rule of ``nodes ** n_out`` points: exact up to
+    rounding.  Every other law is one ``_kernel_pass`` of the law itself.
     """
-    parts = None if M.imag.any() else flowmodel._real_parts(dist)
-    if parts is None:
+    if M.imag.any() or dist.halves is None:
         return _kernel_pass(M, dist, nodes, want_mmse)
-    passes = [(k, *_kernel_pass(M, law, nodes, want_mmse)) for law, k in parts]
+    passes = [(k, *_kernel_pass(M, law, nodes, want_mmse)) for law, k in dist.halves]
     return sum(k * mi for k, mi, _ in passes), sum(k * err for k, _, err in passes) if want_mmse else None
 
 

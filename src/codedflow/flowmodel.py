@@ -15,11 +15,12 @@ operands, exponentiated in place without a max shift; a chunk redoes its sums at
 raises ``DensityUnderflow`` rather than silently flushing to zero.  ``workers`` is the whole
 thread budget of a call: the library's pools hold BLAS at one thread (``_pool_map``).
 
-A law keeps the work done for it in its ``_kept`` store, guarded by ``_KEPT_LOCK`` and freed with
-the law: ``estimator.quadrature_moments`` keeps its passes there, ``_real_parts`` the laws of the
-real and imaginary parts it splits into, and ``_draws`` its last draw and the noise's log density,
-read-only, for its key (``n_out``, seed, count, workers).  So a Monte Carlo
-run draws once: ``sample`` and ``estimator._information`` both draw through ``_draws``.
+A law works out its own structure once, when it is built (``_structure``): its phase rotation,
+its closure under conjugation and its split into ``Re x`` and ``Im x`` laws.  It keeps the work
+done for channels in its ``_kept`` store, guarded by ``_KEPT_LOCK`` and freed with the law:
+``estimator.quadrature_moments`` keeps its passes there, and ``_draws`` its last draw and the
+noise's log density, read-only, for its key (``n_out``, seed, count).  So a Monte Carlo run draws
+once: ``sample`` and ``estimator._information`` both draw through ``_draws``.
 
 Score convention: the gradient with respect to the output is taken in
 conjugate coordinates, entry k being ``(d/dRe z_k + i d/dIm z_k) / 2``
@@ -49,16 +50,20 @@ _LSE_CHUNK_BYTES = 1 << 19
 _EXACT_FLOOR = 1e-290  # unshifted mixture sums at or below this may have underflowed: redone exactly
 _DRAW_CAP_BYTES = 1 << 30  # input and noise draws, 16 B an entry: 16,777,216 figure1 samples (64 B each)
 
-_KEPT_LOCK = threading.Lock()  # guards every law's ``_kept``: its "draw" here, its quadrature "passes" in estimator
+_KEPT_LOCK = threading.Lock()  # guards every law's ``_kept`` of work for channels: "draw" here, "passes" in estimator
 _QPSK_SYMBOLS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)
 class InputDistribution:
-    """Input law of the flow vector: finite support or unit Gaussian.  ``phase_order`` is 4 when
-    ``x -> i x`` leaves the law unchanged, else 2 when ``x -> -x`` does, else 1;
-    ``conjugate_closed`` says whether ``x -> conj(x)`` leaves it unchanged.  Laws compare and hash
-    by identity: each keeps its own work in ``_kept``."""
+    """Input law of the flow vector: finite support or unit Gaussian.  A discrete law keeps read-only
+    copies of its points of nonzero probability and of their probabilities.  Three read-only fields,
+    worked out once at construction by ``_structure``, describe its structure: ``phase_order`` is 4
+    when ``x -> i x`` leaves the law unchanged, else 2 when ``x -> -x`` does, else 1;
+    ``conjugate_closed`` says whether ``x -> conj(x)`` leaves it unchanged; ``halves`` is
+    ``((law, multiplicity), ...)``, the laws of ``Re x`` and ``Im x`` when the law is exactly their
+    product, else ``None``.  Laws compare and hash by identity: each keeps the work done for its
+    channels in ``_kept``."""
 
     kind: str
     dimension: int
@@ -66,6 +71,7 @@ class InputDistribution:
     probs: np.ndarray | None = None
     phase_order: int = field(default=4, init=False, repr=False)
     conjugate_closed: bool = field(default=True, init=False, repr=False)
+    halves: tuple | None = field(default=None, init=False, repr=False)
     _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -89,13 +95,14 @@ class InputDistribution:
                 raise ValueError("probs length must match support")
             if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= _PROB_TOL):  # NaN fails both
                 raise ValueError("probs must be nonnegative and sum to 1 within 1e-12")
+            keep = probs > 0  # a point of probability 0 is not in the law
+            support, probs = support[keep], probs[keep]
             support.setflags(write=False)
             probs.setflags(write=False)
-            object.__setattr__(self, "support", support)
-            object.__setattr__(self, "probs", probs)
-            order, closed = _symmetries(support, probs)
-            object.__setattr__(self, "phase_order", order)
-            object.__setattr__(self, "conjugate_closed", closed)
+            order, closed, halves = _structure(support, probs)
+            fields = dict(support=support, probs=probs, phase_order=order, conjugate_closed=closed, halves=halves)
+            for name, value in fields.items():
+                object.__setattr__(self, name, value)
 
     # -- constructors ---------------------------------------------------
 
@@ -145,54 +152,44 @@ class InputDistribution:
         """Shannon entropy of a discrete input; infinite for Gaussian."""
         if self.kind == "gaussian":
             return np.inf
-        p = self.probs[self.probs > 0]
-        return float(-(p @ np.log(p)))
+        return float(-(self.probs @ np.log(self.probs)))
 
 
-def _symmetries(support: np.ndarray, probs: np.ndarray) -> tuple[int, bool]:
-    """``(phase_order, conjugate_closed)``: the first of 4 (``x -> i x``) and 2 (``x -> -x``) whose
-    rotation maps the (point, probability) rows onto themselves, else 1, and whether ``x -> conj(x)``
-    does; compared exactly, as multiplying by i or -1 and conjugating are exact."""
+def _structure(support: np.ndarray, probs: np.ndarray):
+    """``(phase_order, conjugate_closed, halves)`` of the law on these (point, probability) rows.
+
+    The order is the first of 4 (``x -> i x``) and 2 (``x -> -x``) whose rotation maps the rows onto
+    themselves, else 1; the law is conjugation-closed if ``x -> conj(x)`` does.  Both are compared
+    exactly, as multiplying by i or -1 and conjugating are exact.  The halves are the laws of
+    ``Re x`` and ``Im x`` on real support, or one of them twice if they are equal, when the support
+    is their Cartesian product and each probability is bitwise the product of its two marginals;
+    else, or if the support is real, ``None``.  Through a real M, ``(Re x, Re z)`` and
+    ``(Im x, Im z)`` are then independent real problems with N(0, 1/2) noise per axis, whose
+    information and error matrices add."""
 
     def rows(points):
         table = np.column_stack([points.real, points.imag, probs])
         return table[np.lexsort(table.T[::-1])]
 
-    own = rows(support)
-    closed = np.array_equal(rows(support.conj()), own)
-    for order, omega in ((4, 1j), (2, -1)):
-        if np.array_equal(rows(support * omega), own):
-            return order, closed
-    return 1, closed
-
-
-def _real_parts(dist: InputDistribution):
-    """``((law, multiplicity), ...)``: the laws of ``Re x`` and ``Im x`` on real support, or one of
-    them twice if they are equal, when the support is their Cartesian product and each probability
-    is bitwise the product of its two marginals; else, or if the support is real, ``None``.  Kept in
-    the law's store.  Through a real M, ``(Re x, Re z)`` and ``(Im x, Im z)`` are then independent
-    real problems with N(0, 1/2) noise per axis, whose information and error matrices add."""
-    with _KEPT_LOCK:
-        if "real parts" not in dist._kept:
-            dist._kept["real parts"] = _halves(dist.support, dist.probs) if dist.support.imag.any() else None
-        return dist._kept["real parts"]
-
-
-def _halves(support: np.ndarray, probs: np.ndarray):
     def marginal(parts):  # sorted distinct rows, each row's index among them, their probabilities
-        rows = list(map(tuple, parts.tolist()))
-        values = sorted(set(rows))  # not np.unique, which imports numpy.ma (0.5 MB) on first use
+        keys = list(map(tuple, parts.tolist()))
+        values = sorted(set(keys))  # not np.unique, which imports numpy.ma (0.5 MB) on first use
         code = {value: n for n, value in enumerate(values)}
-        index = np.array([code[row] for row in rows])
+        index = np.array([code[key] for key in keys])
         return np.array(values), index, np.bincount(index, probs, len(values))
 
+    own = rows(support)
+    closed = np.array_equal(rows(support.conj()), own)
+    order = next((order for order, omega in ((4, 1j), (2, -1)) if np.array_equal(rows(support * omega), own)), 1)
+    if not support.imag.any():
+        return order, closed, None
     (re, i, p_re), (im, j, p_im) = marginal(support.real), marginal(support.imag)
     cells = np.bincount(i * len(im) + j, minlength=len(re) * len(im))  # support points per (Re, Im) pair
     if not (np.all(cells == 1) and np.array_equal(probs, p_re[i] * p_im[j])):
-        return None
+        return order, closed, None
     if np.array_equal(re, im) and np.array_equal(p_re, p_im):
-        return ((InputDistribution.discrete(re, p_re), 2),)
-    return (InputDistribution.discrete(re, p_re), 1), (InputDistribution.discrete(im, p_im), 1)
+        return order, closed, ((InputDistribution.discrete(re, p_re), 2),)
+    return order, closed, ((InputDistribution.discrete(re, p_re), 1), (InputDistribution.discrete(im, p_im), 1))
 
 
 def _product_constellation(symbols: np.ndarray, dimension: int) -> np.ndarray:
@@ -475,10 +472,11 @@ def draw_inputs_and_noise(dist: InputDistribution, n_out: int, seed: int, count:
 
 def _draws(dist: InputDistribution, n_out: int, seed: int, count: int, workers: int = 1):
     """``draw_inputs_and_noise`` and the noise's log density, kept in the law's store for one key: the
-    last (``n_out``, seed, count, workers) drawn returns the same read-only arrays, and any other key
-    drops them before drawing afresh, under the lock.  A draw that raises leaves nothing kept."""
+    last (``n_out``, seed, count) drawn returns the same read-only arrays, and any other key drops
+    them before drawing afresh, under the lock.  The worker count is not in the key, as the draw is
+    the same bits for any.  A draw that raises leaves nothing kept."""
     seed, count = _count("seed", seed), _count("count", count, 1)  # before the key: True never meets 1
-    key = n_out, seed, count, workers
+    key = n_out, seed, count
     with _KEPT_LOCK:
         last = dist._kept.get("draw")
         if last is None or last[0] != key:

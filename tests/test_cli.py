@@ -12,6 +12,7 @@ from codedflow.errors import ConfigError
 
 REPO = Path(__file__).resolve().parent.parent
 FIGURE1 = REPO / "configs" / "figure1.cfg"
+MC_FLAGS = {"method": "mc", "samples": "20000", "workers": "2", "tolerance": "5e-2"}
 
 SCALAR_CHAIN = """
 [topology]
@@ -235,6 +236,15 @@ class TestCommands:
         if command == "verify":  # a real channel's imaginary-direction slopes are exactly 0
             rows = (tmp_path / "verify.csv").read_text().splitlines()[1:]
             assert len(rows) == 12 and all(row.split(",")[-4] == "0" for row in rows)
+
+    @pytest.mark.parametrize("overrides, kept", [({}, {"passes"}), (MC_FLAGS, {"passes", "draw"})], ids=["quadrature", "mc"])
+    def test_figure1_law_keeps_only_work_for_channels(self, tmp_path, overrides, kept):
+        # the law's structure, its halves too, is worked out when it is built, not kept in its store;
+        # the halves' passes run inside the law's and are not kept
+        config = parse_config(FIGURE1.read_text(), overrides)
+        assert run(config, "verify", tmp_path).passed
+        assert set(config.dist._kept) == kept
+        assert [(half._kept, k) for half, k in config.dist.halves] == [({}, 2)]
 
     def test_reports_show_the_step_halving_change(self, tmp_path):
         config = parse_config(SCALAR_CHAIN)

@@ -593,7 +593,7 @@ class TestRealSplit:
 
     def test_equal_halves_are_computed_once_and_doubled(self):
         dist, M = InputDistribution.qpsk(2), np.array([[0.9, -0.7], [0.4, 1.2]]) + 0j
-        ((half, count),) = flowmodel._real_parts(dist)
+        ((half, count),) = dist.halves
         assert count == 2 and not half.support.imag.any()
         c = 1 / np.sqrt(2.0)  # as the QPSK symbols' parts are rounded
         np.testing.assert_array_equal(half.support, c * np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]]))
@@ -604,7 +604,7 @@ class TestRealSplit:
         np.testing.assert_array_equal(err, 2 * err_half)
 
     def test_unequal_halves_are_the_laws_of_the_real_and_imaginary_parts(self):
-        (re, k_re), (im, k_im) = flowmodel._real_parts(SPLIT_LAWS["rectangular"][0])
+        (re, k_re), (im, k_im) = SPLIT_LAWS["rectangular"][0].halves
         assert (k_re, k_im) == (1, 1)
         np.testing.assert_array_equal(re.support.ravel(), LEVELS4)
         np.testing.assert_array_equal(im.support.ravel(), [-1.0, 1.0])
@@ -623,7 +623,7 @@ class TestRealSplit:
         ids=["8psk", "within-an-ulp", "repeated-support", "complex-channel"],
     )
     def test_a_law_that_does_not_factor_or_a_complex_channel_runs_whole(self, M, dist):
-        assert flowmodel._real_parts(dist) is None or M.imag.any()
+        assert dist.halves is None or M.imag.any()
         with mock.patch.object(estimator, "_kernel_pass", wraps=estimator._kernel_pass) as kernel, _rules() as (real, _):
             mi, err = estimator._quadrature_pass(M, dist, 6, True)
         assert kernel.call_count == 1 and kernel.call_args.args[1] is dist and not real.called

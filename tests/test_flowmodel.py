@@ -12,14 +12,17 @@ from codedflow import (
     CostGuardError,
     DensityUnderflow,
     EmptySupport,
+    EngineSpec,
     InputDistribution,
     log_conditional_density,
     log_output_density,
     output_score,
     sample,
+    mutual_information,
     score_identity_residual,
 )
 from codedflow import flowmodel
+from codedflow.estimator import quadrature_moments
 from codedflow.flowmodel import mixture_log_density, mixture_posterior_mean
 from codedflow.quadrature import complex_gauss_hermite
 
@@ -316,16 +319,59 @@ class TestInputDistribution:
         assert InputDistribution.gaussian(1).entropy_nats() == np.inf
 
     @given(
-        kind=st.sampled_from(["qpsk", "bpsk"]),
+        kind=st.sampled_from(["qpsk", "bpsk", "rectangular"]),
         dim=st.integers(min_value=1, max_value=3),
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=30, deadline=None)
     def test_phase_order_ignores_support_order(self, kind, dim, seed):
-        law = getattr(InputDistribution, kind)(dim)
+        if kind == "rectangular":  # 4 real levels by 2 imaginary: closed under x -> -x and conjugation, not i x
+            symbols = np.add.outer([-3.0, -1.0, 1.0, 3.0], [-1j, 1j]).ravel()
+            law = InputDistribution.discrete(flowmodel._product_constellation(symbols, dim))
+        else:
+            law = getattr(InputDistribution, kind)(dim)
         shuffled = InputDistribution.discrete(np.random.default_rng(seed).permutation(law.support))
-        assert law.phase_order == shuffled.phase_order == {"qpsk": 4, "bpsk": 2}[kind]
+        assert law.phase_order == shuffled.phase_order == {"qpsk": 4, "bpsk": 2, "rectangular": 2}[kind]
         assert law.conjugate_closed and shuffled.conjugate_closed
+        # a real law has no halves; QPSK's are one law counted twice, the rectangle's two laws
+        assert [k for _, k in law.halves or ()] == {"qpsk": [2], "bpsk": [], "rectangular": [1, 1]}[kind]
+        for (half, k), (same, k_same) in zip(law.halves or (), shuffled.halves or (), strict=True):
+            assert k == k_same
+            np.testing.assert_array_equal(half.support, same.support)
+            np.testing.assert_array_equal(half.probs, same.probs)
+        assert (law.halves is None) == (shuffled.halves is None)
+
+    @pytest.mark.parametrize("where", [[0], [2], [4], [0, 4], [1, 1, 3]], ids=["first", "middle", "last", "both-ends", "three"])
+    def test_points_of_probability_zero_are_dropped(self, where):
+        # QPSK(2) with (3+3i, 3+3i) at probability 0 inserted before the given rows: the same law, the
+        # same structure and bit-equal moments, with no log of 0 (the suite errors on RuntimeWarning)
+        law = InputDistribution.qpsk(2)
+        support = np.insert(law.support, where, [3 + 3j, 3 + 3j], axis=0)
+        padded = InputDistribution.discrete(support, np.insert(law.probs, where, 0.0))
+        np.testing.assert_array_equal(padded.support, law.support)
+        np.testing.assert_array_equal(padded.probs, law.probs)
+        assert (padded.phase_order, padded.conjugate_closed) == (law.phase_order, law.conjugate_closed) == (4, True)
+        ((half, k),) = law.halves
+        ((padded_half, padded_k),) = padded.halves
+        assert padded_k == k == 2
+        np.testing.assert_array_equal(padded_half.support, half.support)
+        np.testing.assert_array_equal(padded_half.probs, half.probs)
+        assert padded.entropy_nats() == law.entropy_nats() == np.log(16)
+        for M in (np.array([[0.9, -0.7], [0.4, 1.2]]) + 0j, np.array([[0.9 + 0.3j, -0.7], [0.4, 1.2 - 0.5j]])):
+            mi, err, _ = quadrature_moments(M, padded, 8)
+            mi_law, err_law, _ = quadrature_moments(M, law, 8)
+            assert mi == mi_law and err.tobytes() == err_law.tobytes()
+            spec = EngineSpec(method="mc", samples=4000, seed=3)
+            assert mutual_information(M, padded, spec).nats == mutual_information(M, law, spec).nats
+
+    def test_the_law_keeps_read_only_copies_of_the_callers_arrays(self):
+        support, probs = np.array([[1 + 1j], [1 - 1j]]), np.array([0.5, 0.5])
+        law = InputDistribution.discrete(support, probs)
+        assert support.flags.writeable and probs.flags.writeable
+        assert not (law.support.flags.writeable or law.probs.flags.writeable)
+        support[0, 0], probs[0] = 0.0, 1.0
+        np.testing.assert_array_equal(law.support, [[1 + 1j], [1 - 1j]])
+        np.testing.assert_array_equal(law.probs, [0.5, 0.5])
 
     @given(
         dim=st.integers(min_value=1, max_value=3),
@@ -437,7 +483,7 @@ class TestSampling:
 
 
 class TestKeptDraw:
-    """``_draws`` keeps each law's last draw for its (n_out, seed, count, workers) key."""
+    """``_draws`` keeps each law's last draw for its (n_out, seed, count) key."""
 
     @staticmethod
     def _counting(monkeypatch):
@@ -474,12 +520,15 @@ class TestKeptDraw:
             (dist, 1, 4, 2000, 1),  # seed
             (dist, 1, 3, 2001, 1),  # count
             (dist, 2, 3, 2000, 1),  # n_out
-            (dist, 1, 3, 2000, 2),  # workers
         ]
         for key in changed:  # each pair draws twice: the base key was dropped by the last change
             flowmodel._draws(*base)
             flowmodel._draws(*key)
         assert len(calls) == 2 * len(changed)
+        # the worker count is not in the key: the draw is the same bits for any, so it is served
+        kept = flowmodel._draws(*base)
+        assert all(a is b for a, b in zip(flowmodel._draws(dist, 1, 3, 2000, 2), kept))
+        assert len(calls) == 2 * len(changed) + 1
 
     def test_each_law_keeps_its_own_draw(self, monkeypatch):
         calls = self._counting(monkeypatch)
