@@ -8,9 +8,11 @@ One private route, ``_moments``, chooses how the information and the error matri
 ``E[(x - xhat)(x - xhat)^H]`` of a channel are evaluated, for every caller in the library:
 Monte Carlo with batch-means standard errors when the spec asks for it, else the Gaussian closed
 forms ``log det(I + M M^H)`` and ``(I + M^H M)^{-1}``, else tensorized Gauss-Hermite quadrature
-(guarded at three complex output dimensions), whose mixture sums are matrix products of
-max-shifted exponentials, recomputed exactly where they underflow, and whose information is
-``sum p_k w_q ((T2 - a) - log total - (b - m2))`` per entry, over one orbit of the input's phase
+(guarded at three complex output dimensions), whose mixture sums are matrix products of the pair
+factors ``p_j exp(-|mean_j - mean_k|^2)`` and the noise exponentials, shifted by the first support
+point's own exponent (by each rule point's largest where a bound on the exponents passes
+``_FIRST_SHIFT_LIMIT``) and recomputed exactly where they underflow, and whose information is
+``sum p_k w_q ((T2 - a) - log total)`` per entry, over one orbit of the input's phase
 rotation.  Through a real channel a law on real support needs only the real axes of the noise, and
 a law that is exactly the product of its ``Re x`` and ``Im x`` laws (QPSK, square QAM) splits into
 those two real problems, whose information and error matrices add: exact up to rounding, on
@@ -46,6 +48,7 @@ _DOMINANCE_FLOOR = -1e-8
 _MC_MIN_SAMPLES = 1000
 _QUAD_CHUNK_BYTES = 1 << 19  # rows at 16*K*(dim+1) B each fix the summation order; figure1 peaks at ~1,450 B a row
 _SYSTEM_CONDITION_LIMIT = 1e10
+_FIRST_SHIFT_LIMIT = 300.0  # exp(300) is far from overflow and exp(-300) above _EXACT_FLOOR
 _KEPT_PASSES = 256  # quadrature passes a law keeps, oldest dropped first; a figure1 command computes at most 45
 
 
@@ -212,40 +215,46 @@ def _kernel_pass(M: np.ndarray, dist: InputDistribution, nodes: int, want_mmse: 
     and ``x -> conj(x)`` maps the law onto itself, ``n -> conj(n)`` conjugates the error matrix, so
     it is real and is returned with an imaginary part of exactly 0.
 
-    Component j's exponent ``C[j,k] + T2[j,q]`` at ``mean_k + noise_q``
-    (``C[j,k] = c_j + 2 S[j,k]``, S the mean Gram matrix, T2 twice the noise/mean cross terms)
-    separates: the mixture sums are ``exp(a_q + b_k) total``, ``total = W @ P``, ``P = exp(T2 - a)``,
-    ``W = exp(C - b)`` (a, b the maxima); the errors ``xhat - s_k`` are ``(W[k, j] (s_j - s_k)) @ P / total``,
-    one product whose ``j = k`` term is exactly 0, so ``xhat`` is never formed and never cancels ``s_k``;
-    the MI sums ``p_k w_q ((T2 - a) - log total - (b - m2))`` per entry, ``b_k - m2_k`` being the
-    cancellation-free ``max_j (log p_j - |mean_j - mean_k|^2)``, so a point input gives exactly 0.
-    Sums at or below ``_EXACT_FLOOR`` may have underflowed; the pointwise kernel redoes them, each
-    error again a weighted sum of ``s_j - s_k``.
+    At ``z = mean_k + noise_q`` the mixture sum ``sum_j p_j exp(-|z - mean_j|^2)`` separates, with
+    ``T2[j, q] = 2 Re(conj(mean_j) noise_q)``, into ``exp(a_q - T2[k, q] - |noise_q|^2) total``,
+    ``total = W @ P``, ``W[k, j] = p_j exp(-|mean_j - mean_k|^2)``, ``P = exp(T2 - a)``.  The shift
+    ``a_q`` is the first support point's own exponent ``T2[0, q]``, taken inside the product as
+    ``2 (mean_j - mean_0) . noise_q``, while ``2 max_j |mean_j - mean_0|`` times a bound on the rule's
+    radius (``sqrt(2 n_out (2 nodes + 1))``: no Hermite node exceeds ``sqrt(2 nodes + 1)``), less the
+    smallest ``log p``, stays within ``_FIRST_SHIFT_LIMIT``; above it, ``a_q`` is the point's largest
+    exponent.  The errors ``xhat - s_k`` are ``(W[k, j] (s_j - s_k)) @ P / total``, one product whose
+    ``j = k`` term is exactly 0, so ``xhat`` is never formed and never cancels ``s_k``; the
+    information sums ``p_k w_q ((T2[k, q] - a_q) - log total)`` per entry, with no other term, so a
+    point input, or the zero channel of a law whose probabilities sum to exactly 1, gives exactly 0.
+    Sums at or below ``_EXACT_FLOOR`` may have underflowed; the first point's shift keeps every total
+    above ``exp(-_FIRST_SHIFT_LIMIT)``, so only a max-shifted pass has them, and the pointwise
+    kernel redoes them, each error again a weighted sum of ``s_j - s_k``.
     """
     noise, weights = _kernel_rule(M, dist, nodes)
 
     support, probs = dist.support, dist.probs
     K, dim = support.shape
     means = support @ M.T
-    m2 = np.sum(np.abs(means) ** 2, axis=1)
-    C = (dist.log_probs - m2)[:, None] + 2.0 * np.real(means.conj() @ means.T)  # C[j, k]
-    b = C.max(axis=0)
-    Wt = np.exp(C - b).T  # W[k, j]: arrays are support-major, so maxima reduce across rows
-    parts = np.concatenate([support.T.real, support.T.imag])  # (re/im and d, k)
-    Wt_diff = ((parts[:, None, :] - parts[..., None]) * Wt).reshape(-1, K)  # W[k, j] (s_j - s_k) per row of parts
-    twice_means = 2.0 * means.view(float)
-    b_m2 = np.max(dist.log_probs[:, None] - np.sum(np.abs(means[:, None] - means) ** 2, axis=2), axis=0)
+    gaps2 = np.sum(np.abs(means[:, None] - means) ** 2, axis=2)  # |mean_j - mean_k|^2, symmetric
+    Wt = probs * np.exp(-gaps2)  # W[k, j], p_k on its diagonal
+    bound = 2.0 * np.sqrt(gaps2[0].max() * 2 * M.shape[0] * (2 * nodes + 1))  # of |T2 - T2[0]|
+    by_max = bound - dist.log_probs.min() > _FIRST_SHIFT_LIMIT
+    twice_means = 2.0 * (means if by_max else means - means[0]).view(float)
     rows = max(1, _QUAD_CHUNK_BYTES // (16 * K * (dim + 1)))
-    buffers = np.empty((2, 2 * dim * K * min(rows, len(noise)))) if want_mmse else None  # reused: fresh ones fault
+    if want_mmse:
+        parts = np.concatenate([support.T.real, support.T.imag])  # (re/im and d, k)
+        Wt_diff = ((parts[:, None, :] - parts[..., None]) * Wt).reshape(-1, K)  # W[k, j] (s_j - s_k) per row of parts
+        buffers = np.empty((2, 2 * dim * K * min(rows, len(noise))))  # reused: fresh ones fault
 
     mi_total, recomputed, gram = 0.0, 0, np.zeros((2 * dim, 2 * dim))  # gram of the errors' (re, im) rows
 
     for start in range(0, noise.shape[0], rows):
         block = noise[start : start + rows]
         wq = weights[start : start + rows]
-        P = twice_means @ block.view(float).T  # T2[j, q] = 2 Re(conj(mean_j) noise_q)
-        a = P.max(axis=0)
-        P -= a
+        P = twice_means @ block.view(float).T  # T2[j, q], less T2[0, q] unless by_max
+        if by_max:
+            a = P.max(axis=0)
+            P -= a
         lin = probs @ P
         total = Wt @ np.exp(P, out=P)  # (k, q)
         if underflow := total.min() <= _EXACT_FLOOR:  # one test a chunk, the scan only if it fires
@@ -254,8 +263,10 @@ def _kernel_pass(M: np.ndarray, dist: InputDistribution, nodes: int, want_mmse: 
             z = means[ki] + block[qi]
             log_pz, redone = np.empty(len(z)), np.empty((2 * dim, len(z)))
             for span, w, sums, chunk_log_pz in flowmodel._mixture_chunks(means, dist.log_probs, z):
-                gaps = parts[:, :, None] - parts[:, None, ki[span]]  # s_j - s_k per (re/im and d, j, entry)
-                log_pz[span], redone[..., span] = chunk_log_pz, np.einsum("djn,jn->dn", gaps, w) / sums
+                log_pz[span] = chunk_log_pz
+                if want_mmse:
+                    gaps = parts[:, :, None] - parts[:, None, ki[span]]  # s_j - s_k per (re/im and d, j, entry)
+                    redone[..., span] = np.einsum("djn,jn->dn", gaps, w) / sums
             recomputed += len(ki)
         if want_mmse:
             diff, weighted = buffers[:, : 2 * dim * K * len(wq)].reshape(2, 2 * dim, K, -1)
@@ -267,8 +278,8 @@ def _kernel_pass(M: np.ndarray, dist: InputDistribution, nodes: int, want_mmse: 
             gram += weighted.reshape(2 * dim, -1) @ diff.reshape(2 * dim, -1).T
         np.log(total, out=total)  # in place: a second name would hold it through the next chunk's E
         if underflow:
-            total[ki, qi] = log_pz + np.sum(np.abs(z) ** 2, axis=1) + M.shape[0] * np.log(np.pi) - a[qi] - b[ki]
-        total += b_m2[:, None]
+            flat = block[qi].view(float)  # log total = log p(z) + n log(pi) + |noise|^2 + T2[k, q] - a_q
+            total[ki, qi] = log_pz + M.shape[0] * np.log(np.pi) + np.einsum("ij,ij->i", flat, flat + twice_means[ki]) - a[qi]
         mi_total += float((lin - probs @ total) @ wq)
     if recomputed:
         logging.getLogger(__name__).debug("quadrature recomputed %d underflowed sums exactly", recomputed)

@@ -321,9 +321,8 @@ def _mixture_chunks(means, log_probs, points):
     for start in range(0, N, rows):
         block = points[start : start + rows]
         z = cols[:, : len(block)]
-        flat = block.view(float)
-        z[: 2 * n] = flat.T
-        np.einsum("ij,ij->i", flat, flat, out=z[-1])
+        z[: 2 * n] = block.view(float).T
+        np.einsum("ij,ij->j", z[: 2 * n], z[: 2 * n], out=z[-1])  # down the filled columns: rows of 2n are short
         w = np.matmul(coef, z, out=buf[: K * len(block)].reshape(K, -1))
         total = ones @ np.exp(w, out=w)
         log_pz = np.log(np.maximum(total, _EXACT_FLOOR)) - n * np.log(np.pi)

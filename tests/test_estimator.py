@@ -302,6 +302,31 @@ UNDERFLOW_IDS = ["bpsk-gain40", "qpsk-2x1-gain20", "qpsk-2x1-gain40"]
 WEAK_UNDERFLOW_CASE = (np.array([[24.0 + 32.0j, 0.3], [-32.0 + 24.0j, 0.4j]]), InputDistribution.qpsk(2), 12)
 
 
+def _figure1():
+    """figure1's channel, as a writable copy, and its law."""
+    config = parse_config((Path(__file__).resolve().parent.parent / "configs" / "figure1.cfg").read_text())
+    return build_coefficient_matrices(config.topology, config.coefficients, config.n_in, config.n_out).M.copy(), config.dist
+
+
+def _pass_peak(M, dist, want_mmse):
+    """The tracemalloc peak of one computed pass, its rule cached by an earlier pass outside the trace."""
+    estimator._quadrature_pass(M, dist, 16, want_mmse)
+    tracemalloc.start()
+    try:
+        estimator._quadrature_pass(M, dist, 16, want_mmse)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@contextmanager
+def _shift(mode):
+    """Forces ``_kernel_pass``'s shift: ``"first"``, the first support point's own exponent, or
+    ``"max"``, each rule point's largest."""
+    with mock.patch.object(estimator, "_FIRST_SHIFT_LIMIT", np.inf if mode == "first" else -np.inf):
+        yield
+
+
 @contextmanager
 def _rules():
     """Spies on the two rules a pass may sum over: ``(real_gauss_hermite, phase_orbit_rule)``."""
@@ -368,16 +393,17 @@ class TestQuadratureKernel:
 
     def test_a_figure1_error_matrix_pass_peaks_below_1_mib(self):
         # peak_rss_mb is an end-to-end metric: a pass may not buy speed with chunk memory
-        config = parse_config((Path(__file__).resolve().parent.parent / "configs" / "figure1.cfg").read_text())
-        M = build_coefficient_matrices(config.topology, config.coefficients, config.n_in, config.n_out).M
-        estimator._quadrature_pass(M, config.dist, 16, True)  # the rule is cached outside the trace
-        tracemalloc.start()
-        try:
-            estimator._quadrature_pass(M, config.dist, 16, True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1 << 20
+        M, dist = _figure1()
+        assert _pass_peak(M, dist, True) <= 1 << 20
+
+    @pytest.mark.parametrize("want_mmse", [True, False], ids=["with-E", "information-only"])
+    def test_a_figure1_complex_pass_peaks_below_1_mib(self, want_mmse):
+        # the plus side of an imaginary-direction slope: the whole law on the 16,384-point orbit rule
+        M, dist = _figure1()
+        M[0, 0] += 1e-3j
+        with _rules() as (real, orbit):
+            assert _pass_peak(M, dist, want_mmse) <= 1 << 20
+        assert orbit.called and not real.called
 
     def test_exact_recomputation_is_logged_once_with_its_count(self, caplog):
         M, _, nodes = UNDERFLOW_CASES[0]
@@ -396,6 +422,50 @@ class TestQuadratureKernel:
         with caplog.at_level(logging.DEBUG, logger="codedflow"):
             quadrature_moments(np.array([[0.8 + 0.3j, -0.4j]]), InputDistribution.qpsk(2), 12)
         assert caplog.records == []
+
+
+class TestShiftModes:
+    """A pass shifts its exponents by the first support point's own exponent while a bound keeps them
+    within ``_FIRST_SHIFT_LIMIT``, else by each rule point's largest: the two agree up to rounding."""
+
+    @given(
+        n_out=st.integers(min_value=1, max_value=2),
+        law=st.sampled_from(["bpsk", "qpsk", "8psk-pair"]),
+        n_in=st.integers(min_value=1, max_value=2),
+        real=st.booleans(),
+        gain=st.floats(min_value=0.1, max_value=6.0),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_the_two_shifts_agree(self, n_out, law, n_in, real, gain, seed):
+        dist = PSK8_PAIR if law == "8psk-pair" else getattr(InputDistribution, law)(n_in)
+        M = _random_channel(n_out, dist.dimension, gain, seed)
+        M = M.real + 0j if real else M
+        nodes = 12 if n_out == 1 else 6
+        passes = []
+        for mode in ("first", "max"):
+            with _shift(mode):
+                mi, err = estimator._quadrature_pass(M, dist, nodes, True)
+                assert estimator._quadrature_pass(M, dist, nodes, False) == (mi, None)  # the same bits
+            passes.append((mi, err))
+        (mi_first, err_first), (mi_max, err_max) = passes
+        assert abs(mi_first - mi_max) <= max(1e-13 * abs(mi_max), 1e-15)
+        assert np.max(np.abs(err_first - err_max)) <= 1e-12 * np.max(np.abs(err_max))
+
+    @pytest.mark.parametrize("side, mode", [(-1, "first"), (1, "max")], ids=["just-below", "just-above"])
+    def test_a_channel_at_the_limit_matches_brute_force(self, side, mode):
+        # QPSK's farthest mean lies 2 |M| from the first, so the bound less log p_min is
+        # 4 |M| sqrt(2 (2 nodes + 1)) + log 4; no RuntimeWarning may fire on either side
+        nodes, dist = 64, InputDistribution.qpsk(1)
+        edge = (estimator._FIRST_SHIFT_LIMIT - np.log(4.0)) / (4.0 * np.sqrt(2.0 * (2 * nodes + 1)))
+        M = np.array([[edge * (1.0 + side * 1e-9) * np.exp(0.3j)]])
+        mi, err = estimator._quadrature_pass(M, dist, nodes, True)
+        with _shift(mode):  # the side of the limit chose this shift
+            mi_mode, err_mode = estimator._quadrature_pass(M, dist, nodes, True)
+        assert mi == mi_mode and err.tobytes() == err_mode.tobytes()
+        _assert_matches_brute_force(M, dist, nodes)
+        # every total of a first-point shift is at least exp(-limit): only a max shift redoes sums
+        assert np.exp(-estimator._FIRST_SHIFT_LIMIT) > _EXACT_FLOOR
 
 
 class TestPhaseOrbitRule:
@@ -639,18 +709,26 @@ class TestExactInformation:
         mi, _, _ = quadrature_moments(np.zeros((2, 2), dtype=complex), InputDistribution.qpsk(2), 16)
         assert mi == 0.0
 
-    @pytest.mark.parametrize(
-        "M, x0",
-        [
-            (np.array([[2.0 + 0j]]), np.array([1.0 + 0.5j])),
-            (np.array([[0.7 - 1.3j, 2.1 + 0.2j], [1.1, -0.4j]]), np.array([0.3 + 0.4j, -1.0])),
-            (np.array([[31.0 + 7.0j]]), np.array([-0.6 + 0.9j])),
-        ],
-    )
+    POINT_CASES = [
+        (np.array([[2.0 + 0j]]), np.array([1.0 + 0.5j])),
+        (np.array([[0.7 - 1.3j, 2.1 + 0.2j], [1.1, -0.4j]]), np.array([0.3 + 0.4j, -1.0])),
+        (np.array([[31.0 + 7.0j]]), np.array([-0.6 + 0.9j])),
+    ]
+
+    @pytest.mark.parametrize("M, x0", POINT_CASES)
     def test_point_input(self, M, x0):
         mi, err, _ = quadrature_moments(M, InputDistribution.point(x0), 16)
         assert mi == 0.0
         np.testing.assert_allclose(err, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["first", "max"])
+    def test_both_shifts_keep_them_exact(self, mode):
+        with _shift(mode):  # each case builds a fresh law, so no pass under the other shift is served
+            self.test_zero_channel_at_figure1_shape()
+            zero, psk8_pair = np.zeros((2, 2), dtype=complex), InputDistribution.discrete(PSK8_PAIR.support)
+            assert quadrature_moments(zero, psk8_pair, 16)[0] == 0.0  # 64 points on the orbit rule
+            for M, x0 in self.POINT_CASES:
+                self.test_point_input(M, x0)
 
     @pytest.mark.parametrize(
         "M, dist, nodes",
