@@ -1,4 +1,4 @@
-"""Exception types raised across the library, and the one check of the counts it takes."""
+"""Exception types raised across the library, and the checks of the counts and real values it takes."""
 
 import numbers
 
@@ -66,3 +66,12 @@ def _count(what: str, value, minimum: int | None = None) -> int:
         floor = "" if minimum is None else f" of at least {minimum}"
         raise ValueError(f"{what} must be an integer{floor}, got {value!r}")
     return int(value)
+
+
+def _real(what: str, value, low: float, high: float, ends: str = "[]") -> float:
+    """``value`` as a ``float`` in the interval from ``low`` to ``high``, with ends ``[``/``]`` (closed) or
+    ``(``/``)`` (open); a bool, a non-real value, NaN or a value outside raises ``ValueError``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and (low < value < high or value == low and ends[0] == "[" or value == high and ends[1] == "]")):
+        raise ValueError(f"{what} must be a real number in {ends[0]}{low:g}, {high:g}{ends[1]}, got {value!r}")
+    return float(value)

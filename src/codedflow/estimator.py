@@ -8,18 +8,17 @@ One private route, ``_moments``, chooses how the information and the error matri
 ``E[(x - xhat)(x - xhat)^H]`` of a channel are evaluated, for every caller in the library:
 Monte Carlo with batch-means standard errors when the spec asks for it, else the Gaussian closed
 forms ``log det(I + M M^H)`` and ``(I + M^H M)^{-1}``, else tensorized Gauss-Hermite quadrature
-(guarded at three complex output dimensions), whose mixture sums are matrix products of the pair
-factors ``p_j exp(-|mean_j - mean_k|^2)`` and the noise exponentials, shifted by the first support
-point's own exponent (by each rule point's largest where a bound on the exponents passes
-``_FIRST_SHIFT_LIMIT``) and recomputed exactly where they underflow, and whose information is
-``sum p_k w_q ((T2 - a) - log total)`` per entry, over one orbit of the input's phase
-rotation.  Through a real channel a law on real support needs only the real axes of the noise, and
-a law that is exactly the product of its ``Re x`` and ``Im x`` laws (QPSK, square QAM) splits into
-those two real problems, whose information and error matrices add: exact up to rounding, on
-``nodes ** n_out`` points where the orbit rule keeps about ``nodes ** (2 n_out) / 4``.  Any other
-law (8-PSK) runs on the orbit rule; through a real channel a conjugation-closed law's error matrix
-is real, and is returned with an imaginary part of exactly 0.  The rotation order, the closure and
-the halves are the law's own fields, worked out once when it was built (``flowmodel._structure``).
+(guarded at three complex output dimensions) over one orbit of the input's phase rotation, which
+``_kernel_pass`` sums over the chunks of one generator, ``_kernel_chunks``.  It shifts the exponents
+by the first support point's own, or past ``_FIRST_SHIFT_LIMIT`` by each rule point's largest, and
+only then scans for underflowed sums and redoes them exactly.  Through a real channel a law on real
+support needs only the real axes of the noise, and a law that is exactly the product of its
+``Re x`` and ``Im x`` laws (QPSK, square QAM) splits into those two real problems, whose
+information and error matrices add: exact up to rounding, on ``nodes ** n_out`` points where the
+orbit rule keeps about ``nodes ** (2 n_out) / 4``.  Any other law (8-PSK) runs on the orbit rule;
+through a real channel a conjugation-closed law's error matrix is real, and is returned with an
+imaginary part of exactly 0.  The rotation order, the closure and the halves are the law's own
+fields, worked out once when it was built (``flowmodel._structure``).
 
 A quadrature pass always sums the information; a conjugation-closed law runs it on the member of
 ``{M, conj M}`` whose first nonzero imaginary entry is positive.  The law keeps its last
@@ -155,8 +154,10 @@ def conditional_mean_batch(M, dist: InputDistribution, points) -> np.ndarray:
 
 
 def _kernel_rule(M: np.ndarray, dist: InputDistribution, nodes: int):
-    """The rule ``_kernel_pass`` sums over: the real rule for a real channel and a law on real
-    support, else the orbit rule of the law's phase rotation."""
+    """The rule ``_kernel_chunks`` sums over, exact up to rounding: the real rule for a real channel and
+    a law on real support (the output's imaginary part is then noise), else the orbit rule of the law's
+    phase rotation ``x -> omega x``, as ``n -> omega n`` maps the summed integrands onto themselves.  If
+    M is real and ``x -> conj(x)`` maps the law onto itself, the error matrix is real (``n -> conj(n)``)."""
     if not (M.imag.any() or dist.support.imag.any()):
         return real_gauss_hermite(M.shape[0], nodes)
     return phase_orbit_rule(M.shape[0], nodes, dist.phase_order)
@@ -206,32 +207,39 @@ def _quadrature_pass(M: np.ndarray, dist: InputDistribution, nodes: int, want_mm
 
 
 def _kernel_pass(M: np.ndarray, dist: InputDistribution, nodes: int, want_mmse: bool):
-    """``_quadrature_pass`` of one law, summed over ``_kernel_rule``.
+    """``_quadrature_pass`` of one law: its information and its errors' gram, summed over ``_kernel_chunks``."""
+    probs, dim = dist.probs, dist.dimension
+    mi_total, gram = 0.0, np.zeros((2 * dim, 2 * dim))
+    for wq, lin, log_total, errors in _kernel_chunks(M, dist, nodes, want_mmse):
+        if want_mmse:  # p_k w_q, with no ufunc buffers
+            gram += (errors * np.einsum("k,q->kq", probs, wq)).reshape(2 * dim, -1) @ errors.reshape(2 * dim, -1).T
+        mi_total += float((lin - probs @ log_total) @ wq)
+    err_total = gram[:dim, :dim] + gram[dim:, dim:] + 1j * (gram[dim:, :dim] - gram[:dim, dim:]) if want_mmse else None
+    if want_mmse and dist.conjugate_closed and not M.imag.any():
+        err_total.imag = 0.0
+    return mi_total, err_total
 
-    For a real channel and a law on real support that is ``real_gauss_hermite``: the output's
-    imaginary part is then noise alone.  Else it is ``phase_orbit_rule`` for the law's phase
-    rotation.  It is exact: if ``x -> omega x`` maps the law onto itself, ``n -> omega n`` maps the
-    information and error-matrix integrands, summed over the support, onto themselves.  If M is real
-    and ``x -> conj(x)`` maps the law onto itself, ``n -> conj(n)`` conjugates the error matrix, so
-    it is real and is returned with an imaginary part of exactly 0.
+
+def _kernel_chunks(M: np.ndarray, dist: InputDistribution, nodes: int, want_errors: bool):
+    """``(w_q, lin, log total, errors)`` per chunk of ``_kernel_rule``'s points, ``errors`` only if
+    ``want_errors``.  Every yielded array is valid only until the next chunk: ``errors`` is reused.
 
     At ``z = mean_k + noise_q`` the mixture sum ``sum_j p_j exp(-|z - mean_j|^2)`` separates, with
     ``T2[j, q] = 2 Re(conj(mean_j) noise_q)``, into ``exp(a_q - T2[k, q] - |noise_q|^2) total``,
     ``total = W @ P``, ``W[k, j] = p_j exp(-|mean_j - mean_k|^2)``, ``P = exp(T2 - a)``.  The shift
     ``a_q`` is the first support point's own exponent ``T2[0, q]``, taken inside the product as
-    ``2 (mean_j - mean_0) . noise_q``, while ``2 max_j |mean_j - mean_0|`` times a bound on the rule's
-    radius (``sqrt(2 n_out (2 nodes + 1))``: no Hermite node exceeds ``sqrt(2 nodes + 1)``), less the
-    smallest ``log p``, stays within ``_FIRST_SHIFT_LIMIT``; above it, ``a_q`` is the point's largest
-    exponent.  The errors ``xhat - s_k`` are ``(W[k, j] (s_j - s_k)) @ P / total``, one product whose
-    ``j = k`` term is exactly 0, so ``xhat`` is never formed and never cancels ``s_k``; the
-    information sums ``p_k w_q ((T2[k, q] - a_q) - log total)`` per entry, with no other term, so a
-    point input, or the zero channel of a law whose probabilities sum to exactly 1, gives exactly 0.
-    Sums at or below ``_EXACT_FLOOR`` may have underflowed; the first point's shift keeps every total
-    above ``exp(-_FIRST_SHIFT_LIMIT)``, so only a max-shifted pass has them, and the pointwise
-    kernel redoes them, each error again a weighted sum of ``s_j - s_k``.
+    ``2 (mean_j - mean_0) . noise_q``, while ``bound = 2 max_j |mean_j - mean_0|`` times a bound on
+    the rule's radius (``sqrt(2 n_out (2 nodes + 1))``: no Hermite node exceeds ``sqrt(2 nodes + 1)``)
+    less the smallest ``log p`` stays within ``_FIRST_SHIFT_LIMIT``: every total is then at least
+    ``p_k exp(-bound) >= exp(-_FIRST_SHIFT_LIMIT)``.  Above it, ``a_q`` is the point's largest
+    exponent, and the totals at or below ``_EXACT_FLOOR``, which may have underflowed, are redone by
+    the pointwise kernel, each error again a weighted sum of ``s_j - s_k``.  The information sums
+    ``p_k w_q ((T2[k, q] - a_q) - log total)`` per entry, as ``(lin - p @ log total) @ w_q`` with
+    ``lin = p @ (T2 - a)`` and no other term, so a point input, or the zero channel of a law whose
+    probabilities sum to exactly 1, gives exactly 0.  The errors ``xhat - s_k`` are ``(W[k, j] (s_j -
+    s_k)) @ P / total``, one product whose ``j = k`` term is exactly 0: ``xhat`` never cancels ``s_k``.
     """
     noise, weights = _kernel_rule(M, dist, nodes)
-
     support, probs = dist.support, dist.probs
     K, dim = support.shape
     means = support @ M.T
@@ -241,52 +249,40 @@ def _kernel_pass(M: np.ndarray, dist: InputDistribution, nodes: int, want_mmse: 
     by_max = bound - dist.log_probs.min() > _FIRST_SHIFT_LIMIT
     twice_means = 2.0 * (means if by_max else means - means[0]).view(float)
     rows = max(1, _QUAD_CHUNK_BYTES // (16 * K * (dim + 1)))
-    if want_mmse:
+    if want_errors:
         parts = np.concatenate([support.T.real, support.T.imag])  # (re/im and d, k)
         Wt_diff = ((parts[:, None, :] - parts[..., None]) * Wt).reshape(-1, K)  # W[k, j] (s_j - s_k) per row of parts
-        buffers = np.empty((2, 2 * dim * K * min(rows, len(noise))))  # reused: fresh ones fault
+        buffer = np.empty(2 * dim * K * min(rows, len(noise)))  # reused: fresh ones fault
 
-    mi_total, recomputed, gram = 0.0, 0, np.zeros((2 * dim, 2 * dim))  # gram of the errors' (re, im) rows
-
+    recomputed, errors = 0, None
     for start in range(0, noise.shape[0], rows):
         block = noise[start : start + rows]
-        wq = weights[start : start + rows]
         P = twice_means @ block.view(float).T  # T2[j, q], less T2[0, q] unless by_max
         if by_max:
             a = P.max(axis=0)
             P -= a
         lin = probs @ P
         total = Wt @ np.exp(P, out=P)  # (k, q)
-        if underflow := total.min() <= _EXACT_FLOOR:  # one test a chunk, the scan only if it fires
+        if underflow := by_max and total.min() <= _EXACT_FLOOR:  # a first-shifted total never reaches it
             ki, qi = np.nonzero(total <= _EXACT_FLOOR)
             np.maximum(total, _EXACT_FLOOR, out=total)
-            z = means[ki] + block[qi]
-            log_pz, redone = np.empty(len(z)), np.empty((2 * dim, len(z)))
-            for span, w, sums, chunk_log_pz in flowmodel._mixture_chunks(means, dist.log_probs, z):
-                log_pz[span] = chunk_log_pz
-                if want_mmse:
-                    gaps = parts[:, :, None] - parts[:, None, ki[span]]  # s_j - s_k per (re/im and d, j, entry)
-                    redone[..., span] = np.einsum("djn,jn->dn", gaps, w) / sums
+        if want_errors:
+            errors = buffer[: 2 * dim * K * len(block)].reshape(2 * dim, K, -1)
+            np.matmul(Wt_diff, P, out=errors.reshape(2 * dim * K, -1))  # (xhat - s_k) total: its j = k term is 0
+            errors *= np.reciprocal(total)
+        np.log(total, out=total)  # in place: no second (k, q) array
+        if underflow:  # log total = log p(z) + n log(pi) + |noise|^2 + T2[k, q] - a_q at z = mean_k + noise_q
+            flat = block[qi].view(float)
+            norms = np.einsum("ij,ij->i", flat, flat + twice_means[ki])
+            for span, w, sums, log_pz in flowmodel._mixture_chunks(means, dist.log_probs, means[ki] + block[qi]):
+                total[ki[span], qi[span]] = log_pz + M.shape[0] * np.log(np.pi) + norms[span] - a[qi[span]]
+                if want_errors:  # s_j - s_k per (re/im and d, j, entry)
+                    gaps = parts[:, :, None] - parts[:, None, ki[span]]
+                    errors[:, ki[span], qi[span]] = np.einsum("djn,jn->dn", gaps, w) / sums
             recomputed += len(ki)
-        if want_mmse:
-            diff, weighted = buffers[:, : 2 * dim * K * len(wq)].reshape(2, 2 * dim, K, -1)
-            np.matmul(Wt_diff, P, out=diff.reshape(2 * dim * K, -1))  # (xhat - s_k) total: its j = k term is 0
-            diff *= np.reciprocal(total, out=weighted[0])  # weighted is free until its product below
-            if underflow:
-                diff[:, ki, qi] = redone
-            np.multiply(diff, np.einsum("k,q->kq", probs, wq), out=weighted)  # p_k w_q, with no ufunc buffers
-            gram += weighted.reshape(2 * dim, -1) @ diff.reshape(2 * dim, -1).T
-        np.log(total, out=total)  # in place: a second name would hold it through the next chunk's E
-        if underflow:
-            flat = block[qi].view(float)  # log total = log p(z) + n log(pi) + |noise|^2 + T2[k, q] - a_q
-            total[ki, qi] = log_pz + M.shape[0] * np.log(np.pi) + np.einsum("ij,ij->i", flat, flat + twice_means[ki]) - a[qi]
-        mi_total += float((lin - probs @ total) @ wq)
+        yield weights[start : start + rows], lin, total, errors
     if recomputed:
         logging.getLogger(__name__).debug("quadrature recomputed %d underflowed sums exactly", recomputed)
-    err_total = gram[:dim, :dim] + gram[dim:, dim:] + 1j * (gram[dim:, :dim] - gram[:dim, dim:]) if want_mmse else None
-    if want_mmse and dist.conjugate_closed and not M.imag.any():
-        err_total.imag = 0.0
-    return mi_total, err_total
 
 
 # ---------------------------------------------------------------------------

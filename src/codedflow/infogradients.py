@@ -63,7 +63,7 @@ from functools import reduce
 import numpy as np
 
 from . import flowmodel
-from .errors import InvariantViolation, StepTooSmallError
+from .errors import InvariantViolation, StepTooSmallError, _real
 from .estimator import (
     EngineSpec,
     MmseMatrix,
@@ -218,10 +218,8 @@ def grad_oracle(
     ``spec.workers`` is the whole thread budget: the coordinates run on that
     many threads, with BLAS held at one thread (``flowmodel._pool_map``).
     """
-    if not STEP_RANGE[0] <= step <= STEP_RANGE[1]:
-        raise ValueError(f"step must lie in [{STEP_RANGE[0]:g}, {STEP_RANGE[1]:g}]")
-    if not noise_ratio_limit > 0.0:  # NaN too, which would switch the noise guard off
-        raise ValueError(f"noise_ratio_limit must be positive, got {noise_ratio_limit!r}")
+    step = _real("step", step, *STEP_RANGE)
+    noise_ratio_limit = _real("noise_ratio_limit", noise_ratio_limit, 0.0, np.inf, "(]")
     base, L, R = _chain(sys, objective, target)
     if not np.all(np.isfinite(base)):
         raise ValueError("target matrix has non-finite entries")
@@ -271,8 +269,7 @@ def directional_derivative(
     direction = np.asarray(direction, dtype=complex)
     if direction.shape != base.shape or not np.all(np.isfinite(direction)):
         raise ValueError(f"direction must be a finite {base.shape} matrix, got shape {direction.shape}")
-    if not 0 < step < np.inf:
-        raise ValueError(f"step must be finite and > 0, got {step!r}")
+    step = _real("step", step, 0.0, np.inf, "()")
     return _slope(L, base, R, direction, dist, replace(spec, method="quadrature"), step)[0]
 
 

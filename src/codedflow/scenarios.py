@@ -31,7 +31,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import CodedFlowError, _count
+from .errors import CodedFlowError, _count, _real
 from .estimator import EngineSpec, MmseMatrix, mmse_matrix
 from .flowmodel import InputDistribution, _philox
 from .infogradients import (
@@ -384,10 +384,8 @@ def precoder_ascent(
     Returns a list of (B, information-in-nats) pairs, one per iteration
     plus the starting point.
     """
-    if not 0 <= step < np.inf:
-        raise ValueError(f"step must be finite and >= 0, got {step!r}")
-    if not 0 < norm_budget < np.inf:
-        raise ValueError(f"norm budget must be finite and > 0, got {norm_budget!r}")
+    step = _real("step", step, 0.0, np.inf, "[)")
+    norm_budget = _real("norm budget", norm_budget, 0.0, np.inf, "()")
     iterations = _count("iterations", iterations, 0)
 
     def evaluate(B):

@@ -1,4 +1,5 @@
-"""Every count, size and seed the library takes is refused or accepted by one rule.
+"""Every count, size and seed the library takes is refused or accepted by one rule,
+and so is every real-valued step and budget.
 
 A bool, a non-integer or a value below the floor raises ``ValueError`` worded
 ``"<what> must be an integer of at least <floor>, got <value!r>"`` (a seed has no
@@ -6,6 +7,10 @@ floor: ``"seed must be an integer, got ..."``); a numpy integer is an integer an
 gives the same bits as the int.  Entry points with a cache (the rule builders,
 ``quadrature_moments`` and the kept draw of ``sample``) refuse alike whether the
 cache is cold or holds the result for the value's int.
+
+A bool, a non-real value, NaN or a real value outside the interval raises
+``ValueError`` worded ``"<what> must be a real number in <interval>, got <value!r>"``;
+a numpy float gives the same bits as the float.
 """
 
 import dataclasses
@@ -19,7 +24,9 @@ from codedflow import (
     EngineSpec,
     InputDistribution,
     SystemMatrices,
+    directional_derivative,
     grad11_matches_matrix_form,
+    grad_oracle,
     precoder_ascent,
     sample,
     seeded_diamond_symbols,
@@ -133,3 +140,57 @@ def test_a_numpy_integer_gives_the_bits_of_the_int(name):
     expected = _bits(call(value))
     _forget_caches()
     assert _bits(call(np.int64(value))) == expected
+
+
+GAUSS1 = InputDistribution.gaussian(1)
+# name: (call with the value, what the message names, its interval as written, values inside, values outside)
+REAL_ENTRY_POINTS = {
+    "grad_oracle-step": (
+        lambda v: grad_oracle(UNIT, GAUSS1, "B", step=v),
+        "step", "[1e-05, 0.01]", [1e-5, 1e-3, 1e-2], [9e-6, 0.011, -np.inf],
+    ),
+    "grad_oracle-noise_ratio_limit": (
+        lambda v: grad_oracle(UNIT, GAUSS1, "B", noise_ratio_limit=v),
+        "noise_ratio_limit", "(0, inf]", [0.1, np.inf], [0.0, -0.1],
+    ),
+    "directional_derivative-step": (
+        lambda v: directional_derivative(UNIT, GAUSS1, "B", np.eye(1), step=v),
+        "step", "(0, inf)", [1e-4, 1.0], [0.0, -1e-4, np.inf],
+    ),
+    "precoder_ascent-step": (
+        lambda v: precoder_ascent(UNIT, GAUSS1, v, 1, 1.0), "step", "[0, inf)", [0.0, 0.5], [-0.1, np.inf]
+    ),
+    "precoder_ascent-norm_budget": (
+        lambda v: precoder_ascent(UNIT, GAUSS1, 0.1, 1, v), "norm budget", "(0, inf)", [1.0], [0.0, -1.0, np.inf]
+    ),
+}
+NOT_REALS = [True, np.True_, 1j, np.nan, "0.5"]
+NOT_REAL_IDS = ["True", "numpy-True", "1j", "nan", "str-0.5"]
+
+
+def _real_message(what, interval, value):
+    return re.escape(f"{what} must be a real number in {interval}, got {value!r}")
+
+
+@pytest.mark.parametrize("value", NOT_REALS, ids=NOT_REAL_IDS)
+@pytest.mark.parametrize("name", list(REAL_ENTRY_POINTS))
+def test_a_value_that_is_not_real_is_refused_with_the_one_wording(name, value):
+    call, what, interval, _, _ = REAL_ENTRY_POINTS[name]
+    with pytest.raises(ValueError, match=_real_message(what, interval, value)):
+        call(value)
+
+
+@pytest.mark.parametrize("name", list(REAL_ENTRY_POINTS))
+def test_a_real_value_outside_its_interval_is_refused_with_the_one_wording(name):
+    call, what, interval, _, outside = REAL_ENTRY_POINTS[name]
+    for value in outside:
+        with pytest.raises(ValueError, match=_real_message(what, interval, value)):
+            call(value)
+
+
+@pytest.mark.parametrize("name", list(REAL_ENTRY_POINTS))
+def test_a_real_value_inside_its_interval_is_taken_and_a_numpy_float_gives_the_bits_of_the_float(name):
+    # a closed end is inside, and an infinite noise_ratio_limit switches the noise guard off
+    call, _, _, inside, _ = REAL_ENTRY_POINTS[name]
+    for value in inside:
+        assert _bits(call(np.float64(value))) == _bits(call(value))

@@ -423,10 +423,63 @@ class TestQuadratureKernel:
             quadrature_moments(np.array([[0.8 + 0.3j, -0.4j]]), InputDistribution.qpsk(2), 12)
         assert caplog.records == []
 
+    def test_every_chunk_s_errors_share_one_buffer(self):
+        # a yielded array is valid only until the next chunk, so an accumulator may not keep one
+        M, dist = _figure1()
+        M[0, 0] += 1e-3j  # the whole law on the 16,384-point orbit rule, in many chunks
+        chunks = estimator._kernel_chunks(M, dist, 16, True)
+        (*_, first), (*_, second) = next(chunks), next(chunks)
+        assert np.shares_memory(first, second)
+        assert all(errors is None for *_, errors in estimator._kernel_chunks(M, dist, 16, False))
+
+
+def _below_the_limit(M, dist, nodes):
+    """M scaled so that the first shift's bound, ``2 max_j |mean_j - mean_0|`` times the rule's radius
+    bound ``sqrt(2 n_out (2 nodes + 1))``, less the smallest log p, lies 1e-9 below ``_FIRST_SHIFT_LIMIT``."""
+    means = dist.support @ M.T
+    bound = 2.0 * np.max(np.linalg.norm(means - means[0], axis=1)) * np.sqrt(2 * M.shape[0] * (2 * nodes + 1))
+    return M * (estimator._FIRST_SHIFT_LIMIT * (1.0 - 1e-9) + dist.log_probs.min()) / bound
+
+
+@contextmanager
+def _pointwise():
+    """Spies on the pointwise mixture kernel, which only the underflow repair calls from a pass."""
+    with mock.patch.object(flowmodel, "_mixture_chunks", wraps=flowmodel._mixture_chunks) as spy:
+        yield spy
+
 
 class TestShiftModes:
     """A pass shifts its exponents by the first support point's own exponent while a bound keeps them
     within ``_FIRST_SHIFT_LIMIT``, else by each rule point's largest: the two agree up to rounding."""
+
+    @pytest.mark.parametrize("case", ["figure1-qpsk-orbit", "8psk-pair-orbit", "bpsk-64-real"])
+    def test_a_first_shift_total_never_needs_the_repair(self, case):
+        # every total is at least p_k exp(-bound), so no log total falls below -limit and no first-shift
+        # pass scans for underflow or enters the pointwise kernel
+        M, dist, nodes = {
+            "figure1-qpsk-orbit": (*_figure1(), 16),
+            "8psk-pair-orbit": (_random_channel(2, 2, 1.0, 3), PSK8_PAIR, 8),
+            "bpsk-64-real": (np.array([[1.0 + 0j]]), InputDistribution.bpsk(1), 64),
+        }[case]
+        M = _below_the_limit(M, dist, nodes)
+        with _rules() as (real, orbit), _pointwise() as pointwise:
+            lowest = min(log_total.min() for _, _, log_total, _ in estimator._kernel_chunks(M, dist, nodes, True))
+            mi, err = estimator._kernel_pass(M, dist, nodes, True)
+        assert (real.called, orbit.called) == ((False, True) if "orbit" in case else (True, False))
+        assert lowest >= -estimator._FIRST_SHIFT_LIMIT
+        assert not pointwise.called
+        with _shift("first"):  # the bound chose the first point's shift
+            mi_first, err_first = estimator._kernel_pass(M, dist, nodes, True)
+        assert mi == mi_first and err.tobytes() == err_first.tobytes()
+
+    @pytest.mark.parametrize("M, dist, nodes", UNDERFLOW_CASES, ids=UNDERFLOW_IDS)
+    def test_a_max_shift_pass_still_repairs_its_underflowed_sums(self, M, dist, nodes):
+        with _pointwise() as pointwise:
+            mi, err = estimator._kernel_pass(M, dist, nodes, True)
+        assert pointwise.called
+        with _shift("max"):  # the bound chose each rule point's largest exponent
+            mi_max, err_max = estimator._kernel_pass(M, dist, nodes, True)
+        assert mi == mi_max and err.tobytes() == err_max.tobytes()
 
     @given(
         n_out=st.integers(min_value=1, max_value=2),

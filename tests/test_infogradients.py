@@ -252,10 +252,10 @@ class TestCalibration:
             (np.ones(2), 1e-4, r"direction must be a finite \(2, 2\) matrix"),  # would broadcast
             (np.ones((1, 1)), 1e-4, r"direction must be a finite \(2, 2\) matrix"),
             (np.array([[np.nan, 0.0], [0.0, 0.0]]), 1e-4, r"direction must be a finite \(2, 2\) matrix"),
-            (np.eye(2), 0.0, "step must be finite and > 0"),
-            (np.eye(2), -1e-4, "step must be finite and > 0"),
-            (np.eye(2), np.nan, "step must be finite and > 0"),
-            (np.eye(2), np.inf, "step must be finite and > 0"),
+            (np.eye(2), 0.0, r"step must be a real number in \(0, inf\), got 0.0"),
+            (np.eye(2), -1e-4, r"step must be a real number in \(0, inf\), got -0.0001"),
+            (np.eye(2), np.nan, r"step must be a real number in \(0, inf\), got nan"),
+            (np.eye(2), np.inf, r"step must be a real number in \(0, inf\), got inf"),
         ],
     )
     def test_directional_derivative_refuses_bad_direction_or_step(self, rng, direction, step, pattern):
@@ -324,7 +324,7 @@ class TestOracle:
         sys, spec = _compact(config), EngineSpec(method="mc", samples=2000, seed=1)
         with pytest.raises(StepTooSmallError):
             grad_oracle(sys, config.dist, "B", spec, step=1e-5, noise_ratio_limit=0.01)
-        with pytest.raises(ValueError, match="noise_ratio_limit must be positive"):
+        with pytest.raises(ValueError, match=r"noise_ratio_limit must be a real number in \(0, inf\]"):
             grad_oracle(sys, config.dist, "B", spec, step=1e-5, noise_ratio_limit=limit)
         assert grad_oracle(sys, config.dist, "B", spec, step=1e-5, noise_ratio_limit=np.inf).shape == (2, 2)
 

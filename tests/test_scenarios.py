@@ -405,5 +405,5 @@ class TestPrecoderAscent:
     )
     def test_non_finite_step_or_budget_rejected(self, step, budget):
         sys = SystemMatrices.from_factors(np.eye(2), np.eye(2), np.zeros((2, 2)), form="compact")
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=r"must be a real number in [\[(]0, inf\)"):
             precoder_ascent(sys, InputDistribution.qpsk(2), step, 3, budget)
