@@ -84,6 +84,7 @@ STEP_RANGE = (1e-5, 1e-2)  # admissible finite-difference steps
 
 _BOUND_SLACK = 1e-9
 _REL_FLOOR_FRACTION = 1e-6
+_NOISE_RATIO_LIMIT = 0.1  # the largest Monte Carlo noise floor the oracle accepts, as a share of its largest entry
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,6 @@ def grad_oracle(
     *,
     step: float = 1e-3,
     objective: str = "full",
-    noise_ratio_limit: float = 0.1,
 ):
     """Finite-difference gradient of the mutual information.
 
@@ -213,13 +213,13 @@ def grad_oracle(
     random draws across the paired perturbations so that sampling noise
     cancels in the difference; the residual noise floor is estimated by
     batch means and the call fails with ``StepTooSmallError`` when it
-    exceeds ``noise_ratio_limit`` of the largest gradient entry.
+    exceeds ``_NOISE_RATIO_LIMIT`` (10%) of the largest gradient entry.  Under
+    quadrature the floor is exactly 0, so the guard never fires.
 
     ``spec.workers`` is the whole thread budget: the coordinates run on that
     many threads, with BLAS held at one thread (``flowmodel._pool_map``).
     """
     step = _real("step", step, *STEP_RANGE)
-    noise_ratio_limit = _real("noise_ratio_limit", noise_ratio_limit, 0.0, np.inf, "(]")
     base, L, R = _chain(sys, objective, target)
     if not np.all(np.isfinite(base)):
         raise ValueError("target matrix has non-finite entries")
@@ -244,10 +244,10 @@ def grad_oracle(
         worst_se = max(worst_se, se / WIRTINGER_SCALE)
 
     scale = float(np.max(np.abs(oracle), initial=0.0))
-    if spec.method == "mc" and scale > 0.0 and worst_se > noise_ratio_limit * scale:
+    if scale > 0.0 and worst_se > _NOISE_RATIO_LIMIT * scale:
         raise StepTooSmallError(
             f"finite-difference noise floor {worst_se:.2e} exceeds "
-            f"{noise_ratio_limit:.0%} of the largest gradient entry {scale:.2e}; "
+            f"{_NOISE_RATIO_LIMIT:.0%} of the largest gradient entry {scale:.2e}; "
             "increase the step or the sample count"
         )
     return oracle
@@ -311,7 +311,6 @@ class GradientReport:
     closed: dict
     oracles: dict
     step: float
-    objective: str = "full"
     refinement: dict = field(default_factory=dict)
 
     def targets(self):
@@ -360,4 +359,4 @@ def verify_gradients(
         fine = directional_derivative(sys, dist, target, direction, spec, step=step / 2.0, objective=objective)
         refinement[target] = abs(fine - coarse)
 
-    return GradientReport(mmse, closed, oracles, step, objective, refinement)
+    return GradientReport(mmse, closed, oracles, step, refinement)

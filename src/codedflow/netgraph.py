@@ -234,14 +234,6 @@ class SystemMatrices:
             arr.setflags(write=False)
         return cls(B=B, F=F, G=G, A=A, M=M, form=form)
 
-    @property
-    def n_in(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def n_out(self) -> int:
-        return self.A.shape[0]
-
 
 def _topology_inverse(F: np.ndarray, acyclic: bool, allow_cyclic: bool):
     size = F.shape[0]

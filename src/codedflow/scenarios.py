@@ -342,7 +342,6 @@ def grad11_matches_matrix_form(draws: int = 100, seed: int = 7_2025) -> Expansio
 
 @dataclass(frozen=True)
 class CutReport:
-    cut: str
     mi: MutualInformationValue
     mmse: MmseMatrix
     gradients: dict
@@ -356,7 +355,7 @@ def cut_analysis(cut: str, sys: SystemMatrices, dist: InputDistribution, spec: E
     err = mmse_matrix(channel, dist, spec)
     mi = mutual_information(channel, dist, spec)
     gradients = {target: closed_gradient(sys, err, target, cut) for target in _targets(cut)}
-    return CutReport(cut=cut, mi=mi, mmse=err, gradients=gradients)
+    return CutReport(mi=mi, mmse=err, gradients=gradients)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,31 @@ class TestParsing:
         with pytest.raises(ConfigError, match=rf"{new.split()[0]} must be at least 1, not 0 \(line \d+\)"):
             parse_config(SCALAR_CHAIN.replace(old, new))
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("units = nats", "units nats", "expected 'key = value' (line 25, column 10)"),
+            ("units = nats", "= nats", "missing key (line 25)"),
+            ("units = nats", "units extra = nats", "key 'units' takes no arguments (line 25)"),
+            ("sources = a\n", "", "missing required key 'sources' in section [topology]"),
+            ("edge e1 = a b\n", "", "topology needs at least one edge line"),
+            ("edge e1 = a b", "edge e1 = a", "edge lines read 'edge NAME = TAIL HEAD' (line 5)"),
+            ("edge e1 = a b", "edge e1 = a b\nedge e1 = a b", "duplicate edge names"),
+            ("alpha 1 e1 = 1.0", "alpha e1 = 1.0", "alpha lines read 'alpha <index> <edge> = value' (line 11)"),
+            ("gamma 1 e1 = 0.9", "gamma 1 = 0.9", "gamma lines read 'gamma <index> <edge> = value' (line 12)"),
+            ("gamma 1 e1 = 0.9", "gamma 1 e1 = 0.9\nbeta e1 = 0.5", "beta lines read 'beta <edge> <edge> = value' (line 13)"),
+        ],
+        ids=[
+            "no-equals", "no-key", "scalar-key-arguments", "missing-required-key", "no-edge-lines",
+            "malformed-edge-line", "duplicate-edge-names", "malformed-alpha", "malformed-gamma", "malformed-beta",
+        ],
+    )
+    def test_a_malformed_config_is_refused_with_its_message(self, old, new, message):
+        assert old in SCALAR_CHAIN
+        with pytest.raises(ConfigError) as caught:
+            parse_config(SCALAR_CHAIN.replace(old, new))
+        assert str(caught.value) == message
+
     def test_empty_engine_section_is_the_default_spec(self):
         # a contract: every engine key left out of the config takes EngineSpec's own default
         text = SCALAR_CHAIN.replace("method = quadrature\nnodes = 32\nseed = 7\n", "")
@@ -170,6 +195,12 @@ class TestCommands:
             "oracle_re,oracle_im,abs_err,rel_err,pass"
         )
         assert "RESULT: PASS" in (tmp_path / "verify_report.txt").read_text()
+
+    def test_an_unknown_command_is_refused_before_any_output(self, tmp_path):
+        with pytest.raises(ValueError) as caught:
+            run(parse_config(SCALAR_CHAIN), "bogus", tmp_path / "out")
+        assert str(caught.value) == "unknown command 'bogus'"
+        assert not (tmp_path / "out").exists()
 
     def test_verify_is_deterministic_across_runs_and_workers(self, tmp_path):
         first = run(parse_config(SCALAR_CHAIN), "verify", tmp_path / "a")

@@ -149,10 +149,6 @@ REAL_ENTRY_POINTS = {
         lambda v: grad_oracle(UNIT, GAUSS1, "B", step=v),
         "step", "[1e-05, 0.01]", [1e-5, 1e-3, 1e-2], [9e-6, 0.011, -np.inf],
     ),
-    "grad_oracle-noise_ratio_limit": (
-        lambda v: grad_oracle(UNIT, GAUSS1, "B", noise_ratio_limit=v),
-        "noise_ratio_limit", "(0, inf]", [0.1, np.inf], [0.0, -0.1],
-    ),
     "directional_derivative-step": (
         lambda v: directional_derivative(UNIT, GAUSS1, "B", np.eye(1), step=v),
         "step", "(0, inf)", [1e-4, 1.0], [0.0, -1e-4, np.inf],
@@ -190,7 +186,7 @@ def test_a_real_value_outside_its_interval_is_refused_with_the_one_wording(name)
 
 @pytest.mark.parametrize("name", list(REAL_ENTRY_POINTS))
 def test_a_real_value_inside_its_interval_is_taken_and_a_numpy_float_gives_the_bits_of_the_float(name):
-    # a closed end is inside, and an infinite noise_ratio_limit switches the noise guard off
+    # a closed end is inside
     call, _, _, inside, _ = REAL_ENTRY_POINTS[name]
     for value in inside:
         assert _bits(call(np.float64(value))) == _bits(call(value))

@@ -107,6 +107,12 @@ class TestMmseMatrix:
         E = mmse_matrix(M, dist, QUAD64)
         np.testing.assert_allclose(E.matrix, 0.0, atol=1e-12)
 
+    def test_a_system_is_read_as_its_product(self):
+        sys = diamond_compact_system(seeded_diamond_symbols(3))
+        dist, spec = InputDistribution.qpsk(2), EngineSpec(nodes=8)
+        np.testing.assert_array_equal(mmse_matrix(sys, dist, spec).matrix, mmse_matrix(sys.M, dist, spec).matrix)
+        assert mutual_information(sys, dist, spec) == mutual_information(sys.M, dist, spec)
+
     def test_gaussian_closed_form(self, rng):
         M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         dist = InputDistribution.gaussian(2)
@@ -911,6 +917,46 @@ class TestDiagnostics:
         diag = estimation_diagnostics(sys.M, dist, batch)
         assert np.all(np.abs(diag["orthogonality"]) <= 5.0 * diag["orthogonality_se"] + 1e-12)
         assert np.all(np.abs(diag["tower_gap"]) <= 5.0 * diag["tower_se"] + 1e-12)
+
+
+# name: (call, exception type, message)
+REFUSALS = {
+    "engine-method": (lambda: EngineSpec(method="newton"), ValueError, "unknown engine method 'newton'"),
+    "error-matrix-below-psd": (
+        lambda: MmseMatrix.checked(np.diag([1.0, -1e-6]), "quadrature", 16, np.eye(2)),
+        InvariantViolation,
+        "error matrix has eigenvalue -1.00e-06 below the PSD floor",
+    ),
+    "quadrature-of-a-gaussian": (
+        lambda: quadrature_moments(np.eye(1), InputDistribution.gaussian(1), 8),
+        ValueError,
+        "quadrature_moments expects a discrete input",
+    ),
+    "wide-transfer-matrix": (
+        lambda: invert_flow_estimate(
+            SystemMatrices.from_factors(np.ones((1, 2)), np.eye(2), np.eye(2)), InputDistribution.gaussian(2), np.zeros(1)
+        ),
+        SingularSystemMatrix,
+        "transfer matrix must be square to invert the flow",
+    ),
+    "wide-factor": (
+        lambda: invert_flow_estimate(
+            SystemMatrices.from_factors(np.ones((2, 3)), np.eye(3), np.ones((3, 2))),
+            InputDistribution.gaussian(2),
+            np.zeros(2),
+        ),
+        SingularSystemMatrix,
+        "factor A is not square; cannot factor the inverse",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_a_malformed_request_is_refused_with_its_message(name):
+    call, kind, message = REFUSALS[name]
+    with pytest.raises(kind) as caught:
+        call()
+    assert type(caught.value) is kind and str(caught.value) == message
 
 
 class TestChannelShape:

@@ -303,6 +303,23 @@ class TestInputDistribution:
         with pytest.raises(ValueError):
             InputDistribution.discrete(np.array([[1.0], [-1.0]]), probs=[1.2, -0.2])
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: InputDistribution("uniform", 1), "unknown input kind 'uniform'"),
+            (
+                lambda: InputDistribution("discrete", 1, support=np.ones((2, 2))),
+                "support vectors do not match the declared dimension",
+            ),
+            (lambda: InputDistribution.discrete(np.array([[1.0], [-1.0]]), probs=[1.0]), "probs length must match support"),
+        ],
+        ids=["kind", "support-width", "probs-length"],
+    )
+    def test_a_malformed_law_is_refused_with_its_message(self, build, message):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("probs", [[np.nan, np.nan], [0.5, np.nan]])
     def test_nan_probabilities_rejected(self, probs):
         # every comparison with NaN is false, so the check must fail unless the probabilities hold

@@ -17,6 +17,7 @@ import threading
 from dataclasses import replace
 from functools import reduce
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ from codedflow import (
     mutual_information,
     verify_gradients,
 )
-from codedflow import estimator, flowmodel
+from codedflow import estimator, flowmodel, infogradients
 from codedflow.cli import _compact, parse_config
 from codedflow.estimator import mc_moments, quadrature_moments
 from codedflow.errors import InvariantViolation
@@ -292,6 +293,14 @@ class TestOracle:
         np.testing.assert_array_equal(closed[:, 1], 0.0)
         np.testing.assert_allclose(oracle[:, 1], 0.0, atol=1e-8)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_target_is_refused(self, bad):
+        with np.errstate(invalid="ignore"):  # inf times the identity's zeros
+            sys = SystemMatrices.from_factors(np.eye(1), np.eye(1), np.array([[bad]]), form="compact")
+        with pytest.raises(ValueError) as caught:
+            grad_oracle(sys, InputDistribution.gaussian(1), "B")
+        assert str(caught.value) == "target matrix has non-finite entries"
+
     def test_step_bounds(self, rng):
         sys = _random_system(rng)
         with pytest.raises(ValueError):
@@ -314,19 +323,25 @@ class TestOracle:
             np.eye(1), np.eye(1), np.array([[1.0 + 0j]]), form="compact"
         )
         spec = EngineSpec(method="mc", samples=1000, seed=4)
-        with pytest.raises(StepTooSmallError):
-            grad_oracle(sys, dist, "B", spec, step=1e-5, noise_ratio_limit=1e-4)
+        with mock.patch.object(infogradients, "_NOISE_RATIO_LIMIT", 1e-4), pytest.raises(StepTooSmallError):
+            grad_oracle(sys, dist, "B", spec, step=1e-5)
 
-    @pytest.mark.parametrize("limit", [np.nan, 0.0, -0.1])
-    def test_a_noise_ratio_limit_that_is_not_positive_is_refused(self, limit):
-        # on figure1 a limit of 1% trips the noise guard; NaN compares false and would switch it off
+    def test_a_one_percent_noise_limit_trips_the_guard_on_figure1(self):
+        # an infinite limit switches the guard off
         config = parse_config((Path(__file__).resolve().parent.parent / "configs" / "figure1.cfg").read_text())
         sys, spec = _compact(config), EngineSpec(method="mc", samples=2000, seed=1)
-        with pytest.raises(StepTooSmallError):
-            grad_oracle(sys, config.dist, "B", spec, step=1e-5, noise_ratio_limit=0.01)
-        with pytest.raises(ValueError, match=r"noise_ratio_limit must be a real number in \(0, inf\]"):
-            grad_oracle(sys, config.dist, "B", spec, step=1e-5, noise_ratio_limit=limit)
-        assert grad_oracle(sys, config.dist, "B", spec, step=1e-5, noise_ratio_limit=np.inf).shape == (2, 2)
+        with mock.patch.object(infogradients, "_NOISE_RATIO_LIMIT", 0.01), pytest.raises(StepTooSmallError):
+            grad_oracle(sys, config.dist, "B", spec, step=1e-5)
+        with mock.patch.object(infogradients, "_NOISE_RATIO_LIMIT", np.inf):
+            assert grad_oracle(sys, config.dist, "B", spec, step=1e-5).shape == (2, 2)
+
+    def test_a_quadrature_oracle_has_no_noise_floor_to_guard(self):
+        # _slope's standard error is exactly 0 off Monte Carlo, so even a zero limit never trips
+        config = parse_config((Path(__file__).resolve().parent.parent / "configs" / "figure1.cfg").read_text())
+        sys = _compact(config)
+        expected = grad_oracle(sys, config.dist, "B", EngineSpec())
+        with mock.patch.object(infogradients, "_NOISE_RATIO_LIMIT", 0.0):
+            np.testing.assert_array_equal(grad_oracle(sys, config.dist, "B", EngineSpec()), expected)
 
     def test_sample_guard_fires_before_any_draw(self, monkeypatch):
         # below the minimum, batch means of empty batches are NaN and would hide the noise floor
@@ -339,8 +354,8 @@ class TestOracle:
             np.eye(1), np.eye(1), np.array([[1.0 + 0j]]), form="compact"
         )
         spec = EngineSpec(method="mc", samples=10, seed=4)
-        with pytest.raises(CostGuardError, match="at least 1000 samples"):
-            grad_oracle(sys, dist, "B", spec, step=1e-5, noise_ratio_limit=1e-4)
+        with mock.patch.object(infogradients, "_NOISE_RATIO_LIMIT", 1e-4), pytest.raises(CostGuardError, match="at least 1000"):
+            grad_oracle(sys, dist, "B", spec, step=1e-5)
 
 
 class TestVerifyGradients:
@@ -626,10 +641,10 @@ class TestSharedSlope:
                     slope = float(np.mean(info(plus) - info(minus))) / (2.0 * self.STEP)
                     expected[i, j] += (slope if delta == self.STEP else 1j * slope) / WIRTINGER_SCALE
             for workers in (1, 2):  # serial, and pooled with BLAS held at one thread
-                oracle = grad_oracle(
-                    sys, dist, target, replace(spec, workers=workers), step=self.STEP, objective=objective,
-                    noise_ratio_limit=np.inf,
-                )
+                with mock.patch.object(infogradients, "_NOISE_RATIO_LIMIT", np.inf):
+                    oracle = grad_oracle(
+                        sys, dist, target, replace(spec, workers=workers), step=self.STEP, objective=objective
+                    )
                 np.testing.assert_array_equal(oracle, expected, err_msg=str((objective, target, workers)))
 
 
@@ -654,6 +669,12 @@ class TestBlasThreads:
     leaves the count as it found it, when a task raises and when pools overlap too."""
 
     SPEC = EngineSpec(method="mc", samples=2000, seed=5, workers=2)
+
+    @pytest.fixture(autouse=True)
+    def _no_noise_guard(self):
+        # 2000 samples leave a noise floor the guard may refuse; these tests count threads
+        with mock.patch.object(infogradients, "_NOISE_RATIO_LIMIT", np.inf):
+            yield
 
     @staticmethod
     def _recording(monkeypatch, fail=False):
@@ -687,7 +708,7 @@ class TestBlasThreads:
         sys_c, dist = _compact_case(1, 2, 2, 2, "qpsk")
         seen = self._recording(monkeypatch)
         before = _BLAS_THREADS()
-        grad_oracle(sys_c, dist, "G", self.SPEC, noise_ratio_limit=np.inf)
+        grad_oracle(sys_c, dist, "G", self.SPEC)
         assert _BLAS_THREADS() == before
         assert len(seen) == 16 and set(seen) == {1}
 
@@ -696,7 +717,7 @@ class TestBlasThreads:
         seen = self._recording(monkeypatch, fail=True)
         before = _BLAS_THREADS()
         with pytest.raises(DensityUnderflow):
-            grad_oracle(sys_c, dist, "G", self.SPEC, noise_ratio_limit=np.inf)
+            grad_oracle(sys_c, dist, "G", self.SPEC)
         assert _BLAS_THREADS() == before
         assert seen and set(seen) == {1}
 
@@ -710,7 +731,7 @@ class TestBlasThreads:
         def oracles():
             try:
                 for _ in range(3):
-                    grad_oracle(sys_c, dist, "G", spec, noise_ratio_limit=np.inf)
+                    grad_oracle(sys_c, dist, "G", spec)
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
 

@@ -490,3 +490,48 @@ class TestSystemMatrices:
             NetworkTopology.from_edges(["a"], [("a", "zz")], ("a",), ("a",))
         with pytest.raises(ValueError, match="unknown vertex"):
             NetworkTopology(vertices=("a",), edges=(("zz", "a"),), sources=("a",), sinks=("a",))
+
+
+def _ab(**names):
+    return NetworkTopology(("a", "b"), (("a", "b"),), ("a",), ("b",), **names)
+
+
+# a DAG built directly in non-canonical edge order: edge 0 is a -> t and edge 1 is s -> a, so the
+# allowed beta slot (1, 0) passes the pattern check and sets F[0, 1], above the diagonal
+_BACKWARD = NetworkTopology(("s", "a", "t"), (("a", "t"), ("s", "a")), ("s",), ("t",))
+_BACKWARD_COEFFS = CodingCoefficients({(0, 1): 1.0}, {(1, 0): 1.0}, {(0, 0): 1.0})
+# s -> a -> t, with A reading edge 0, which enters a and not the sink: the compact product drops it
+_CHAIN = NetworkTopology.from_edges(("s", "a", "t"), (("s", "a"), ("a", "t")), ("s",), ("t",))
+_OFF_SINK = SystemMatrices.from_factors([[1.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]], [[1.0], [0.0]], form="full")
+
+# name: (call, exception type, message)
+REFUSALS = {
+    "duplicate-vertex": (lambda: NetworkTopology(("a", "a"), (), (), ()), ValueError, "duplicate vertex identifiers"),
+    "source-not-a-vertex": (
+        lambda: NetworkTopology(("a", "b"), (("a", "b"),), ("s",), ("b",)), ValueError, "source/sink 's' is not a vertex"
+    ),
+    "sink-not-a-vertex": (
+        lambda: NetworkTopology(("a", "b"), (("a", "b"),), ("a",), ("z",)), ValueError, "source/sink 'z' is not a vertex"
+    ),
+    "edge-names-length": (lambda: _ab(edge_names=("e1", "e2")), ValueError, "edge_names length must match edges"),
+    "no-edge-names": (lambda: _ab().edge_index("e1"), UnknownEdge, "topology has no edge names"),
+    "unknown-edge-name": (lambda: _ab(edge_names=("e1",)).edge_index("e2"), UnknownEdge, "unknown edge 'e2'"),
+    "beta-above-the-diagonal": (
+        lambda: build_coefficient_matrices(_BACKWARD, _BACKWARD_COEFFS, 1, 1),
+        SparsityViolation,
+        "coupling matrix is not strictly lower triangular",
+    ),
+    "decoder-off-the-sink": (
+        lambda: compact_form(_OFF_SINK, _CHAIN),
+        SparsityViolation,
+        "compact restriction does not reproduce M; coefficients violate the topology pattern",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_a_malformed_network_is_refused_with_its_message(name):
+    call, kind, message = REFUSALS[name]
+    with pytest.raises(kind) as caught:
+        call()
+    assert type(caught.value) is kind and str(caught.value) == message

@@ -8,7 +8,9 @@ The expansion tables are cross-checked two independent ways:
   mechanical zeroing of the full list.
 """
 
+import itertools
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -18,6 +20,7 @@ import codedflow.scenarios as scenarios
 from codedflow import estimator
 from codedflow.cli import _compact, parse_config
 from codedflow import (
+    CodedFlowError,
     EngineSpec,
     InputDistribution,
     SystemMatrices,
@@ -190,6 +193,12 @@ class TestExpansionTables:
         assert topology_grad11("full", no_branch, E) == pytest.approx(
             topology_grad11("no-e2e5", symbols, E)
         )
+
+    def test_a_diamond_map_missing_symbols_names_them(self):
+        with pytest.raises(CodedFlowError) as caught:
+            diamond_coefficients({"alpha_1_e1": 1.0})
+        missing = ", ".join(s for s in scenarios.DIAMOND_SYMBOLS if s != "alpha_1_e1")
+        assert type(caught.value) is CodedFlowError and str(caught.value) == f"missing coefficients: {missing}"
 
     def test_missing_coefficient_rejected(self):
         with pytest.raises(Exception, match="missing"):
@@ -376,6 +385,37 @@ class TestPrecoderAscent:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         # two channels, the start and the [[1]] every step projects onto: each is computed once
         assert (computed.call_count, called.call_count) == (2, 8)
+
+    @staticmethod
+    def _scripted(values):
+        """Patch the ascent's information to return ``values`` in turn, as ``.nats``."""
+        script = iter(values)
+        return mock.patch.object(
+            scenarios, "mutual_information", side_effect=lambda *_: SimpleNamespace(nats=next(script))
+        )
+
+    def test_a_falling_step_is_halved_once(self):
+        B = np.array([[0.6, 0.1], [0.2, 0.5]], dtype=complex)
+        sys = SystemMatrices.from_factors(np.eye(2), np.eye(2), B, form="compact")
+        dist, step, budget = InputDistribution.gaussian(2), 0.5, 1.0
+        assert np.linalg.norm(B) <= budget  # the start is not projected
+        # the start, a candidate that falls, and the halved candidate that rises
+        with self._scripted([1.0, 0.5, 1.5]) as info:
+            traj = precoder_ascent(sys, dist, step, 1, budget)
+        assert info.call_count == 3
+        halved = B + (step / 2.0) * closed_gradient(sys, mmse_matrix(sys.M, dist), "B")
+        np.testing.assert_array_equal(traj[1][0], halved * (budget / np.linalg.norm(halved)))
+        assert [value for _, value in traj] == [1.0, 1.5]
+
+    def test_an_ascent_whose_every_candidate_falls_stops_and_keeps_its_trajectory(self):
+        B = np.array([[0.6, 0.1], [0.2, 0.5]], dtype=complex)
+        sys = SystemMatrices.from_factors(np.eye(2), np.eye(2), B, form="compact")
+        # the start, one accepted step, then only falls
+        with self._scripted(itertools.chain([1.0, 2.0], itertools.repeat(0.0))) as info:
+            traj = precoder_ascent(sys, InputDistribution.gaussian(2), 0.5, 3, 1.0)
+        assert info.call_count == 2 + scenarios._HALVINGS + 1
+        assert [value for _, value in traj] == [1.0, 2.0]
+        np.testing.assert_array_equal(traj[0][0], B)
 
     def test_non_finite_gradient_aborts_with_partial_trajectory(self, rng, monkeypatch):
         sys = SystemMatrices.from_factors(
