@@ -274,7 +274,7 @@ def _kernel_chunks(M: np.ndarray, dist: InputDistribution, nodes: int, want_erro
         if underflow:  # log total = log p(z) + n log(pi) + |noise|^2 + T2[k, q] - a_q at z = mean_k + noise_q
             flat = block[qi].view(float)
             norms = np.einsum("ij,ij->i", flat, flat + twice_means[ki])
-            for span, w, sums, log_pz in flowmodel._mixture_chunks(means, dist.log_probs, means[ki] + block[qi]):
+            for span, w, sums, log_pz in flowmodel._mixture_chunks(means, dist.log_probs, block[qi], ki):
                 total[ki[span], qi[span]] = log_pz + M.shape[0] * np.log(np.pi) + norms[span] - a[qi[span]]
                 if want_errors:  # s_j - s_k per (re/im and d, j, entry)
                     gaps = parts[:, :, None] - parts[:, None, ki[span]]
@@ -301,43 +301,61 @@ def _batch_se(values: np.ndarray):
     return _means_se(np.stack([np.mean(b, axis=0) for b in np.array_split(values, _SE_BATCHES)]))
 
 
-def _cross_moment(a: np.ndarray, b: np.ndarray):
-    """``(E[a b^H], its batch-means standard error)`` over paired rows, one product per batch."""
-    parts = zip(np.array_split(a, _SE_BATCHES), np.array_split(b, _SE_BATCHES))
-    return a.T @ b.conj() / len(a), _means_se(np.stack([pa.T @ pb.conj() / len(pa) for pa, pb in parts]))
+def _batches(*arrays):
+    """The ``_SE_BATCHES`` batches of rows of equally long arrays, as tuples of their parts."""
+    return zip(*(np.array_split(array, _SE_BATCHES) for array in arrays))
+
+
+def _cross_moment(pairs):
+    """``(E[a b^H], its batch-means standard error)`` from ``(a, b)`` batches of paired rows, one
+    product per batch: the mean is the batches' products summed, so a batch may be formed, used and
+    dropped before the next."""
+    grams, sizes = zip(*((a.T @ b.conj(), len(a)) for a, b in pairs))
+    return sum(grams) / sum(sizes), _means_se(np.stack([gram / size for gram, size in zip(grams, sizes)]))
 
 
 def _information(M, dist: InputDistribution, spec: EngineSpec) -> np.ndarray:
     """Information samples of M, whose mean is its information: under Monte Carlo ``log p(z|x) -
-    log p(z)`` at ``z = x M^T + noise`` on the law's kept draw, in place; else the ``_moments`` value."""
+    log p(z)`` at ``z = x M^T + noise`` on the law's kept draw, in place; else the ``_moments`` value.
+    A discrete law's draw is support labels, whose ``z`` the mixture kernel forms chunk by chunk."""
     if spec.method != "mc":
         return np.array([_moments(M, dist, spec, want_mmse=False)[0]])
     M = flowmodel._channel(M, dist)
-    x, noise, log_cond = flowmodel._draws(dist, M.shape[0], spec.seed, spec.mc_samples(), spec.workers)
-    z = x @ M.T
-    z += noise
-    log_pz = flowmodel._log_output_density(M, dist, z)
+    inputs, noise, log_cond = flowmodel._draws(dist, M.shape[0], spec.seed, spec.mc_samples(), spec.workers)
+    if dist.kind == "discrete":
+        log_pz = flowmodel._log_output_density(M, dist, noise, inputs)
+    else:
+        log_pz = flowmodel._log_output_density(M, dist, inputs @ M.T + noise)
     return np.subtract(log_cond, log_pz, out=log_pz)
+
+
+def _residuals(M, dist: InputDistribution, inputs, noise) -> np.ndarray:
+    """``x - xhat(z)`` at ``z = x M^T + noise`` on rows of a draw; a discrete law's ``inputs`` are its
+    support labels, whose ``z`` the mixture kernel forms chunk by chunk."""
+    if dist.kind == "discrete":
+        means = dist.support @ M.T
+        xhat = flowmodel.mixture_posterior_mean(means, dist.log_probs, dist.support, noise, inputs)
+        return dist.support[inputs] - xhat
+    return inputs - conditional_mean_batch(M, dist, inputs @ M.T + noise)
 
 
 def mc_moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mmse=True, want_mi=True):
     """Monte-Carlo estimates of mutual information and the error matrix on the law's kept draw.
 
     Returns ``(mi, mi_se, error_matrix, error_se, count)``: the means of ``_information``'s samples
-    and of the error's outer products, each with its batch-means standard error.
+    and of the error's outer products, each with its batch-means standard error.  The error's
+    residuals are formed one batch of ``_batches`` at a time.
     """
     M = flowmodel._channel(M, dist)
-    x, noise, _ = flowmodel._draws(dist, M.shape[0], spec.seed, spec.mc_samples(), spec.workers)
+    inputs, noise, _ = flowmodel._draws(dist, M.shape[0], spec.seed, spec.mc_samples(), spec.workers)
     mi = mi_se = err = err_se = None
     if want_mi:
         info_samples = _information(M, dist, spec)
         mi, mi_se = float(np.mean(info_samples)), float(_batch_se(info_samples))
     if want_mmse:
-        z = x @ M.T
-        z += noise
-        resid = x - conditional_mean_batch(M, dist, z)
-        err, err_se = _cross_moment(resid, resid)
-    return mi, mi_se, err, err_se, len(x)
+        residuals = (_residuals(M, dist, x_b, noise_b) for x_b, noise_b in _batches(inputs, noise))
+        err, err_se = _cross_moment((r, r) for r in residuals)
+    return mi, mi_se, err, err_se, len(noise)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +439,7 @@ def estimation_diagnostics(M, dist: InputDistribution, batch: SampleBatch):
     _enough_samples(batch.count)
     x, z = batch.inputs, batch.outputs
     xhat = conditional_mean_batch(M, dist, z)
-    orthogonality, orthogonality_se = _cross_moment(x - xhat, z)
+    orthogonality, orthogonality_se = _cross_moment(_batches(x - xhat, z))
     return {
         "orthogonality": orthogonality,
         "orthogonality_se": orthogonality_se,

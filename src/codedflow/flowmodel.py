@@ -10,8 +10,9 @@ Gaussian, whose closed forms read one factorisation of ``S = I + M M^H`` (``_gau
 Every pointwise mixture sum (``mixture_log_density``, ``mixture_posterior_mean``, ``output_score``
 and the underflow fallback of ``estimator.quadrature_moments``) is one fused chunk kernel,
 ``_mixture_chunks``, whose weights ``p_j exp(-|z - mean_j|^2)`` are one real product of row-major
-operands, exponentiated in place without a max shift; a chunk redoes its sums at or below
-``_EXACT_FLOOR`` in place, shifted by their largest exponent.  An output log-density below -700
+operands, exponentiated in place without a max shift.  Given support labels, its points are noise
+about ``means[label]``, and it forms ``z`` chunk by chunk in its own buffer.  A chunk redoes its
+sums at or below ``_EXACT_FLOOR`` in place, shifted by their largest exponent.  An output log-density below -700
 raises ``DensityUnderflow`` rather than silently flushing to zero.  ``workers`` is the whole
 thread budget of a call: the library's pools hold BLAS at one thread (``_pool_map``).
 
@@ -20,7 +21,9 @@ its closure under conjugation and its split into ``Re x`` and ``Im x`` laws.  It
 done for channels in its ``_kept`` store, guarded by ``_KEPT_LOCK`` and freed with the law:
 ``estimator.quadrature_moments`` keeps its passes there, and ``_draws`` its last draw and the
 noise's log density, read-only, for its key (``n_out``, seed, count).  So a Monte Carlo run draws
-once: ``sample`` and ``estimator._information`` both draw through ``_draws``.
+once: ``sample`` and ``estimator._information`` both draw through ``_draws``.  A discrete law's
+draw holds each sample's support label, not its input vector, so no Monte Carlo pass forms an
+(N, n) array of inputs or outputs: the kernel forms ``z = means[label] + noise`` per chunk.
 
 Score convention: the gradient with respect to the output is taken in
 conjugate coordinates, entry k being ``(d/dRe z_k + i d/dIm z_k) / 2``
@@ -48,7 +51,7 @@ _SAMPLE_CHUNK = 4096
 # 12-30% but raised figure1's Monte Carlo verify peak memory by 1.8 MB (2 vCPUs, 2 MiB L2 a core)
 _LSE_CHUNK_BYTES = 1 << 19
 _EXACT_FLOOR = 1e-290  # unshifted mixture sums at or below this may have underflowed: redone exactly
-_DRAW_CAP_BYTES = 1 << 30  # input and noise draws, 16 B an entry: 16,777,216 figure1 samples (64 B each)
+_DRAW_CAP_BYTES = 1 << 30  # inputs (as ``sample`` forms them) and noise, 16 B an entry: 16,777,216 figure1 samples
 
 _KEPT_LOCK = threading.Lock()  # guards every law's ``_kept`` of work for channels: "draw" here, "passes" in estimator
 _QPSK_SYMBOLS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
@@ -257,14 +260,15 @@ def _gaussian_output(M, inverse=True):
     return (np.linalg.inv(S) if inverse else None), np.linalg.slogdet(S)[1]
 
 
-def _log_output_density(M, dist: InputDistribution, points, gaussian=None) -> np.ndarray:
-    """log p(z) at each row of ``points``: the Gaussian closed form, from ``_gaussian_output(M)`` if
-    not ``gaussian``, unchecked against the floor, or one ``mixture_log_density`` call."""
+def _log_output_density(M, dist: InputDistribution, points, labels=None, *, gaussian=None) -> np.ndarray:
+    """log p(z) at each row of ``points``, or of ``z = support[labels] @ M.T + points`` given a discrete
+    law's ``labels``: the Gaussian closed form, from ``_gaussian_output(M)`` if not ``gaussian``,
+    unchecked against the floor, or one ``mixture_log_density`` call."""
     if dist.kind == "gaussian":
         P, logdet = gaussian or _gaussian_output(M)
         quad = np.real(np.einsum("ni,ni->n", points.conj(), points @ P.T))
         return -M.shape[0] * np.log(np.pi) - logdet - quad
-    return mixture_log_density(dist.support @ M.T, dist.log_probs, points)
+    return mixture_log_density(dist.support @ M.T, dist.log_probs, points, labels)
 
 
 def log_output_density(M, dist: InputDistribution, z) -> float:
@@ -282,7 +286,7 @@ def output_score(M, dist: InputDistribution, z) -> np.ndarray:
     """
     M, points = _channel(M, dist, [z])
     if dist.kind == "gaussian":
-        _above_floor(_log_output_density(M, dist, points, gaussian := _gaussian_output(M)))
+        _above_floor(_log_output_density(M, dist, points, gaussian=(gaussian := _gaussian_output(M))))
         return -(gaussian[0] @ points[0])
     means = dist.support @ M.T
     _, w, total, log_pz = next(_mixture_chunks(means, dist.log_probs, points))
@@ -303,8 +307,11 @@ def _above_floor(log_pz: np.ndarray) -> np.ndarray:
     return log_pz
 
 
-def _mixture_chunks(means, log_probs, points):
+def _mixture_chunks(means, log_probs, points, labels=None):
     """``(span, w, total, log p(z))`` per chunk of points; ``w / total`` is the posterior over components.
+    Given ``labels``, the points are noise about ``means[labels]``: each chunk gathers its rows of the
+    means into its block (``np.take``) and adds the noise, the same float adds as ``means[labels] +
+    points``, so no (N, n) array of outputs is formed.
 
     ``w[j, n] = p_j exp(-|z_n - mean_j|^2)`` is one real product ``[2 mean, log p - |mean|^2, -1] .
     [z, 1, |z|^2]^T`` exponentiated in place, in one buffer reused for every chunk; the points fill a
@@ -316,12 +323,17 @@ def _mixture_chunks(means, log_probs, points):
     points = np.ascontiguousarray(points, dtype=complex)
     (K, n), N = means.shape, len(points)
     coef = np.column_stack([2.0 * means.view(float), log_probs - np.sum(np.abs(means) ** 2, axis=1), -np.ones(K)])
+    means_t = np.ascontiguousarray(means.view(float).T)  # (2n, K), gathered per chunk given labels
     rows = max(1, min(N, _LSE_CHUNK_BYTES // (8 * K)))
     cols, buf, ones = np.ones((2 * n + 2, rows)), np.empty(K * rows), np.ones(K)  # cols: [z, 1, |z|^2]^T
     for start in range(0, N, rows):
         block = points[start : start + rows]
         z = cols[:, : len(block)]
-        z[: 2 * n] = block.view(float).T
+        if labels is None:
+            z[: 2 * n] = block.view(float).T
+        else:  # labels lie in range: "clip" skips the checked mode's buffered copy of ``out``
+            np.take(means_t, labels[start : start + rows], axis=1, out=z[: 2 * n], mode="clip")
+            z[: 2 * n] += block.view(float).T
         np.einsum("ij,ij->j", z[: 2 * n], z[: 2 * n], out=z[-1])  # down the filled columns: rows of 2n are short
         w = np.matmul(coef, z, out=buf[: K * len(block)].reshape(K, -1))
         total = ones @ np.exp(w, out=w)
@@ -336,23 +348,25 @@ def _mixture_chunks(means, log_probs, points):
         yield slice(start, start + len(block)), w, total, log_pz
 
 
-def mixture_log_density(means, log_probs, points) -> np.ndarray:
+def mixture_log_density(means, log_probs, points, labels=None) -> np.ndarray:
     """log p(z) at many points for a complex-Gaussian mixture with unit noise.
 
-    ``means`` has shape (K, n), ``points`` (N, n); returns shape (N,).  A
-    value below ``LOG_UNDERFLOW`` raises ``DensityUnderflow``.
+    ``means`` has shape (K, n), ``points`` (N, n); returns shape (N,).  Given
+    ``labels`` (N,), the points are noise about ``means[labels]``.  A value
+    below ``LOG_UNDERFLOW`` raises ``DensityUnderflow``.
     """
     out = np.empty(len(points))
-    for span, _, _, log_pz in _mixture_chunks(means, log_probs, points):
+    for span, _, _, log_pz in _mixture_chunks(means, log_probs, points, labels):
         out[span] = log_pz
     return _above_floor(out)
 
 
-def mixture_posterior_mean(means, log_probs, support, points) -> np.ndarray:
-    """Posterior mean of the mixture label vector at each point, chunked."""
+def mixture_posterior_mean(means, log_probs, support, points, labels=None) -> np.ndarray:
+    """Posterior mean of the mixture label vector at each point, chunked; given ``labels``, the
+    points are noise about ``means[labels]``."""
     parts = np.ascontiguousarray(support, dtype=complex).view(float)  # (K, 2d), re/im interleaved
     out = np.empty((len(points), parts.shape[1]))
-    for span, w, total, log_pz in _mixture_chunks(means, log_probs, points):
+    for span, w, total, log_pz in _mixture_chunks(means, log_probs, points, labels):
         _above_floor(log_pz)
         np.divide(w.T @ parts, total[:, None], out=out[span])
     return out.view(complex)
@@ -422,11 +436,11 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
 
 
 def _draw_chunk(dist, n_out, seed, chunk, count):
+    """``(inputs, noise)`` of one chunk: a discrete law's inputs are support labels, a Gaussian's vectors."""
     rng = _philox(seed, chunk)
     if dist.kind == "discrete":
         u = rng.random(count)
-        idx = np.searchsorted(np.cumsum(dist.probs), u, side="right")
-        x = dist.support[np.minimum(idx, len(dist.probs) - 1)]
+        x = np.minimum(np.searchsorted(np.cumsum(dist.probs), u, side="right"), len(dist.probs) - 1)
     else:
         xr = rng.standard_normal((count, 2 * dist.dimension))
         x = (xr[:, ::2] + 1j * xr[:, 1::2]) / np.sqrt(2.0)
@@ -438,6 +452,9 @@ def _draw_chunk(dist, n_out, seed, chunk, count):
 def draw_inputs_and_noise(dist: InputDistribution, n_out: int, seed: int, count: int, *, workers: int = 1):
     """Input and noise draws without forming z; used for common-random-number
     workflows where the same draws are pushed through many channel matrices.
+    A discrete law's inputs are its support labels, shape (count,), in the
+    smallest unsigned dtype that holds ``K - 1`` (the inputs are
+    ``dist.support[labels]``); a Gaussian law's are vectors, (count, dimension).
 
     Draws are keyed per fixed-size chunk by (seed, chunk index) through a
     counter-based bit generator, so identical (seed, count) produce
@@ -452,7 +469,10 @@ def draw_inputs_and_noise(dist: InputDistribution, n_out: int, seed: int, count:
         raise CostGuardError(
             f"{count} Monte Carlo samples need {need / 2**30:.3g} GiB of draws, over the {_DRAW_CAP_BYTES >> 30} GiB cost guard"
         )
-    xs = np.empty((count, dist.dimension), dtype=complex)
+    if dist.kind == "discrete":
+        xs = np.empty(count, dtype=np.min_scalar_type(len(dist.probs) - 1))
+    else:
+        xs = np.empty((count, dist.dimension), dtype=complex)
     ns = np.empty((count, n_out), dtype=complex)
     spans = [
         (c, start, min(start + _SAMPLE_CHUNK, count))
@@ -470,7 +490,8 @@ def draw_inputs_and_noise(dist: InputDistribution, n_out: int, seed: int, count:
 
 
 def _draws(dist: InputDistribution, n_out: int, seed: int, count: int, workers: int = 1):
-    """``draw_inputs_and_noise`` and the noise's log density, kept in the law's store for one key: the
+    """``draw_inputs_and_noise`` (a discrete law's support labels, or a Gaussian law's input vectors,
+    and the noise) and the noise's log density, kept in the law's store for one key: the
     last (``n_out``, seed, count) drawn returns the same read-only arrays, and any other key drops
     them before drawing afresh, under the lock.  The worker count is not in the key, as the draw is
     the same bits for any.  A draw that raises leaves nothing kept."""
@@ -492,9 +513,11 @@ def sample(M, dist: InputDistribution, seed: int, count: int, *, workers: int = 
     """Draw ``count`` paired (x, z) samples with z = Mx + n.
 
     Reproducibility contract: identical (seed, count, model) give
-    bitwise-identical batches regardless of the worker count.  The inputs
-    are the law's kept draw (``_draws``), shared with Monte Carlo runs on its key.
+    bitwise-identical batches regardless of the worker count.  The draw is
+    the law's kept one (``_draws``), shared with Monte Carlo runs on its key;
+    a discrete law's input vectors are formed here from its kept labels.
     """
     M = _channel(M, dist)
-    xs, ns, _ = _draws(dist, M.shape[0], seed, count, workers)
+    drawn, ns, _ = _draws(dist, M.shape[0], seed, count, workers)
+    xs = dist.support[drawn] if dist.kind == "discrete" else drawn
     return SampleBatch(seed=seed, count=count, inputs=xs, outputs=xs @ M.T + ns)

@@ -9,7 +9,9 @@ matrix is ``M = A G B`` with ``G = (I - F)^{-1}``.
 
 Edges are kept in a canonical order (topological order of tail vertices,
 ties broken by insertion order) so that ``F`` is strictly lower triangular
-for acyclic networks, which makes nilpotency a structural property.
+for acyclic networks, which makes nilpotency a structural property.  A DAG
+given directly in another edge order has a nilpotent ``F`` all the same, and
+its finite Neumann sum is still the exact ``G``.
 """
 
 from __future__ import annotations
@@ -283,10 +285,6 @@ def build_coefficient_matrices(
         F[e2, e] = value
     for (k, e), value in coeffs.gamma.items():
         A[k, e] = value
-
-    if topology.is_acyclic and np.any(np.triu(F) != 0):
-        # canonical edge order must make F strictly lower triangular on a DAG
-        raise SparsityViolation("coupling matrix is not strictly lower triangular")
 
     G = _topology_inverse(F, topology.is_acyclic, allow_cyclic)
     return SystemMatrices.from_factors(A, G, B, F=F, form="full")

@@ -246,6 +246,79 @@ class TestUnderflow:
         assert re.fullmatch(r"log p\(z\) = -\d+\.\d fell below -700\.0", messages.pop())
 
 
+def _labelled_case(seed, K, n, N, scale):
+    """A K-component mixture in n outputs with means of size ``scale``, support in two inputs, and
+    N unit-noise points about the means of drawn labels, stored as a discrete law's draw stores them."""
+    rng = np.random.default_rng(seed)
+    means = scale * (rng.normal(size=(K, n)) + 1j * rng.normal(size=(K, n)))
+    log_probs = np.log(rng.dirichlet(np.ones(K)))
+    support = rng.normal(size=(K, 2)) + 1j * rng.normal(size=(K, 2))
+    labels = rng.integers(0, K, N).astype(np.min_scalar_type(K - 1))
+    noise = (rng.normal(size=(N, n)) + 1j * rng.normal(size=(N, n))) / np.sqrt(2.0)
+    return means, log_probs, support, labels, noise
+
+
+class TestLabelledPoints:
+    """Given support labels, the kernel's points are noise about ``means[labels]``: each chunk gathers
+    the means into its own block and adds the noise, the same float adds as forming ``means[labels] +
+    noise`` first, so both functions give those outputs' bits.  The chunk is shrunk to 8 KiB of
+    weights, so every case spans several chunks and ends on a short one."""
+
+    @pytest.fixture(autouse=True)
+    def _small_chunks(self, monkeypatch):
+        monkeypatch.setattr(flowmodel, "_LSE_CHUNK_BYTES", 1 << 13)
+
+    @staticmethod
+    def _assert_same_bits(means, log_probs, support, labels, noise):
+        z = means[labels] + noise
+        for labelled, explicit in (
+            (mixture_log_density(means, log_probs, noise, labels), mixture_log_density(means, log_probs, z)),
+            (
+                mixture_posterior_mean(means, log_probs, support, noise, labels),
+                mixture_posterior_mean(means, log_probs, support, z),
+            ),
+        ):
+            np.testing.assert_array_equal(labelled, explicit)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("K", [1, 2, 16, 64])
+    def test_labelled_points_give_the_outputs_bits(self, K, n):
+        rows = flowmodel._LSE_CHUNK_BYTES // (8 * K)
+        assert 3100 > 3 * rows and 3100 % rows  # at least three chunks, the last one short
+        case = _labelled_case(K * 10 + n, K, n, 3100, 1.5)
+        self._assert_same_bits(*case)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("K", [1, 2, 16, 64])
+    def test_far_noise_is_redone_alike(self, K, n):
+        # means within about 0.1 of 0 and noise 26 along the first output: every unshifted total is
+        # below the 1e-290 floor, so the chunk redoes it, while log p(z) stays above -700
+        means, log_probs, support, labels, noise = _labelled_case(K * 10 + n, K, n, 600, 0.01)
+        far = np.arange(0, 600, 7)
+        noise[far] = 0.0
+        noise[far, 0] = 26.0 * np.exp(2j * np.pi * np.linspace(0.0, 1.0, len(far)))
+        log_pz = mixture_log_density(means, log_probs, noise, labels)
+        assert np.all(log_pz[far] <= np.log(flowmodel._EXACT_FLOOR) - n * np.log(np.pi)) and log_pz.min() > -700.0
+        self._assert_same_bits(means, log_probs, support, labels, noise)
+
+    @pytest.mark.parametrize("K", [1, 16])
+    def test_an_underflowed_point_raises_the_same_message(self, K):
+        means, log_probs, support, labels, noise = _labelled_case(K, K, 2, 600, 1.0)
+        noise[451] = 40.0  # log p(z) near -3200 there
+        messages = set()
+        for call in (
+            lambda: mixture_log_density(means, log_probs, noise, labels),
+            lambda: mixture_log_density(means, log_probs, means[labels] + noise),
+            lambda: mixture_posterior_mean(means, log_probs, support, noise, labels),
+            lambda: mixture_posterior_mean(means, log_probs, support, means[labels] + noise),
+        ):
+            with pytest.raises(DensityUnderflow) as caught:
+                call()
+            messages.add(str(caught.value))
+        assert len(messages) == 1
+        assert re.fullmatch(r"log p\(z\) = -\d+\.\d fell below -700\.0", messages.pop())
+
+
 class TestOutputScore:
     def test_single_point_gaussian_score(self, rng):
         M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -484,9 +557,10 @@ class TestSampling:
         dist = InputDistribution.qpsk(2)
         M = np.array([[0.6, 0.1], [0.2, 0.9]]) + 0j
         batch = sample(M, dist, seed=5, count=3000)
-        inputs, noise, _ = flowmodel._draws(dist, 2, 5, 3000)
-        assert batch.inputs is inputs
-        np.testing.assert_array_equal(batch.outputs, inputs @ M.T + noise)
+        labels, noise, _ = flowmodel._draws(dist, 2, 5, 3000)  # a discrete law keeps support labels
+        assert labels.shape == (3000,) and labels.dtype == np.uint8
+        np.testing.assert_array_equal(batch.inputs, dist.support[labels])
+        np.testing.assert_array_equal(batch.outputs, dist.support[labels] @ M.T + noise)
 
     def test_noise_model_density_normalizes(self):
         # with M = 0 the conditional density of z is the noise density

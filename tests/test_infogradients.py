@@ -14,6 +14,7 @@ import ctypes
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from functools import reduce
 from pathlib import Path
@@ -625,7 +626,8 @@ class TestSharedSlope:
         spec = EngineSpec(method="mc", samples=2000, seed=seed % 1000)
         for objective, target in _PAIRS:
             X, L, R = _chain(sys, objective, target)
-            inputs, noise = flowmodel.draw_inputs_and_noise(dist, L.shape[0], spec.seed, spec.samples)
+            drawn, noise = flowmodel.draw_inputs_and_noise(dist, L.shape[0], spec.seed, spec.samples)
+            inputs = dist.support[drawn] if kind != "gaussian" else drawn  # a discrete law draws support labels
             log_cond = -L.shape[0] * np.log(np.pi) - np.sum(np.abs(noise) ** 2, axis=1)
 
             def info(Y):
@@ -646,6 +648,33 @@ class TestSharedSlope:
                         sys, dist, target, replace(spec, workers=workers), step=self.STEP, objective=objective
                     )
                 np.testing.assert_array_equal(oracle, expected, err_msg=str((objective, target, workers)))
+
+
+class TestMonteCarloMemory:
+    """A discrete law's kept draw holds support labels and noise, and the mixture kernel forms ``z``
+    chunk by chunk, so neither the Monte Carlo information nor its error matrix forms an (N, n_out)
+    or (N, n_in) array: on figure1 at 2e5 samples, with the kept draw made first, a whole oracle on G
+    and an error matrix each peak below one full ``z`` of N n_out 16 B."""
+
+    SPEC = EngineSpec(method="mc", samples=200_000, seed=1)
+
+    @pytest.mark.parametrize("work", ["oracle", "error-matrix"])
+    def test_a_monte_carlo_pass_peaks_below_one_full_output_array(self, work):
+        config = parse_config((Path(__file__).resolve().parent.parent / "configs" / "figure1.cfg").read_text())
+        sys_c, dist, spec = _compact(config), config.dist, self.SPEC
+        n_out = sys_c.M.shape[0]
+        flowmodel._draws(dist, n_out, spec.seed, spec.samples)
+        run = {
+            "oracle": lambda: grad_oracle(sys_c, dist, "G", spec),
+            "error-matrix": lambda: mmse_matrix(sys_c.M, dist, spec),
+        }[work]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < spec.samples * n_out * 16, f"{peak / 2**20:.1f} MiB"
 
 
 def _blas_thread_getter():

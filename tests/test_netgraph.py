@@ -499,7 +499,7 @@ def _ab(**names):
 # a DAG built directly in non-canonical edge order: edge 0 is a -> t and edge 1 is s -> a, so the
 # allowed beta slot (1, 0) passes the pattern check and sets F[0, 1], above the diagonal
 _BACKWARD = NetworkTopology(("s", "a", "t"), (("a", "t"), ("s", "a")), ("s",), ("t",))
-_BACKWARD_COEFFS = CodingCoefficients({(0, 1): 1.0}, {(1, 0): 1.0}, {(0, 0): 1.0})
+_BACKWARD_COEFFS = CodingCoefficients({(0, 1): 1.0}, {(1, 0): 2.0}, {(0, 0): 3.0})
 # s -> a -> t, with A reading edge 0, which enters a and not the sink: the compact product drops it
 _CHAIN = NetworkTopology.from_edges(("s", "a", "t"), (("s", "a"), ("a", "t")), ("s",), ("t",))
 _OFF_SINK = SystemMatrices.from_factors([[1.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]], [[1.0], [0.0]], form="full")
@@ -516,11 +516,6 @@ REFUSALS = {
     "edge-names-length": (lambda: _ab(edge_names=("e1", "e2")), ValueError, "edge_names length must match edges"),
     "no-edge-names": (lambda: _ab().edge_index("e1"), UnknownEdge, "topology has no edge names"),
     "unknown-edge-name": (lambda: _ab(edge_names=("e1",)).edge_index("e2"), UnknownEdge, "unknown edge 'e2'"),
-    "beta-above-the-diagonal": (
-        lambda: build_coefficient_matrices(_BACKWARD, _BACKWARD_COEFFS, 1, 1),
-        SparsityViolation,
-        "coupling matrix is not strictly lower triangular",
-    ),
     "decoder-off-the-sink": (
         lambda: compact_form(_OFF_SINK, _CHAIN),
         SparsityViolation,
@@ -535,3 +530,12 @@ def test_a_malformed_network_is_refused_with_its_message(name):
     with pytest.raises(kind) as caught:
         call()
     assert type(caught.value) is kind and str(caught.value) == message
+
+
+def test_a_dag_in_non_canonical_edge_order_builds_the_canonical_transfer_matrix():
+    # F[0, 1] lies above the diagonal, but F is still nilpotent: its Neumann sum is the exact G
+    backward = build_coefficient_matrices(_BACKWARD, _BACKWARD_COEFFS, 1, 1)
+    canonical = build_coefficient_matrices(_CHAIN, CodingCoefficients({(0, 0): 1.0}, {(0, 1): 2.0}, {(0, 1): 3.0}), 1, 1)
+    assert np.triu(backward.F).any() and not np.triu(canonical.F).any()
+    np.testing.assert_array_equal(backward.M, canonical.M)
+    np.testing.assert_array_equal(backward.M, [[6.0]])  # alpha beta gamma along s -> a -> t
