@@ -36,11 +36,10 @@ import numpy as np
 
 from . import flowmodel
 from .errors import CostGuardError, InvariantViolation, SingularSystemMatrix, _count
-from .flowmodel import _EXACT_FLOOR, InputDistribution, SampleBatch
+from .flowmodel import _EXACT_FLOOR, InputDistribution, SampleBatch, _batches
 from .netgraph import SystemMatrices
 from .quadrature import default_nodes, phase_orbit_rule, real_gauss_hermite
 
-_SE_BATCHES = 32
 _HERMITIAN_TOL = 1e-10
 _PSD_FLOOR = -1e-10
 _DOMINANCE_FLOOR = -1e-8
@@ -52,7 +51,7 @@ _KEPT_PASSES = 256  # quadrature passes a law keeps, oldest dropped first; a fig
 
 
 def _enough_samples(count: int) -> int:
-    """``count``, or ``CostGuardError`` if it is too few samples for ``_SE_BATCHES`` batch means."""
+    """``count``, or ``CostGuardError`` if it is too few samples for the 32 means of ``_batches``."""
     if count < _MC_MIN_SAMPLES:
         raise CostGuardError(f"Monte Carlo needs at least {_MC_MIN_SAMPLES} samples")
     return count
@@ -290,43 +289,35 @@ def _kernel_chunks(M: np.ndarray, dist: InputDistribution, nodes: int, want_erro
 # ---------------------------------------------------------------------------
 
 
-def _means_se(means: np.ndarray):
-    """Standard error of the mean from batch means stacked on axis 0; works for complex arrays."""
+def _mean_se(sums: np.ndarray, count: int):
+    """``(mean, batch-means standard error)`` of ``count`` samples from their ``_batches``' sums on axis 0."""
+    sizes = [len(b) for b, in _batches(np.empty((count, 0)))]  # a (count, 0) array holds no bytes
+    means = sums / np.reshape(sizes, (-1,) + (1,) * (sums.ndim - 1))
     var = np.var(means.real, axis=0, ddof=1) + np.var(means.imag, axis=0, ddof=1)
-    return np.sqrt(var / len(means))
-
-
-def _batch_se(values: np.ndarray):
-    """Batch-means standard error over ``_SE_BATCHES`` batches along axis 0; works for complex arrays."""
-    return _means_se(np.stack([np.mean(b, axis=0) for b in np.array_split(values, _SE_BATCHES)]))
-
-
-def _batches(*arrays):
-    """The ``_SE_BATCHES`` batches of rows of equally long arrays, as tuples of their parts."""
-    return zip(*(np.array_split(array, _SE_BATCHES) for array in arrays))
+    return np.sum(sums, axis=0) / count, np.sqrt(var / len(means))
 
 
 def _cross_moment(pairs):
-    """``(E[a b^H], its batch-means standard error)`` from ``(a, b)`` batches of paired rows, one
-    product per batch: the mean is the batches' products summed, so a batch may be formed, used and
-    dropped before the next."""
+    """``(E[a b^H], its batch-means standard error)`` from the ``_batches`` ``(a, b)`` of paired rows,
+    one product per batch, so a batch may be formed, used and dropped before the next."""
     grams, sizes = zip(*((a.T @ b.conj(), len(a)) for a, b in pairs))
-    return sum(grams) / sum(sizes), _means_se(np.stack([gram / size for gram, size in zip(grams, sizes)]))
+    return _mean_se(np.stack(grams), sum(sizes))
 
 
 def _information(M, dist: InputDistribution, spec: EngineSpec) -> np.ndarray:
-    """Information samples of M, whose mean is its information: under Monte Carlo ``log p(z|x) -
-    log p(z)`` at ``z = x M^T + noise`` on the law's kept draw, in place; else the ``_moments`` value.
-    A discrete law's draw is support labels, whose ``z`` the mixture kernel forms chunk by chunk."""
+    """Information sums of M: under Monte Carlo, the kept draw's ``_batches``' sums of ``log p(z|x)`` less
+    those of ``log p(z)``, at ``z = x M^T + noise`` formed chunk by chunk from a discrete law's labels
+    in one ``mixture_log_density`` call, or per batch for a Gaussian law; else the ``_moments`` value."""
     if spec.method != "mc":
         return np.array([_moments(M, dist, spec, want_mmse=False)[0]])
     M = flowmodel._channel(M, dist)
     inputs, noise, log_cond = flowmodel._draws(dist, M.shape[0], spec.seed, spec.mc_samples(), spec.workers)
-    if dist.kind == "discrete":
-        log_pz = flowmodel._log_output_density(M, dist, noise, inputs)
+    if dist.kind == "discrete":  # the kernel's N floats, the one per-sample array
+        parts = (b for b, in _batches(flowmodel._log_output_density(M, dist, noise, inputs)))
     else:
-        log_pz = flowmodel._log_output_density(M, dist, inputs @ M.T + noise)
-    return np.subtract(log_cond, log_pz, out=log_pz)
+        gaussian = flowmodel._gaussian_output(M)
+        parts = (flowmodel._log_output_density(M, dist, x @ M.T + n, gaussian=gaussian) for x, n in _batches(inputs, noise))
+    return log_cond - np.array([np.sum(part) for part in parts])
 
 
 def _residuals(M, dist: InputDistribution, inputs, noise) -> np.ndarray:
@@ -342,16 +333,15 @@ def _residuals(M, dist: InputDistribution, inputs, noise) -> np.ndarray:
 def mc_moments(M, dist: InputDistribution, spec: EngineSpec, *, want_mmse=True, want_mi=True):
     """Monte-Carlo estimates of mutual information and the error matrix on the law's kept draw.
 
-    Returns ``(mi, mi_se, error_matrix, error_se, count)``: the means of ``_information``'s samples
-    and of the error's outer products, each with its batch-means standard error.  The error's
-    residuals are formed one batch of ``_batches`` at a time.
+    Returns ``(mi, mi_se, error_matrix, error_se, count)``: the means of the information, from
+    ``_information``'s batch sums, and of the error's outer products, each with its batch-means
+    standard error.  The error's residuals are formed one batch of ``_batches`` at a time.
     """
     M = flowmodel._channel(M, dist)
     inputs, noise, _ = flowmodel._draws(dist, M.shape[0], spec.seed, spec.mc_samples(), spec.workers)
     mi = mi_se = err = err_se = None
     if want_mi:
-        info_samples = _information(M, dist, spec)
-        mi, mi_se = float(np.mean(info_samples)), float(_batch_se(info_samples))
+        mi, mi_se = map(float, _mean_se(_information(M, dist, spec), len(noise)))
     if want_mmse:
         residuals = (_residuals(M, dist, x_b, noise_b) for x_b, noise_b in _batches(inputs, noise))
         err, err_se = _cross_moment((r, r) for r in residuals)
@@ -444,5 +434,5 @@ def estimation_diagnostics(M, dist: InputDistribution, batch: SampleBatch):
         "orthogonality": orthogonality,
         "orthogonality_se": orthogonality_se,
         "tower_gap": np.mean(xhat, axis=0) - dist.mean(),
-        "tower_se": _batch_se(xhat),
+        "tower_se": _mean_se(np.stack([np.sum(b, axis=0) for b, in _batches(xhat)]), len(xhat))[1],
     }

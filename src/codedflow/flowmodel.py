@@ -19,11 +19,12 @@ thread budget of a call: the library's pools hold BLAS at one thread (``_pool_ma
 A law works out its own structure once, when it is built (``_structure``): its phase rotation,
 its closure under conjugation and its split into ``Re x`` and ``Im x`` laws.  It keeps the work
 done for channels in its ``_kept`` store, guarded by ``_KEPT_LOCK`` and freed with the law:
-``estimator.quadrature_moments`` keeps its passes there, and ``_draws`` its last draw and the
-noise's log density, read-only, for its key (``n_out``, seed, count).  So a Monte Carlo run draws
-once: ``sample`` and ``estimator._information`` both draw through ``_draws``.  A discrete law's
-draw holds each sample's support label, not its input vector, so no Monte Carlo pass forms an
-(N, n) array of inputs or outputs: the kernel forms ``z = means[label] + noise`` per chunk.
+``estimator.quadrature_moments`` keeps its passes there, and ``_draws`` its last draw, read-only,
+for its key (``n_out``, seed, count).  So a Monte Carlo run draws once: ``sample`` and
+``estimator._information`` both draw through ``_draws``.  A discrete law's draw holds each sample's
+support label, not its input vector, so no Monte Carlo pass forms an (N, n) array of inputs or
+outputs: the kernel forms ``z = means[label] + noise`` per chunk.  Every Monte Carlo mean and
+standard error is read from sums over ``_batches``, and the draw keeps those of ``log p(z|x)``.
 
 Score convention: the gradient with respect to the output is taken in
 conjugate coordinates, entry k being ``(d/dRe z_k + i d/dIm z_k) / 2``
@@ -51,7 +52,9 @@ _SAMPLE_CHUNK = 4096
 # 12-30% but raised figure1's Monte Carlo verify peak memory by 1.8 MB (2 vCPUs, 2 MiB L2 a core)
 _LSE_CHUNK_BYTES = 1 << 19
 _EXACT_FLOOR = 1e-290  # unshifted mixture sums at or below this may have underflowed: redone exactly
-_DRAW_CAP_BYTES = 1 << 30  # inputs (as ``sample`` forms them) and noise, 16 B an entry: 16,777,216 figure1 samples
+# caps a draw's kept bytes and, apart, ``sample``'s: 32,537,631 figure1 samples drawn at 33 B, 16,777,216 sampled at 64 B
+_DRAW_CAP_BYTES = 1 << 30
+_SE_BATCHES = 32  # the batches of every Monte Carlo draw (``_batches``), whose sums give means and errors
 
 _KEPT_LOCK = threading.Lock()  # guards every law's ``_kept`` of work for channels: "draw" here, "passes" in estimator
 _QPSK_SYMBOLS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
@@ -220,12 +223,6 @@ class SampleBatch:
 # ---------------------------------------------------------------------------
 
 
-def _log_noise_density(v, n, axis=None):
-    """``-n log pi - |v|^2``, the log density of unit complex Gaussian noise
-    ``v`` in n dimensions, with ``|v|^2`` summed over ``axis``."""
-    return -n * np.log(np.pi) - np.sum(np.abs(v) ** 2, axis=axis)
-
-
 def log_conditional_density(M, x, z) -> float:
     """log p(z|x) = -n log(pi) - ||z - Mx||^2."""
     M = np.asarray(M, dtype=complex)
@@ -235,7 +232,7 @@ def log_conditional_density(M, x, z) -> float:
         raise ValueError(
             f"dimension mismatch: M{M.shape}, x{x.shape}, z{z.shape}"
         )
-    return float(_log_noise_density(z - M @ x, M.shape[0]))
+    return float(-M.shape[0] * np.log(np.pi) - np.sum(np.abs(z - M @ x) ** 2))
 
 
 def _channel(M, dist: InputDistribution, points=None):
@@ -449,6 +446,24 @@ def _draw_chunk(dist, n_out, seed, chunk, count):
     return x, noise
 
 
+def _batches(*arrays):
+    """The ``_SE_BATCHES`` batches of rows of equally long arrays, as tuples of views: the one batch
+    layout of every Monte Carlo draw, ``np.array_split``'s, whose first ``N % _SE_BATCHES`` are one longer."""
+    return zip(*(np.array_split(array, _SE_BATCHES) for array in arrays))
+
+
+def _log_noise_sums(noise: np.ndarray) -> np.ndarray:
+    """``log p(z|x) = -n log pi - |noise|^2`` summed over each of ``_batches``, one batch of squares at a time."""
+    return np.array([-b.size * np.log(np.pi) - np.sum(np.square(b.view(float))) for b, in _batches(noise)])
+
+
+def _cost_guard(count: int, per_sample: int, noun: str, what: str):
+    """``CostGuardError`` if ``count`` samples of ``per_sample`` B each exceed ``_DRAW_CAP_BYTES``."""
+    if count * per_sample > _DRAW_CAP_BYTES:
+        cap = f"the {_DRAW_CAP_BYTES / 2**30:.3g} GiB cost guard"
+        raise CostGuardError(f"{count} {noun} need {count * per_sample:,} B of {what} at {per_sample} B a sample, over {cap}")
+
+
 def draw_inputs_and_noise(dist: InputDistribution, n_out: int, seed: int, count: int, *, workers: int = 1):
     """Input and noise draws without forming z; used for common-random-number
     workflows where the same draws are pushed through many channel matrices.
@@ -460,24 +475,18 @@ def draw_inputs_and_noise(dist: InputDistribution, n_out: int, seed: int, count:
     counter-based bit generator, so identical (seed, count) produce
     bitwise-identical arrays for any number of workers.  ``workers`` is the
     whole thread budget: the chunks are filled on that many threads, with
-    BLAS held at one thread (``_pool_map``).  Draws over
-    ``_DRAW_CAP_BYTES`` raise ``CostGuardError`` before any allocation.
+    BLAS held at one thread (``_pool_map``).  The cost guard prices what a
+    draw keeps, a label's itemsize (1 B up to 256 points) or a Gaussian input's
+    ``16 dimension`` B, and ``16 n_out`` B of noise a sample: a draw over
+    ``_DRAW_CAP_BYTES`` raises ``CostGuardError`` before any allocation.
     """
     count = _count("count", count, 1)
-    need = count * (dist.dimension + n_out) * 16
-    if need > _DRAW_CAP_BYTES:
-        raise CostGuardError(
-            f"{count} Monte Carlo samples need {need / 2**30:.3g} GiB of draws, over the {_DRAW_CAP_BYTES >> 30} GiB cost guard"
-        )
-    if dist.kind == "discrete":
-        xs = np.empty(count, dtype=np.min_scalar_type(len(dist.probs) - 1))
-    else:
-        xs = np.empty((count, dist.dimension), dtype=complex)
-    ns = np.empty((count, n_out), dtype=complex)
-    spans = [
-        (c, start, min(start + _SAMPLE_CHUNK, count))
-        for c, start in enumerate(range(0, count, _SAMPLE_CHUNK))
-    ]
+    discrete = dist.kind == "discrete"
+    shape = (count,) if discrete else (count, dist.dimension)
+    dtype = np.min_scalar_type(len(dist.probs) - 1) if discrete else np.dtype(complex)
+    _cost_guard(count, dtype.itemsize * (1 if discrete else dist.dimension) + 16 * n_out, "Monte Carlo samples", "draws")
+    xs, ns = np.empty(shape, dtype), np.empty((count, n_out), dtype=complex)
+    spans = [(c, start, min(start + _SAMPLE_CHUNK, count)) for c, start in enumerate(range(0, count, _SAMPLE_CHUNK))]
 
     def fill(span):
         chunk, start, stop = span
@@ -491,10 +500,10 @@ def draw_inputs_and_noise(dist: InputDistribution, n_out: int, seed: int, count:
 
 def _draws(dist: InputDistribution, n_out: int, seed: int, count: int, workers: int = 1):
     """``draw_inputs_and_noise`` (a discrete law's support labels, or a Gaussian law's input vectors,
-    and the noise) and the noise's log density, kept in the law's store for one key: the
-    last (``n_out``, seed, count) drawn returns the same read-only arrays, and any other key drops
-    them before drawing afresh, under the lock.  The worker count is not in the key, as the draw is
-    the same bits for any.  A draw that raises leaves nothing kept."""
+    and the noise) and the noise's log density as its ``_SE_BATCHES`` batch sums (``_log_noise_sums``),
+    kept in the law's store for one key: the last (``n_out``, seed, count) drawn returns the same
+    read-only arrays, and any other key drops them before drawing afresh, under the lock.  The worker
+    count is not in the key, as the draw is the same bits for any.  A draw that raises keeps nothing."""
     seed, count = _count("seed", seed), _count("count", count, 1)  # before the key: True never meets 1
     key = n_out, seed, count
     with _KEPT_LOCK:
@@ -502,7 +511,7 @@ def _draws(dist: InputDistribution, n_out: int, seed: int, count: int, workers: 
         if last is None or last[0] != key:
             dist._kept.pop("draw", None)
             xs, ns = draw_inputs_and_noise(dist, n_out, seed, count, workers=workers)
-            kept = xs, ns, _log_noise_density(ns, n_out, axis=1)
+            kept = xs, ns, _log_noise_sums(ns)
             for array in kept:
                 array.setflags(write=False)
             last = dist._kept["draw"] = key, kept
@@ -515,9 +524,11 @@ def sample(M, dist: InputDistribution, seed: int, count: int, *, workers: int = 
     Reproducibility contract: identical (seed, count, model) give
     bitwise-identical batches regardless of the worker count.  The draw is
     the law's kept one (``_draws``), shared with Monte Carlo runs on its key;
-    a discrete law's input vectors are formed here from its kept labels.
+    a discrete law's input vectors are formed here from its kept labels,
+    under their own cost guard with the outputs: ``16 (dimension + n_out)`` B a sample.
     """
     M = _channel(M, dist)
+    _cost_guard(_count("count", count, 1), 16 * (dist.dimension + M.shape[0]), "samples", "inputs and outputs")
     drawn, ns, _ = _draws(dist, M.shape[0], seed, count, workers)
     xs = dist.support[drawn] if dist.kind == "discrete" else drawn
     return SampleBatch(seed=seed, count=count, inputs=xs, outputs=xs @ M.T + ns)

@@ -33,10 +33,9 @@ evaluation here: the reported values, the oracle and the refinement probe.
 Oracles
 -------
 ``_slope`` is the one finite difference, with one code path for every engine:
-it forms ``L (X +- step D) R`` and averages the paired differences of
-``estimator._information``, the per-sample ``log p(z|x) - log p(z)`` on the
-law's kept draw under Monte Carlo (common random numbers), else the single
-``_moments`` value.
+it forms ``L (X +- step D) R`` and differences ``estimator._information``'s
+sums, under Monte Carlo those of ``log p(z|x) - log p(z)`` over the batches of
+the law's kept draw (common random numbers), else the single ``_moments`` value.
 ``grad_oracle`` maps it over the unit directions ``E_ij`` and ``i E_ij``;
 ``directional_derivative`` is one quadrature call of it.  The law keeps its
 quadrature passes, so in ``verify_gradients`` the coarse probe reuses its oracle
@@ -68,8 +67,8 @@ from .estimator import (
     EngineSpec,
     MmseMatrix,
     _as_matrix,
-    _batch_se,
     _information,
+    _mean_se,
     _moments,
     gaussian_mutual_information,  # re-exported: the closed form lives with the route
     mmse_matrix,
@@ -186,13 +185,13 @@ def _slope(L, base, R, direction, dist, spec, step):
     """``(slope, se)``: the central difference of I along ``direction``, the one finite difference,
     through the channels ``L @ (base +- step * direction) @ R``.
 
-    It is the mean of the paired differences of ``estimator._information``, with their batch-means
-    standard error under Monte Carlo (on common random numbers, the law's kept draw), else 0.
+    It differences ``estimator._information``'s sums: under Monte Carlo, on common random numbers
+    (the law's kept draw), with their batch-means standard error; else two values, with error 0.
     """
     diff = _information(L @ (base + step * direction) @ R, dist, spec)
     diff -= _information(L @ (base - step * direction) @ R, dist, spec)
-    se = float(_batch_se(diff)) if spec.method == "mc" else 0.0
-    return float(np.mean(diff)) / (2.0 * step), se / (2.0 * step)
+    mean, se = _mean_se(diff, spec.mc_samples()) if spec.method == "mc" else (diff[0], 0.0)
+    return float(mean) / (2.0 * step), float(se) / (2.0 * step)
 
 
 def grad_oracle(

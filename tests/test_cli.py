@@ -238,14 +238,14 @@ class TestCommands:
         assert len(calls) == 1
 
     def test_monte_carlo_verify_computes_the_noise_density_once(self, tmp_path, monkeypatch):
-        # the kept draw holds log p(z|x): the error matrix, the oracles and the report never redo it
-        calls, real = [], flowmodel._log_noise_density
+        # the kept draw holds log p(z|x)'s batch sums: the error matrix, the oracles and the report never redo them
+        calls, real = [], flowmodel._log_noise_sums
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(flowmodel, "_log_noise_density", counted)
+        monkeypatch.setattr(flowmodel, "_log_noise_sums", counted)
         argv = ["verify", "--config", str(FIGURE1), "--method", "mc", "--samples", "20000"]
         assert main(argv + ["--workers", "2", "--tolerance", "5e-2", "--out", str(tmp_path)]) == 0
         assert len(calls) == 1

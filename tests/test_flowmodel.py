@@ -1,5 +1,6 @@
 import gc
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -595,10 +596,14 @@ class TestKeptDraw:
         again = flowmodel._draws(dist, 2, 11, 9000, 2)
         assert len(calls) == 1 and all(a is b for a, b in zip(again, kept))
         inputs, noise = flowmodel.draw_inputs_and_noise(dist, 2, 11, 9000, workers=2)
-        # the kept noise density is the noise's own, bit for bit
-        for array, fresh in zip(kept, (inputs, noise, flowmodel._log_noise_density(noise, 2, axis=1))):
+        # the kept noise density is the noise's own batch sums, bit for bit
+        for array, fresh in zip(kept, (inputs, noise, flowmodel._log_noise_sums(noise))):
             assert not array.flags.writeable
             np.testing.assert_array_equal(array, fresh)
+        # log p(z|x) per sample, summed over the batches np.array_split cuts
+        per_sample = -2 * np.log(np.pi) - np.sum(np.abs(noise) ** 2, axis=1)
+        expected = [np.sum(batch) for batch in np.array_split(per_sample, 32)]
+        np.testing.assert_allclose(kept[2], expected, rtol=1e-12, atol=0)
         for array in kept:
             with pytest.raises(ValueError):
                 array[0] = 0.0
@@ -641,9 +646,53 @@ class TestKeptDraw:
         calls = self._counting(monkeypatch)
         dist = InputDistribution.bpsk(1)
         flowmodel._draws(dist, 1, 3, 2000)
-        monkeypatch.setattr(flowmodel, "_DRAW_CAP_BYTES", 2000 * 32)
+        monkeypatch.setattr(flowmodel, "_DRAW_CAP_BYTES", 2000 * 17)  # a 1 B label and 16 B of noise a sample
         with pytest.raises(CostGuardError):
             flowmodel._draws(dist, 1, 3, 2001)
         assert "draw" not in dist._kept
         flowmodel._draws(dist, 1, 3, 2000)
         assert len(calls) == 3
+
+
+class TestDrawCostGuard:
+    """A draw's cost guard prices what the draw keeps; ``sample`` guards what it forms on its own."""
+
+    COUNT = 100_000
+
+    @pytest.mark.parametrize(
+        "dist, n_out, per_sample",
+        [
+            (InputDistribution.qpsk(2), 2, 33),  # figure1's law: a 1 B label and two complex noise entries
+            (InputDistribution.bpsk(1), 1, 17),
+            (InputDistribution.discrete(np.arange(300.0)[:, None]), 1, 18),  # 300 points: 2 B labels
+            (InputDistribution.gaussian(1), 2, 48),  # a Gaussian law keeps its input vectors
+        ],
+        ids=["qpsk", "bpsk", "300-points", "gaussian"],
+    )
+    def test_a_draw_that_fits_is_drawn_and_one_sample_more_is_refused(self, monkeypatch, dist, n_out, per_sample):
+        monkeypatch.setattr(flowmodel, "_DRAW_CAP_BYTES", self.COUNT * per_sample)
+        inputs, noise = flowmodel.draw_inputs_and_noise(dist, n_out, 3, self.COUNT)
+        assert inputs.nbytes + noise.nbytes == self.COUNT * per_sample
+        del inputs, noise
+        tracemalloc.start()
+        try:
+            with pytest.raises(CostGuardError, match=f"at {per_sample} B a sample") as refused:
+                flowmodel.draw_inputs_and_noise(dist, n_out, 3, self.COUNT + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.COUNT, f"{peak} B"  # refused before any allocation: below even 1 B labels
+        if per_sample == 33:
+            assert str(refused.value) == (
+                "100001 Monte Carlo samples need 3,300,033 B of draws at 33 B a sample, over the 0.00307 GiB cost guard"
+            )
+
+    def test_sample_guards_the_inputs_and_outputs_it_forms(self, monkeypatch):
+        dist = InputDistribution.qpsk(2)
+        monkeypatch.setattr(flowmodel, "_DRAW_CAP_BYTES", self.COUNT * 33)
+        with pytest.raises(CostGuardError) as refused:
+            sample(np.eye(2), dist, 3, self.COUNT)
+        assert str(refused.value) == (
+            "100000 samples need 6,400,000 B of inputs and outputs at 64 B a sample, over the 0.00307 GiB cost guard"
+        )
+        assert "draw" not in dist._kept  # refused before the draw

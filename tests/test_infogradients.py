@@ -628,11 +628,15 @@ class TestSharedSlope:
             X, L, R = _chain(sys, objective, target)
             drawn, noise = flowmodel.draw_inputs_and_noise(dist, L.shape[0], spec.seed, spec.samples)
             inputs = dist.support[drawn] if kind != "gaussian" else drawn  # a discrete law draws support labels
-            log_cond = -L.shape[0] * np.log(np.pi) - np.sum(np.abs(noise) ** 2, axis=1)
+            # log p(z|x) = -n log pi - |noise|^2 per sample, each summed over the 32 batches that
+            # np.array_split cuts, as the sum of its squared real and imaginary parts
+            batches = np.array_split(noise, 32)
+            log_cond = np.array([-b.size * np.log(np.pi) - np.sum(np.square(b.view(float))) for b in batches])
 
-            def info(Y):
+            def info(Y):  # log p(z|x) - log p(z), summed over the same batches
                 M = L @ Y @ R
-                return log_cond - flowmodel._log_output_density(M, dist, inputs @ M.T + noise)
+                log_pz = flowmodel._log_output_density(M, dist, inputs @ M.T + noise)
+                return log_cond - np.array([np.sum(b) for b in np.array_split(log_pz, 32)])
 
             expected = np.zeros(X.shape, dtype=complex)
             for i, j in np.ndindex(X.shape):
@@ -640,7 +644,7 @@ class TestSharedSlope:
                     plus, minus = np.array(X), np.array(X)
                     plus[i, j] += delta
                     minus[i, j] -= delta
-                    slope = float(np.mean(info(plus) - info(minus))) / (2.0 * self.STEP)
+                    slope = float(np.sum(info(plus) - info(minus))) / spec.samples / (2.0 * self.STEP)
                     expected[i, j] += (slope if delta == self.STEP else 1j * slope) / WIRTINGER_SCALE
             for workers in (1, 2):  # serial, and pooled with BLAS held at one thread
                 with mock.patch.object(infogradients, "_NOISE_RATIO_LIMIT", np.inf):
@@ -651,30 +655,66 @@ class TestSharedSlope:
 
 
 class TestMonteCarloMemory:
-    """A discrete law's kept draw holds support labels and noise, and the mixture kernel forms ``z``
-    chunk by chunk, so neither the Monte Carlo information nor its error matrix forms an (N, n_out)
-    or (N, n_in) array: on figure1 at 2e5 samples, with the kept draw made first, a whole oracle on G
-    and an error matrix each peak below one full ``z`` of N n_out 16 B."""
+    """A discrete law's kept draw holds support labels, noise and the noise density's batch sums, and
+    the mixture kernel forms ``z`` chunk by chunk, so neither the Monte Carlo information nor its
+    error matrix forms an (N, n_out) or (N, n_in) array: on figure1 at 2e5 samples, with the kept
+    draw made first, a whole oracle on G and an error matrix each peak below one full ``z`` of
+    N n_out 16 B.  The information is read from batch sums, so a serial oracle holds at most one
+    per-sample array of N floats, the mixture kernel's output, beside its chunk buffers."""
 
     SPEC = EngineSpec(method="mc", samples=200_000, seed=1)
 
+    @staticmethod
+    def _figure1():
+        config = parse_config((Path(__file__).resolve().parent.parent / "configs" / "figure1.cfg").read_text())
+        sys_c = _compact(config)
+        return sys_c, config.dist, sys_c.M.shape[0]
+
+    @staticmethod
+    def _peak(run):
+        """``(run's result, its tracemalloc peak)``."""
+        tracemalloc.start()
+        try:
+            return run(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("work", ["oracle", "error-matrix"])
     def test_a_monte_carlo_pass_peaks_below_one_full_output_array(self, work):
-        config = parse_config((Path(__file__).resolve().parent.parent / "configs" / "figure1.cfg").read_text())
-        sys_c, dist, spec = _compact(config), config.dist, self.SPEC
-        n_out = sys_c.M.shape[0]
+        sys_c, dist, n_out = self._figure1()
+        spec = self.SPEC
         flowmodel._draws(dist, n_out, spec.seed, spec.samples)
         run = {
             "oracle": lambda: grad_oracle(sys_c, dist, "G", spec),
             "error-matrix": lambda: mmse_matrix(sys_c.M, dist, spec),
         }[work]
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = self._peak(run)
         assert peak < spec.samples * n_out * 16, f"{peak / 2**20:.1f} MiB"
+
+    def test_the_kept_draw_is_labels_noise_and_batch_sums(self):
+        sys_c, dist, n_out = self._figure1()
+        kept = flowmodel._draws(dist, n_out, self.SPEC.seed, self.SPEC.samples)
+        # a 1 B label and n_out complex noise entries a sample, and log p(z|x) as its 32 batch sums
+        assert sum(array.nbytes for array in kept) == self.SPEC.samples * (1 + 16 * n_out) + 32 * 8
+        assert kept[2].shape == (32,)
+
+    def test_a_serial_oracle_holds_under_two_per_sample_arrays(self):
+        # the information's batch sums leave the mixture kernel's N floats as the one per-sample array
+        sys_c, dist, n_out = self._figure1()
+        spec = self.SPEC
+        flowmodel._draws(dist, n_out, spec.seed, spec.samples)
+        _, peak = self._peak(lambda: grad_oracle(sys_c, dist, "G", spec))
+        assert peak < 2 * spec.samples * 8, f"{peak / 2**20:.2f} MiB"
+
+    def test_making_the_draw_peaks_below_the_oracle(self):
+        # the noise density is summed a batch at a time: no (N, n_out) or N-float temporary
+        sys_c, dist, n_out = self._figure1()
+        spec = self.SPEC
+        kept, draw_peak = self._peak(lambda: flowmodel._draws(dist, n_out, spec.seed, spec.samples))
+        _, oracle_peak = self._peak(lambda: grad_oracle(sys_c, dist, "G", spec))
+        kept_bytes = sum(array.nbytes for array in kept)
+        assert draw_peak - kept_bytes < spec.samples * 8, f"{(draw_peak - kept_bytes) / 2**20:.2f} MiB"
+        assert draw_peak < kept_bytes + oracle_peak, f"{draw_peak / 2**20:.2f} MiB"
 
 
 def _blas_thread_getter():
