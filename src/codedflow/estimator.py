@@ -14,8 +14,9 @@ by the first support point's own, or past ``_FIRST_SHIFT_LIMIT`` by each rule po
 only then scans for underflowed sums and redoes them exactly.  Through a real channel a law on real
 support needs only the real axes of the noise, and a law that is exactly the product of its
 ``Re x`` and ``Im x`` laws (QPSK, square QAM) splits into those two real problems, whose
-information and error matrices add: exact up to rounding, on ``nodes ** n_out`` points where the
-orbit rule keeps about ``nodes ** (2 n_out) / 4``.  Any other law (8-PSK) runs on the orbit rule;
+information and error matrices add: exact up to rounding, on at most ``nodes ** n_out`` points
+(the pruned real rule) where the orbit rule keeps about a quarter of the pruned complex rule's
+``nodes ** (2 n_out)``.  Any other law (8-PSK) runs on the orbit rule;
 through a real channel a conjugation-closed law's error matrix is real, and is returned with an
 imaginary part of exactly 0.  The rotation order, the closure and the halves are the law's own
 fields, worked out once when it was built (``flowmodel._structure``).
@@ -196,7 +197,7 @@ def _quadrature_pass(M: np.ndarray, dist: InputDistribution, nodes: int, want_mm
 
     Through a real M, a law that is exactly the product of its ``Re x`` and ``Im x`` laws (QPSK,
     square QAM), found when the law was built (``dist.halves``), is the multiplicity-weighted sum
-    of their ``_kernel_pass``es, each on the real rule of ``nodes ** n_out`` points: exact up to
+    of their ``_kernel_pass``es, each on the real rule of at most ``nodes ** n_out`` points: exact up to
     rounding.  Every other law is one ``_kernel_pass`` of the law itself.
     """
     if M.imag.any() or dist.halves is None:

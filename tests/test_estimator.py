@@ -39,7 +39,7 @@ from codedflow import (
     score_identity_residual,
     seeded_diamond_symbols,
 )
-from codedflow import estimator, flowmodel, quadrature
+from codedflow import estimator, flowmodel, infogradients, quadrature
 from codedflow.cli import _INPUT_KINDS, parse_config
 from codedflow.errors import InvariantViolation
 from codedflow.estimator import _EXACT_FLOOR, quadrature_moments
@@ -249,12 +249,12 @@ class TestMmseMatrix:
                 rule(1, nodes)
 
 
-def _brute_force_moments(M, dist, nodes):
+def _brute_force_moments(M, dist, nodes, rule=None):
     """MI and error matrix from the mixture kernels at the explicit points
-    ``mean_k + noise_q``, one support point at a time, on the full complex rule.  The residual
-    ``x - xhat`` is the posterior-weighted sum of ``x - s_j``, never a subtraction of ``xhat``, so
-    a tiny error matrix is not cancellation noise."""
-    noise, weights = quadrature.complex_gauss_hermite(M.shape[0], nodes)
+    ``mean_k + noise_q``, one support point at a time, on ``rule``, by default the full complex rule.
+    The residual ``x - xhat`` is the posterior-weighted sum of ``x - s_j``, never a subtraction of
+    ``xhat``, so a tiny error matrix is not cancellation noise."""
+    noise, weights = quadrature.complex_gauss_hermite(M.shape[0], nodes) if rule is None else rule
     means = dist.support @ M.T
     log_cond = -M.shape[0] * np.log(np.pi) - np.sum(np.abs(noise) ** 2, axis=1)
     mi = 0.0
@@ -300,10 +300,11 @@ def _assert_matches_brute_force(M, dist, nodes, rel=1e-12):
 
 UNDERFLOW_CASES = [
     (np.array([[40.0 + 0j]]), InputDistribution.bpsk(1), 64),
-    (np.array([[12.0 + 16.0j], [-16.0 + 12.0j]]), InputDistribution.qpsk(1), 16),
+    (np.array([[15.0 + 20.0j], [-20.0 + 15.0j]]), InputDistribution.qpsk(1), 16),
     (np.array([[24.0 + 32.0j], [-32.0 + 24.0j]]), InputDistribution.qpsk(1), 16),
 ]
-UNDERFLOW_IDS = ["bpsk-gain40", "qpsk-2x1-gain20", "qpsk-2x1-gain40"]
+# gain 25, not 20: on the pruned 16-node rule the gain-20 channel's lowest entry sits at -690, above -708
+UNDERFLOW_IDS = ["bpsk-gain40", "qpsk-2x1-gain25", "qpsk-2x1-gain40"]
 # a weak second input leaves O(1) error at the underflowed entries, so E is right only if they are redone
 WEAK_UNDERFLOW_CASE = (np.array([[24.0 + 32.0j, 0.3], [-32.0 + 24.0j, 0.4j]]), InputDistribution.qpsk(2), 12)
 
@@ -388,13 +389,16 @@ class TestQuadratureKernel:
         _, err_ref = _brute_force_moments(M, dist, nodes)
         assert np.max(np.abs(err - err_ref)) <= 1e-12 * np.max(np.abs(err_ref))
 
-    @pytest.mark.parametrize("gain, size", [(4.0, 2.65e-8), (6.0, 2.44e-17), (8.0, 3.64e-29), (12.0, 4.44e-110)])
+    # E on the pruned real rule; the unpruned grid read 2.44e-17, 3.64e-29 and 4.44e-110 from gain 6
+    @pytest.mark.parametrize("gain, size", [(4.0, 2.65e-8), (6.0, 1.90e-17), (8.0, 4.35e-73), (12.0, 2.88e-268)])
     def test_a_tiny_error_matrix_matches_brute_force_relatively(self, gain, size):
-        # the residual x - xhat is formed as a sum of differences, never as a cancelling subtraction
+        # the residual x - xhat is formed as a sum of differences, never as a cancelling subtraction;
+        # the brute force sums the rule the kernel sums, as pruning drops different far points of the
+        # real rule and of the complex one (5.9e-17 apart at gain 4, where E is 2.65e-8)
         M, dist = np.array([[gain + 0j]]), InputDistribution.bpsk(1)
         _, err, _ = quadrature_moments(M, dist, 64)
-        _, err_ref = _brute_force_moments(M, dist, 64)
-        assert err_ref[0, 0].real == pytest.approx(size, rel=1e-2)
+        _, err_ref = _brute_force_moments(M, dist, 64, estimator._kernel_rule(M, dist, 64))
+        assert err_ref[0, 0].real == pytest.approx(size, rel=1e-2, abs=0.0)  # approx's default abs is 1e-12
         assert np.max(np.abs(err - err_ref)) <= 1e-12 * np.max(np.abs(err_ref))
 
     def test_a_figure1_error_matrix_pass_peaks_below_1_mib(self):
@@ -610,15 +614,16 @@ class TestPhaseOrbitRule:
         assert orbit.call_args.args == (M.shape[0], 8, 4) and not real.called
         assert err.imag.any()
 
-    # (dim, nodes, order, count): every order at dims 1-3 and odd and even node counts
+    # (dim, nodes, order, count): every order at dims 1-3 and odd and even node counts; pruning drops
+    # far points from 15 nodes in one dimension (the 16-node rule keeps 252 of 256) and from 9 in two
     ORBIT_CASES = [
-        (2, 16, 4, 16384), (1, 15, 4, 57), (1, 15, 2, 113), (2, 15, 4, 12657),
-        (2, 16, 2, 32768), (3, 5, 4, 3907), (1, 1, 2, 1),
-        (1, 16, 4, 64), (1, 16, 2, 128), (1, 15, 1, 225), (2, 6, 4, 324),
+        (2, 16, 4, 11756), (1, 15, 4, 56), (1, 15, 2, 111), (2, 15, 4, 9715),
+        (2, 16, 2, 23512), (3, 5, 4, 3907), (1, 1, 2, 1),
+        (1, 16, 4, 63), (1, 16, 2, 126), (1, 15, 1, 221), (2, 6, 4, 324),
         (2, 5, 2, 313), (2, 6, 1, 1296), (3, 4, 4, 1024), (3, 4, 2, 2048),
         (3, 5, 2, 7813),
-        (1, 16, 1, 256), (1, 3, 4, 3), (1, 1, 4, 1), (2, 6, 2, 648), (2, 5, 1, 625),
-        (3, 5, 1, 15625), (3, 4, 1, 4096),
+        (1, 16, 1, 252), (1, 3, 4, 3), (1, 1, 4, 1), (2, 6, 2, 648), (2, 5, 1, 625),
+        (3, 5, 1, 15625), (3, 4, 1, 4096), (2, 1, 4, 1), (3, 1, 2, 1),
     ]
 
     @pytest.mark.parametrize("dim, nodes, order, count", ORBIT_CASES, ids=["-".join(map(str, c)) for c in ORBIT_CASES])
@@ -669,6 +674,91 @@ class TestPhaseOrbitRule:
         assert quadrature.phase_orbit_rule(2, 6, 1) is quadrature.complex_gauss_hermite(2, 6)
         with pytest.raises(ValueError, match="phase order"):
             quadrature.phase_orbit_rule(2, 6, 3)
+
+
+def _unpruned(dim, nodes, real=False):
+    """Every point of the ``nodes``-per-real-axis grid over ``dim`` complex axes (real axes if ``real``),
+    row-major, each weight the product of its coordinates' weights from the first on: a rule unpruned."""
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    p, v = (t + 0j, w / np.sqrt(np.pi)) if real else ((t[:, None] + 1j * t).ravel(), np.outer(w, w).ravel() / np.pi)
+    points, weights = np.zeros((1, 0), dtype=complex), np.ones(1)
+    for _ in range(dim):
+        points = np.column_stack([np.repeat(points, len(p), axis=0), np.tile(p, len(points))])
+        weights = np.outer(weights, v).ravel()
+    return points, weights
+
+
+_KERNEL_RULE = estimator._kernel_rule
+
+
+def _unpruned_kernel_rule(M, dist, nodes):
+    """``estimator._kernel_rule`` with nothing pruned: its rule built past the caches at a floor of 0."""
+    with (
+        mock.patch.object(quadrature, "_PRUNE", 0.0),
+        mock.patch.object(estimator, "real_gauss_hermite", quadrature.real_gauss_hermite.__wrapped__),
+        mock.patch.object(estimator, "phase_orbit_rule", quadrature.phase_orbit_rule.__wrapped__),
+    ):
+        return _KERNEL_RULE(M, dist, nodes)
+
+
+class TestPrunedRules:
+    """A rule keeps the points of its grid whose weight is at least ``_PRUNE`` times its largest."""
+
+    @pytest.mark.parametrize(
+        "dim, nodes, real, count",
+        [
+            (1, 64, False, 1420), (2, 16, False, 47024), (2, 15, False, 38857), (3, 6, False, 46656),
+            (1, 64, True, 42), (2, 16, True, 252), (3, 12, True, 1696), (1, 1, True, 1),
+        ],
+    )
+    def test_a_pruned_rule_is_the_unpruned_grid_above_the_floor(self, dim, nodes, real, count):
+        rule = (quadrature.real_gauss_hermite if real else quadrature.complex_gauss_hermite)(dim, nodes)
+        points, weights = _unpruned(dim, nodes, real)
+        kept = weights >= quadrature._PRUNE * weights.max()
+        # every kept point, in grid order, bit for bit; every dropped one lies below the floor
+        assert rule[0].tobytes() == points[kept].tobytes() and rule[1].tobytes() == weights[kept].tobytes()
+        assert len(rule[1]) == count and np.all(weights[~kept] < quadrature._PRUNE * rule[1].max())
+
+    def test_figure1_reads_the_same_on_the_unpruned_rule(self):
+        # MI and E on figure1's real rule and, one imaginary step off it, on its orbit rule; and the slope
+        # along Re M[0, 0] (the imaginary-direction slopes are exactly 0 on either rule)
+        runs = []
+        for rule in (_KERNEL_RULE, _unpruned_kernel_rule):
+            M, dist = _figure1()  # a fresh law: no pass kept from the other rule
+            off = M.copy()
+            off[0, 0] += 1e-3j
+            direction = np.zeros_like(M)
+            direction[0, 0] = 1.0
+            with mock.patch.object(estimator, "_kernel_rule", rule):
+                passes = [estimator._quadrature_pass(m, dist, 16, True) for m in (M, off)]
+                spec = EngineSpec(method="quadrature", nodes=16)
+                slope, _ = infogradients._slope(np.eye(len(M)), M, np.eye(M.shape[1]), direction, dist, spec, 1e-3)
+            runs.append((passes, slope))
+        (passes, slope), (passes_full, slope_full) = runs
+        for (mi, err), (mi_full, err_full) in zip(passes, passes_full):
+            assert abs(mi - mi_full) <= 1e-14 * abs(mi_full)
+            assert np.max(np.abs(err - err_full)) <= 1e-14 * np.max(np.abs(err_full))
+        assert abs(slope - slope_full) <= 1e-12 * abs(slope_full)
+
+    @pytest.mark.parametrize("gain", [4.0, 6.0, 8.0, 10.0, 12.0])
+    def test_a_bpsk_error_matrix_stays_near_the_unpruned_brute_force(self, gain):
+        # the pruned real rule drops far points the unpruned complex grid sums: E moves by at most 1e-15
+        M, dist = np.array([[gain + 0j]]), InputDistribution.bpsk(1)
+        _, err, _ = quadrature_moments(M, dist, 64)
+        _, err_ref = _brute_force_moments(M, dist, 64, _unpruned(1, 64))
+        assert np.max(np.abs(err - err_ref)) <= 1e-15
+
+    def test_building_the_figure1_rule_peaks_below_3_mib(self):
+        # set-up builds this rule: pruned, it never forms the 65,536-point grid or its repeated copies
+        import numpy.polynomial  # noqa: F401  (its import is no part of the rule's peak)
+
+        tracemalloc.start()
+        try:
+            points, _ = quadrature.complex_gauss_hermite.__wrapped__(2, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(points) == 47024 and peak <= 3 << 20
 
 
 def _product_law(re, im, p_re=None, p_im=None):
